@@ -9,9 +9,6 @@
 //                         smoke path, seconds instead of minutes.
 //   --telemetry-dir=DIR   export each LVRM trial's telemetry to
 //                         DIR/exp1a_<mech>.{prom,csv,trace.json}.
-//   --descriptor-rings    run the LVRM mechanisms on the zero-copy
-//                         descriptor data path (DESIGN.md §12); results
-//                         must be bit-identical to the default off.
 //   --tracing             enable §15 frame-level path tracing on the LVRM
 //                         mechanisms, so the exported trace.json carries
 //                         path spans (the CI trace-smoke path); results
@@ -41,7 +38,6 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const std::string telemetry_dir = cli.get_string("telemetry-dir", "");
-  const bool descriptor_rings = cli.get_bool("descriptor-rings", false);
   const bool tracing = cli.get_bool("tracing", false);
   bench::print_header(
       "Experiment 1a: achievable throughput in data forwarding", "Fig 4.2",
@@ -66,7 +62,6 @@ int main(int argc, char** argv) {
       opts.frame_bytes = size;
       opts.warmup = args.scaled(msec(50));
       opts.measure = args.scaled(msec(140));
-      opts.gw.lvrm.descriptor_rings = descriptor_rings;
       opts.gw.lvrm.tracing.enabled = tracing;
       if (!telemetry_dir.empty() && is_lvrm(mech))
         opts.telemetry_export_prefix =

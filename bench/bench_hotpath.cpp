@@ -633,10 +633,10 @@ double descriptor_chain_handle_mops(std::uint64_t frames) {
   return static_cast<double>(frames) * 1e3 / elapsed;
 }
 
-/// `shards` interleaved handle chains sharing ONE pool, as LvrmSystem's
-/// dispatcher shards do. Single-threaded interleave (the simulated cores
-/// share the host thread), so this measures that the shared free list and
-/// pool bookkeeping do not drag down aggregate throughput as shards grow.
+/// `shards` interleaved handle chains sharing ONE pool, one chain per
+/// dispatcher shard. Single-threaded interleave, so this measures that the
+/// shared free list and pool bookkeeping do not drag down aggregate
+/// throughput as shards grow.
 double descriptor_e2e_mops(std::uint64_t frames, int shards) {
   struct Chain {
     queue::SpscRing<net::FrameHandle> rx{64};
@@ -1083,7 +1083,9 @@ int main(int argc, char** argv) {
     pipe_samples.push_back(pipeline_frame_ns());
   const double pipeline_frame =
       *std::min_element(pipe_samples.begin(), pipe_samples.end());
-  const double trace_addon = std::max(0.0, trace_on - trace_off);
+  // Signed on purpose: a negative add-on means the on/off difference is
+  // inside the loop's noise, and clamping it to zero would hide that.
+  const double trace_addon = trace_on - trace_off;
   const double trace_overhead = trace_addon / pipeline_frame;
 
   // Sharded dispatch plane (simulated time, so a single run is exact). The
@@ -1202,7 +1204,6 @@ int main(int argc, char** argv) {
     lvrm::exp::FabricTrialOptions fopt;
     fopt.shards = shards;
     fopt.vris = vris;
-    fopt.fabric = true;
     fopt.warmup = msec(2);
     fopt.measure = msec(5);
     return lvrm::exp::run_fabric_trial(fopt);
@@ -1229,7 +1230,6 @@ int main(int argc, char** argv) {
   lvrm::exp::FabricTrialOptions steal_opt;
   steal_opt.shards = 2;
   steal_opt.vris = 4;
-  steal_opt.fabric = true;
   steal_opt.stealing = true;
   steal_opt.workload = lvrm::exp::FabricTrialOptions::Workload::kSkewFrame;
   steal_opt.warmup = msec(5);
@@ -1296,8 +1296,6 @@ int main(int argc, char** argv) {
       << static_cast<double>(over.ordering_violations +
                              drain.ordering_violations)
       << ",\n"
-      << "  \"overload_pool_leaked\": "
-      << static_cast<double>(over.pool_leaked + drain.pool_leaked) << ",\n"
       << "  \"overload_drain_migrated\": "
       << static_cast<double>(drain.drain_migrated) << ",\n"
       << "  \"flowtable_v1_lookup_ns\": " << ft_v1_lookup << ",\n"
@@ -1402,9 +1400,9 @@ int main(int argc, char** argv) {
       ft_v2_insert);
   std::printf("  telemetry off/on      : %.1f / %.1f host ns/frame (%+.2f%%)\n",
               tel_off, tel_on, 100.0 * tel_overhead);
-  std::printf("  tracing micro off/on  : %.1f / %.1f host ns/frame (+%.1f ns)\n",
+  std::printf("  tracing micro off/on  : %.1f / %.1f host ns/frame (%+.1f ns)\n",
               trace_off, trace_on, trace_addon);
-  std::printf("  tracing vs pipeline   : +%.1f ns on %.1f ns/frame e2e (%+.2f%%)\n",
+  std::printf("  tracing vs pipeline   : %+.1f ns on %.1f ns/frame e2e (%+.2f%%)\n",
               trace_addon, pipeline_frame, 100.0 * trace_overhead);
   std::printf(
       "  shards 1->2 (sim)     : %.1f -> %.1f Kfps (%.2fx), %llu violations\n",
@@ -1416,12 +1414,10 @@ int main(int argc, char** argv) {
       100.0 * over_delivered_frac, 100.0 * over.estimate_error,
       over.peak_level);
   std::printf(
-      "  reset-free drain (sim): %llu migrated, %llu order viol, %llu pool "
-      "leaked\n",
+      "  reset-free drain (sim): %llu migrated, %llu order viol\n",
       static_cast<unsigned long long>(drain.drain_migrated),
       static_cast<unsigned long long>(over.ordering_violations +
-                                      drain.ordering_violations),
-      static_cast<unsigned long long>(over.pool_leaked + drain.pool_leaked));
+                                      drain.ordering_violations));
   std::printf("  wrote %s\n", out_path.c_str());
 
   const double tel_gate = cli.get_double("check-telemetry-overhead", -1.0);

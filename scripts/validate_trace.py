@@ -28,8 +28,7 @@ KNOWN_X = SPAN_SLICES | AUDIT_SLICES
 # TraceHop names as serialized into flight-dump records.
 HOPS = {"rx_ingress", "dispatch", "vri_start", "vri_end", "tx_drain", "drop"}
 # FlightDumpCause names as serialized into the dump "reason" field.
-DUMP_REASONS = {"vri_crash", "quarantine", "admission", "pool_exhausted",
-                "manual", "unknown"}
+DUMP_REASONS = {"vri_crash", "quarantine", "admission", "manual", "unknown"}
 
 
 def fail(msg):

@@ -461,7 +461,6 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   cfg.granularity = BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
-  cfg.descriptor_rings = opt.descriptor_rings;
   cfg.state_replication.enabled = opt.replication;
   cfg.seed = opt.seed;
   LvrmSystem sys(simulator, topo, cfg);
@@ -573,8 +572,6 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
                         : BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
-  cfg.descriptor_rings = opt.descriptor_rings;
-  cfg.mpmc_fabric = opt.fabric;
   cfg.work_stealing = opt.stealing;
   cfg.state_replication.enabled = opt.workload == Workload::kElephant;
   cfg.seed = opt.seed;
@@ -693,16 +690,14 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   simulator.run_until(stop_at);
   out.delivered_fps =
       static_cast<double>(delivered - mark) / to_seconds(opt.measure);
-  // Full drain: every queued frame egresses or lands in a drop bucket, so
-  // a non-zero pool in-flight here is a genuinely leaked slot.
+  // Full drain: every queued frame egresses or lands in a drop bucket
+  // before the steal counters are read.
   simulator.run_all();
   out.avg_latency_us = latency_us.mean();
   out.tx_steals = sys.tx_steals();
   out.tx_steal_frames = sys.tx_steal_frames();
   out.vri_steals = sys.vri_steals();
   out.vri_steal_frames = sys.vri_steal_frames();
-  if (const net::FramePool* pool = sys.frame_pool())
-    out.pool_leaked = pool->in_flight();
   return out;
 }
 
@@ -715,7 +710,6 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   cfg.adapter = AdapterKind::kMemory;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.granularity = BalancerGranularity::kFlow;
-  cfg.descriptor_rings = opt.descriptor_rings;
   cfg.overload_control.enabled = opt.ladder;
   cfg.seed = opt.seed;
   LvrmSystem sys(simulator, topo, cfg);
@@ -781,8 +775,8 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   }
 
   gen.start();
-  // Quiesce well past the stop so every queued frame drains (or is dropped
-  // with its pool slot released) before conservation is read.
+  // Quiesce well past the stop so every queued frame drains (or is
+  // dropped) before conservation is read.
   simulator.run_until(stop + msec(30));
 
   out.offered = gen.sent();
@@ -807,7 +801,6 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
     out.drain_flows_evicted = ev.flows_evicted;
     out.drain_handoff_latency = ev.handoff_latency;
   }
-  if (sys.frame_pool()) out.pool_leaked = sys.frame_pool()->in_flight();
   return out;
 }
 

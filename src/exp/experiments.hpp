@@ -151,7 +151,6 @@ struct OverloadTrialOptions {
   double attack_fraction = 0.0;
   /// Drain one VRI (decommission_vri) mid-measurement under load.
   bool decommission = false;
-  bool descriptor_rings = true;
   int frame_bytes = 84;
   Nanos warmup = msec(10);
   Nanos measure = msec(60);
@@ -191,14 +190,12 @@ struct OverloadTrialResult {
   std::uint64_t drain_dropped = 0;
   std::uint64_t drain_flows_evicted = 0;
   Nanos drain_handoff_latency = 0;
-  /// Pool slots still in flight after quiesce (descriptor mode; must be 0).
-  std::uint64_t pool_leaked = 0;
 };
 
 /// Drives a flash-crowd (2× ramp riding on `offered_multiplier`× nominal
 /// capacity) plus optional adversarial mix through a gateway and measures
-/// delivered fidelity, estimate accuracy, ordering and pool conservation —
-/// the Exp 6 graceful-degradation claim.
+/// delivered fidelity, estimate accuracy and ordering — the Exp 6
+/// graceful-degradation claim.
 OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt);
 
 // --- Million-flow FlowTable scaling (Experiment 7, DESIGN.md §14) ---------------------
@@ -284,7 +281,6 @@ struct ElephantTrialOptions {
   double mice_load = 0.1;
   int shards = 1;
   bool batched = false;
-  bool descriptor_rings = false;
   int frame_bytes = 84;
   Nanos warmup = msec(20);
   Nanos measure = msec(100);
@@ -316,9 +312,7 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt);
 struct FabricTrialOptions {
   int shards = 4;         // LvrmConfig::dispatch_shards
   int vris = 8;           // initial VRIs of the single C++ VR
-  bool fabric = true;     // LvrmConfig::mpmc_fabric
-  bool stealing = false;  // LvrmConfig::work_stealing (needs fabric)
-  bool descriptor_rings = true;
+  bool stealing = false;  // LvrmConfig::work_stealing
   bool batched = true;
   /// Workload shape. kPinned replays `flows` pinned 5-tuples — per-flow
   /// ordering must stay exact, steals must refuse every pinned head.
@@ -355,15 +349,12 @@ struct FabricTrialResult {
   /// Per-flow frame-id regressions at egress. Must be 0 for kPinned and
   /// kElephant (the §17 ordering claim); unconstrained for kSkewFrame.
   std::uint64_t ordering_violations = 0;
-  /// Pool slots still in flight after the run fully drains. Must be 0:
-  /// stealing moves handles between servers but never drops one.
-  std::uint64_t pool_leaked = 0;
 };
 
 /// Replays a pinned-flow (or elephant / skewed) RAM trace through a
-/// `shards` × `vris` gateway with the §17 fabric knobs as given, runs the
+/// `shards` × `vris` gateway with the §17 stealing knob as given, runs the
 /// sim to full drain, and reports throughput, the ring-count/bytes audit,
-/// steal counters, ordering violations, and leaked pool slots.
+/// steal counters and ordering violations.
 FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt);
 
 // --- Control-event latency (Experiment 1e) --------------------------------------------

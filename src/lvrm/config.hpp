@@ -50,7 +50,7 @@ struct HealthConfig {
 /// RX-side admission control, plus the reset-free VRI drain path. Disabled
 /// by default: with `enabled = false` no controller state is touched, no
 /// metric is registered and every output is byte-identical to the seed —
-/// the same rollout discipline as `batched_hot_path` / `descriptor_rings`.
+/// the same rollout discipline as `batched_hot_path`.
 struct OverloadConfig {
   bool enabled = false;
 
@@ -181,36 +181,12 @@ struct LvrmConfig {
   /// experiment is calibrated against (bit-identical results).
   bool batched_hot_path = false;
 
-  /// Descriptor-passing data path (DESIGN.md §12): data frames are written
-  /// once into a shared-memory FramePool at RX ingress and every IPC queue
-  /// hop carries a 32-bit FrameHandle instead of the ~128-byte FrameMeta;
-  /// the slot is freed at TX completion or drop. Off by default: the
-  /// copy-per-hop path is the calibrated reference (bit-identical results,
-  /// same rollout discipline as `batched_hot_path`).
-  bool descriptor_rings = false;
-
-  /// Slots in the shared frame pool when `descriptor_rings` is on. 0 (the
-  /// default) sizes it automatically to cover every RX ring and VRI data
-  /// queue at full occupancy plus slack, so exhaustion cannot precede
-  /// queue tail-drop; set explicitly to exercise exhaustion behavior.
-  std::size_t frame_pool_capacity = 0;
-
-  /// MPMC virtual-link IPC fabric (DESIGN.md §17): collapses the
-  /// O(shards × VRIs) SPSC mesh into one multi-producer ingress link per
-  /// VRI and one multi-consumer TX drain per home shard, carrying 32-bit
-  /// FrameHandles (`queue/mpmc_link.hpp`). Off by default: the SPSC mesh
-  /// is the calibrated reference and results are byte-identical off-vs-on
-  /// with `work_stealing` off (same rollout discipline as
-  /// `batched_hot_path` / `descriptor_rings`).
-  bool mpmc_fabric = false;
-
-  /// Work stealing over the MPMC fabric (DESIGN.md §17, requires
-  /// `mpmc_fabric`): an idle shard steals TX bursts from another shard's
-  /// home drain, and an idle VRI steals ingress frames from an overloaded
-  /// same-VR sibling — only unpinned (frame-granularity or sprayed)
-  /// frames, so flow pinning and the §16 sequencer keep external order
-  /// exact. Off by default; no hook is installed and outputs are
-  /// byte-identical with it off.
+  /// Work stealing over the MPMC link fabric (DESIGN.md §17): an idle
+  /// shard steals TX bursts from another shard's home drain, and an idle
+  /// VRI steals ingress frames from an overloaded same-VR sibling — only
+  /// unpinned (frame-granularity or sprayed) frames, so flow pinning and
+  /// the §16 sequencer keep external order exact. Off by default; no hook
+  /// is installed and outputs are byte-identical with it off.
   bool work_stealing = false;
 
   /// Minimum victim backlog (queued frames) before an idle VRI steals from
@@ -228,7 +204,7 @@ struct LvrmConfig {
   /// cache-line-bucketed tags, incremental (pause-free) resize, idle-expiry
   /// GC wheel, O(flows-on-VRI) eviction. Off by default: the classic table
   /// is the calibrated reference and results are byte-identical off-vs-on
-  /// (same rollout discipline as `batched_hot_path` / `descriptor_rings`).
+  /// (same rollout discipline as `batched_hot_path`).
   bool flow_table_v2 = false;
 
   /// Initial per-Dispatcher flow-table capacity hint, in entries. The
@@ -264,7 +240,7 @@ struct LvrmConfig {
   /// (DESIGN.md §15). Off by default: no Tracer is created, the hot path
   /// pays one pointer null check, and every output is byte-identical to
   /// the seed (same rollout discipline as `batched_hot_path` /
-  /// `descriptor_rings` / `overload_control`).
+  /// `overload_control`).
   obs::TracingConfig tracing;
 
   /// State-compute replication for stateful VRs (DESIGN.md §16).

@@ -35,11 +35,11 @@ struct LvrmSystem::VriSlot {
   Nanos activated_at = 0;
   Nanos cold_until = 0;  // post-migration cold-cache window (default policy)
 
-  std::unique_ptr<sim::BoundedQueue<net::FrameCell>> data_in;
-  std::unique_ptr<sim::BoundedQueue<net::FrameCell>> data_out;
-  std::unique_ptr<sim::BoundedQueue<net::FrameCell>> ctrl_in;
-  std::unique_ptr<sim::BoundedQueue<net::FrameCell>> ctrl_out;
-  std::unique_ptr<sim::PollServer<net::FrameCell>> server;
+  std::unique_ptr<FrameQueue> data_in;
+  std::unique_ptr<FrameQueue> data_out;
+  std::unique_ptr<FrameQueue> ctrl_in;
+  std::unique_ptr<FrameQueue> ctrl_out;
+  std::unique_ptr<FrameServer> server;
   std::unique_ptr<VirtualRouter> router;
   std::unique_ptr<LoadEstimator> estimator;
 
@@ -70,8 +70,9 @@ struct LvrmSystem::VriSlot {
   bool suspect = false;         // inside the fail-slow grace window
   bool needs_rebuild = false;   // next activation forks a fresh process
 
-  queue::SegmentId shm_ids[4] = {queue::kInvalidSegment, queue::kInvalidSegment,
-                                 queue::kInvalidSegment, queue::kInvalidSegment};
+  /// Ingress link, then the two control rings (create_slot_segments).
+  queue::SegmentId shm_ids[3] = {queue::kInvalidSegment, queue::kInvalidSegment,
+                                 queue::kInvalidSegment};
   sim::EventId migration_event = sim::kInvalidEvent;
 
   // §17 work stealing. Input indices let thieves repair the right hint on
@@ -219,12 +220,6 @@ struct LvrmSystem::ObsHooks {
   // export byte-identical to the unsharded build).
   std::vector<obs::Counter> shard_rx;
   std::vector<obs::Counter> shard_tx;
-  // Frame-pool exhaustion drops (descriptor mode only; registered only when
-  // `descriptor_rings` is on so classic exports stay byte-identical).
-  obs::Counter pool_exhausted;
-  // Per-shard exhaustion breakdown, labeled shard="<id>" (sharded plane +
-  // descriptor mode only — same byte-identity rule as shard_rx/shard_tx).
-  std::vector<obs::Counter> pool_exhausted_shard;
   // Degradation-ladder drop counters (registered only when
   // `overload_control.enabled`, keeping ladder-off exports byte-identical).
   obs::Counter sampled_shed;
@@ -242,7 +237,7 @@ struct LvrmSystem::ObsHooks {
   obs::Counter seq_gap_skips;
   obs::Counter seq_window_overflow;
   // §17 work-stealing counters (registered only when `work_stealing` is on
-  // over the fabric — defaults-off exports stay byte-identical).
+  // — defaults-off exports stay byte-identical).
   obs::Counter tx_steals;
   obs::Counter tx_steal_frames;
   obs::Counter vri_steals;
@@ -255,10 +250,7 @@ struct LvrmSystem::ObsHooks {
 LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
                        LvrmConfig config)
     : sim_(sim), topo_(topo), config_(config), rng_(config.seed) {
-  // §17: stealing is defined over the fabric's MPMC links; without the
-  // fabric the gate is inert (documented in README's config table).
-  fabric_ = config_.mpmc_fabric;
-  stealing_ = fabric_ && config_.work_stealing;
+  stealing_ = config_.work_stealing;
   for (sim::CoreId c = 0; c < topo_.total_cores(); ++c)
     cores_.push_back(
         std::make_unique<sim::Core>(sim_, c, costs::kContextSwitch));
@@ -308,15 +300,6 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
         obs_->shard_tx.push_back(m.counter("lvrm_tx_frames_total", l));
       }
     }
-    if (config_.descriptor_rings) {
-      obs_->pool_exhausted = m.counter("lvrm_frame_pool_exhausted_total");
-      if (n_shards > 1) {
-        for (int s = 0; s < n_shards; ++s)
-          obs_->pool_exhausted_shard.push_back(
-              m.counter("lvrm_frame_pool_exhausted_total",
-                        "shard=\"" + std::to_string(s) + "\""));
-      }
-    }
     if (config_.overload_control.enabled) {
       obs_->sampled_shed = m.counter("lvrm_sampled_shed_total");
       obs_->admission_rejected = m.counter("lvrm_admission_rejected_total");
@@ -360,83 +343,74 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     DispatchShard* sh = &shard;
     shard.server->add_input(
         *shard.rx_ring, /*priority=*/1,
-        [this, sh](net::FrameCell& c) { return rx_cost(meta_of(c), *sh); },
-        [this](net::FrameCell&& c) { rx_sink(std::move(c)); },
+        [this, sh](net::FrameMeta& f) { return rx_cost(f, *sh); },
+        [this](net::FrameMeta&& f) { rx_sink(std::move(f)); },
         shard.adapter->recv_category(), config_.poll_batch,
         /*coalesce=*/config_.batched_hot_path,
         config_.batched_hot_path
-            ? FrameServer::BatchCostFn([this, sh](std::span<net::FrameCell> cs) {
-                return rx_cost_batch(cs, *sh);
+            ? FrameServer::BatchCostFn([this, sh](std::span<net::FrameMeta> fs) {
+                return rx_cost_batch(fs, *sh);
               })
             : FrameServer::BatchCostFn{});
   }
 
-  // §17 MPMC fabric: TX collapses from one drain ring per (shard, VRI) pair
-  // to ONE per-home-shard MPMC link all of that shard's slots feed. In the
-  // simulation the per-slot BoundedQueues persist as the link's per-producer
+  // §17 MPMC fabric: TX is ONE per-home-shard MPMC link all of that shard's
+  // slots feed, instead of one drain ring per (shard, VRI) pair. In the
+  // simulation the per-slot BoundedQueues stand for the link's per-producer
   // claimed segments (each producer's burst occupies a contiguous claimed
-  // sub-region, so per-producer FIFO sub-queues model the link exactly);
-  // only the arena topology and the stealing capability change, which keeps
-  // fabric-on byte-identical to fabric-off while work_stealing is off.
-  if (fabric_) {
-    const std::size_t elem = config_.descriptor_rings
-                                 ? sizeof(net::FrameHandle)
-                                 : sizeof(net::FrameMeta);
-    for (DispatchShard& shard : shards_) {
-      shard.tx_link_shm = arena_.create(config_.data_queue_capacity * elem);
-      if (!stealing_) continue;
-      DispatchShard* sh = &shard;
-      const std::string suffix =
-          shard.id == 0 ? "" : "/s" + std::to_string(shard.id);
-      // Staging queue for bursts stolen off other shards' TX links. It is a
-      // pool-slot-neutral hop: frames enter by move from the victim's drain
-      // and leave through the same take_cell/finish_tx path, so conservation
-      // holds (tested in test_system_fabric).
-      shard.tx_steal_q = std::make_unique<FrameQueue>(
-          config_.data_queue_capacity, "tx-steal" + suffix);
-      shard.tx_steal_input = shard.server->add_input(
-          *shard.tx_steal_q, /*priority=*/1,
-          [this, sh](net::FrameCell& c) {
-            const net::FrameMeta& f = meta_of(c);
-            Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
-            Nanos user_part = costs::kDequeueCost;
-            // The producer is the victim VRI's core, not a dispatcher's.
-            const VriSlot* victim = steal_victim_slot(f);
-            if (victim && cross_socket(victim->core_id, sh->core_id)) {
-              cost += costs::kCrossSocketQueueOp;
-              user_part += costs::kCrossSocketQueueOp;
-            }
-            if (sh->adapter->send_category() != CostCategory::kUser)
-              core(sh->core_id)
-                  .reclassify(sh->adapter->send_category(),
-                              CostCategory::kUser, user_part);
-            return cost;
-          },
-          [this, sh](net::FrameCell&& c) {
-            net::FrameMeta f = take_cell(std::move(c));
-            f.gw_out_at = sim_.now();
-            VriSlot* victim = steal_victim_slot(f);
-            VrState* v = victim ? vrs_[static_cast<std::size_t>(victim->vr_id)]
-                                      .get()
-                                : nullptr;
-            if (victim && victim->steal_inflight > 0 &&
-                --victim->steal_inflight == 0) {
-              // Last stolen frame egressed: reopen the victim's own drain
-              // (the gate held it closed so nothing could overtake).
-              shards_[static_cast<std::size_t>(victim->home_shard)]
-                  .server->kick(victim->data_out_input);
-            }
-            if (!v) return;  // victim VR gone (cannot happen today)
-            if (replication_ && f.sprayed) {
-              sequence_tx(*v, std::move(f));
-              return;
-            }
-            finish_tx(*v, std::move(f));
-          },
-          shard.adapter->send_category(), config_.poll_batch,
-          /*coalesce=*/config_.batched_hot_path);
-      shard.server->set_idle_hook([this, sh] { return try_tx_steal(*sh); });
-    }
+  // sub-region, so per-producer FIFO sub-queues model the link exactly).
+  for (DispatchShard& shard : shards_) {
+    shard.tx_link_shm = arena_.create(config_.data_queue_capacity *
+                                      sizeof(net::FrameMeta));
+    if (!stealing_) continue;
+    DispatchShard* sh = &shard;
+    const std::string suffix =
+        shard.id == 0 ? "" : "/s" + std::to_string(shard.id);
+    // Staging queue for bursts stolen off other shards' TX links. Frames
+    // enter by move from the victim's drain and leave through the same
+    // finish_tx path, so conservation holds (tested in test_system_fabric).
+    shard.tx_steal_q = std::make_unique<FrameQueue>(
+        config_.data_queue_capacity, "tx-steal" + suffix);
+    shard.tx_steal_input = shard.server->add_input(
+        *shard.tx_steal_q, /*priority=*/1,
+        [this, sh](net::FrameMeta& f) {
+          Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
+          Nanos user_part = costs::kDequeueCost;
+          // The producer is the victim VRI's core, not a dispatcher's.
+          const VriSlot* victim = steal_victim_slot(f);
+          if (victim && cross_socket(victim->core_id, sh->core_id)) {
+            cost += costs::kCrossSocketQueueOp;
+            user_part += costs::kCrossSocketQueueOp;
+          }
+          if (sh->adapter->send_category() != CostCategory::kUser)
+            core(sh->core_id)
+                .reclassify(sh->adapter->send_category(), CostCategory::kUser,
+                            user_part);
+          return cost;
+        },
+        [this](net::FrameMeta&& f) {
+          f.gw_out_at = sim_.now();
+          VriSlot* victim = steal_victim_slot(f);
+          VrState* v =
+              victim ? vrs_[static_cast<std::size_t>(victim->vr_id)].get()
+                     : nullptr;
+          if (victim && victim->steal_inflight > 0 &&
+              --victim->steal_inflight == 0) {
+            // Last stolen frame egressed: reopen the victim's own drain
+            // (the gate held it closed so nothing could overtake).
+            shards_[static_cast<std::size_t>(victim->home_shard)]
+                .server->kick(victim->data_out_input);
+          }
+          if (!v) return;  // victim VR gone (cannot happen today)
+          if (replication_ && f.sprayed) {
+            sequence_tx(*v, std::move(f));
+            return;
+          }
+          finish_tx(*v, std::move(f));
+        },
+        shard.adapter->send_category(), config_.poll_batch,
+        /*coalesce=*/config_.batched_hot_path);
+    shard.server->set_idle_hook([this, sh] { return try_tx_steal(*sh); });
   }
 }
 
@@ -513,28 +487,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                                               base + "/ctrl-in");
     s->ctrl_out = std::make_unique<FrameQueue>(config_.control_queue_capacity,
                                                base + "/ctrl-out");
-    // One shared-memory segment per queue, as in Sec 3.8: the identifiers
-    // are what a forked VRI would receive via its main() arguments.
-    if (fabric_) {
-      // §17 fabric layout: one MPMC ingress link every shard feeds
-      // (shm_ids[0] — a handle link in descriptor mode, so it shrinks to
-      // 4 bytes/elem), two control rings sized to the control capacity
-      // instead of the data capacity, and NO per-slot TX segment: egress
-      // rides the home shard's shared tx_link_shm.
-      const std::size_t elem = config_.descriptor_rings
-                                   ? sizeof(net::FrameHandle)
-                                   : sizeof(net::FrameMeta);
-      s->shm_ids[0] = arena_.create(config_.data_queue_capacity * elem);
-      s->shm_ids[1] = arena_.create(config_.control_queue_capacity *
-                                    sizeof(net::FrameMeta));
-      s->shm_ids[2] = arena_.create(config_.control_queue_capacity *
-                                    sizeof(net::FrameMeta));
-      s->shm_ids[3] = queue::kInvalidSegment;
-    } else {
-      for (int q = 0; q < 4; ++q)
-        s->shm_ids[q] = arena_.create(config_.data_queue_capacity *
-                                      sizeof(net::FrameMeta));
-    }
+    create_slot_segments(*s);
 
     // The factory honors kind + click_script/click_use_graph and wraps the
     // stateful kinds (NAT / firewall / rate limit) around their configured
@@ -552,8 +505,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
     // Control queue first: higher priority than data (Sec 2.1).
     s->server->add_input(
         *s->ctrl_in, /*priority=*/0,
-        [this](net::FrameCell& c) {
-          const net::FrameMeta& f = meta_of(c);
+        [](net::FrameMeta& f) {
           // §16 state deltas ride the control rings but arrive per sprayed
           // frame, not per control event — charging them the full control
           // cost would saturate the sibling cores on delta traffic alone.
@@ -563,8 +515,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                  static_cast<Nanos>(costs::kControlEventPerByte *
                                     f.wire_bytes);
         },
-        [this](net::FrameCell&& c) {
-          const net::FrameMeta f = take_cell(std::move(c));
+        [this](net::FrameMeta&& f) {
           const auto it = control_cbs_.find(f.id);
           if (it != control_cbs_.end()) {
             auto cb = std::move(it->second);
@@ -576,8 +527,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
 
     s->data_in_input = s->server->add_input(
         *s->data_in, /*priority=*/1,
-        [this, s, v](net::FrameCell& c) {
-          net::FrameMeta& f = meta_of(c);
+        [this, s, v](net::FrameMeta& f) {
           if (f.obs_sampled) f.obs_svc_at = sim_.now();
           if (tracer_)
             tracer_->record(f.dispatch_shard, obs::TraceHop::kVriStart, f.id,
@@ -610,8 +560,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           s->service_time.update(static_cast<double>(cost));
           return cost;
         },
-        [this, s, v](net::FrameCell&& c) {
-          net::FrameMeta& f = meta_of(c);
+        [this, s, v](net::FrameMeta&& f) {
           ++s->processed;
           if (f.obs_sampled) f.obs_done_at = sim_.now();
           if (tracer_)
@@ -626,21 +575,18 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
               ++s->no_route;
               note_drop(f, DropCause::kNoRoute);
             }
-            drop_cell(std::move(c));
             return;
           }
           if (v->pipeline_latency > 0) {
             // The Click VR's internal Queue element delays the frame without
             // consuming extra CPU (Fig 4.6's higher latency).
-            sim_.after(v->pipeline_latency, [this, s, v, c = std::move(c)]() mutable {
-              if (!push_cell_or_note(*s->data_out, std::move(c),
-                                     DropCause::kQueueFull))
+            sim_.after(v->pipeline_latency, [this, s, v, f] {
+              if (!push_or_note(*s->data_out, f, DropCause::kQueueFull))
                 ++v->data_drops;
               else
                 maybe_poke_tx_thieves(*s);
             });
-          } else if (!push_cell_or_note(*s->data_out, std::move(c),
-                                        DropCause::kQueueFull)) {
+          } else if (!push_or_note(*s->data_out, f, DropCause::kQueueFull)) {
             ++v->data_drops;
           } else {
             maybe_poke_tx_thieves(*s);
@@ -653,22 +599,19 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
     DispatchShard& home = shards_[static_cast<std::size_t>(s->home_shard)];
     home.server->add_input(
         *s->ctrl_out, /*priority=*/0,
-        [this, s, &home](net::FrameCell& c) {
+        [this, s, &home](net::FrameMeta& f) {
           Nanos cost = costs::kDequeueCost + costs::kEnqueueCost +
                        static_cast<Nanos>(costs::kControlRelayPerByte *
-                                          meta_of(c).wire_bytes);
+                                          f.wire_bytes);
           if (cross_socket(s->core_id, home.core_id))
             cost += costs::kCrossSocketQueueOp;
           return cost;
         },
-        [this, v](net::FrameCell&& c) {
-          const net::FrameMeta& f = meta_of(c);
-          const std::uint64_t id = f.id;
+        [this, v](net::FrameMeta&& f) {
           const int dst = f.dispatch_vri;
           if (dst < 0 || dst >= static_cast<int>(v->slots.size())) {
             ++control_drops_;
-            control_cbs_.erase(id);
-            drop_cell(std::move(c));
+            control_cbs_.erase(f.id);
             return;
           }
           VriSlot& target = *v->slots[static_cast<std::size_t>(dst)];
@@ -676,20 +619,17 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
               rng_.uniform01() < target.ctrl_loss_prob) {
             // Injected lossy control path: the event vanishes in transit.
             ++control_drops_;
-            control_cbs_.erase(id);
-            drop_cell(std::move(c));
+            control_cbs_.erase(f.id);
             return;
           }
-          if (!push_cell(*target.ctrl_in, std::move(c))) {
-            ++control_drops_;
-          }
+          if (!target.ctrl_in->push(std::move(f))) ++control_drops_;
         },
         CostCategory::kUser);
 
     s->data_out_input = home.server->add_input(
         *s->data_out, /*priority=*/1,
-        [this, s, &home](net::FrameCell& c) {
-          Nanos cost = costs::kDequeueCost + home.adapter->send_cost(meta_of(c));
+        [this, s, &home](net::FrameMeta& f) {
+          Nanos cost = costs::kDequeueCost + home.adapter->send_cost(f);
           Nanos user_part = costs::kDequeueCost;
           if (cross_socket(s->core_id, home.core_id)) {
             cost += costs::kCrossSocketQueueOp;
@@ -701,12 +641,10 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                             CostCategory::kUser, user_part);
           return cost;
         },
-        [this, v](net::FrameCell&& c) {
-          // TX completion: the frame leaves the IPC plane here, so a pooled
-          // slot is recycled now ("free once at TX completion"). Sprayed
+        [this, v](net::FrameMeta&& f) {
+          // TX completion: the frame leaves the IPC plane here. Sprayed
           // frames (§16) detour through the per-flow sequencer, which
           // restores external arrival order before finish_tx releases them.
-          net::FrameMeta f = take_cell(std::move(c));
           f.gw_out_at = sim_.now();
           if (replication_ && f.sprayed) {
             sequence_tx(*v, std::move(f));
@@ -742,20 +680,6 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
 void LvrmSystem::start() {
   assert(!started_);
   started_ = true;
-  if (config_.descriptor_rings) {
-    std::size_t cap = config_.frame_pool_capacity;
-    if (cap == 0) {
-      // Auto-size: every RX ring plus every VRI data queue (in + out) full
-      // at once, plus slack for frames parked in pipeline-latency timers and
-      // the poll servers' in-service slots — exhaustion then cannot precede
-      // ordinary queue tail-drop.
-      for (const auto& sh : shards_) cap += sh.rx_ring->capacity();
-      for (const auto& vr : vrs_)
-        cap += vr->slots.size() * 2 * config_.data_queue_capacity;
-      cap += 64 * shards_.size() + 1024;
-    }
-    pool_ = std::make_unique<net::FramePool>(arena_, cap);
-  }
   for (auto& vr : vrs_) {
     const int initial = std::max(1, vr->cfg.initial_vris);
     for (int i = 0; i < initial; ++i) activate_vri(*vr);
@@ -776,29 +700,14 @@ int LvrmSystem::shard_of(const net::FrameMeta& frame) const {
 bool LvrmSystem::ingress(net::FrameMeta frame) {
   frame.gw_in_at = sim_.now();
   // Level-2 admission control (DESIGN.md §13): while any VR sits at
-  // kAdmission, its out-of-subset flows are rejected here — before a pool
-  // slot or a ring entry is consumed. One int compare when the ladder is
-  // idle, so the ingress cost is unchanged with the feature off.
+  // kAdmission, its out-of-subset flows are rejected here — before a ring
+  // entry is consumed. One int compare when the ladder is idle, so the
+  // ingress cost is unchanged with the feature off.
   if (admission_active_ > 0 && admission_reject(frame)) return false;
   const int s = shard_of(frame);
   frame.dispatch_shard = static_cast<std::int16_t>(s);
   DispatchShard& shard = shards_[static_cast<std::size_t>(s)];
-  net::FrameCell cell;
-  if (pool_) {
-    // Descriptor mode: the frame is written into shared memory exactly once
-    // here ("allocate once at RX ingress"); every later hop moves a handle.
-    const net::FrameHandle h = pool_->acquire();
-    if (h == net::kInvalidFrameHandle) {
-      on_pool_exhausted(s, frame);
-      return false;  // graceful degradation: tail-drop the newest frame
-    }
-    pool_->at(h) = frame;
-    cell = net::FrameCell(h);
-  } else {
-    cell = net::FrameCell(std::move(frame));
-  }
-  if (!push_cell_or_note(*shard.rx_ring, std::move(cell),
-                         DropCause::kRxRingFull))
+  if (!push_or_note(*shard.rx_ring, frame, DropCause::kRxRingFull))
     return false;
   ++shard.rx_admitted;
   if (tracer_)
@@ -806,48 +715,6 @@ bool LvrmSystem::ingress(net::FrameMeta frame) {
                     -1, frame.gw_in_at,
                     static_cast<std::uint32_t>(frame.wire_bytes));
   return true;
-}
-
-void LvrmSystem::on_pool_exhausted(int shard, const net::FrameMeta& frame) {
-  ++pool_exhausted_drops_;
-  note_drop(frame, DropCause::kPoolExhausted);
-  if (obs_ && config_.descriptor_rings) {
-    obs_->pool_exhausted.inc();
-    if (!obs_->pool_exhausted_shard.empty())
-      obs_->pool_exhausted_shard[static_cast<std::size_t>(shard)].inc();
-  }
-  // Rate-limited reporting: the counter sees every drop, but the audit
-  // trail and the warn log get at most one event per simulated second so a
-  // sustained overload cannot flood either.
-  const Nanos now = sim_.now();
-  if (last_pool_audit_ >= 0 && now - last_pool_audit_ < sec(1)) return;
-  last_pool_audit_ = now;
-  // §15 black box: pool exhaustion shares the audit rate limit, so a
-  // sustained dry pool cannot flood the dump log either.
-  if (tracer_)
-    trace_flight_dump(obs::FlightDumpCause::kPoolExhausted, shard,
-                      frame.dispatch_vr, /*vri=*/-1);
-  LVRM_CLOG(kDispatch, kWarn)
-      << "frame pool exhausted: in_flight=" << pool_->in_flight() << "/"
-      << pool_->capacity() << " drops=" << pool_exhausted_drops_;
-  if (telemetry_) {
-    obs::AuditEvent e;
-    e.time = now;
-    e.until = now;
-    e.kind = obs::AuditKind::kPoolExhausted;
-    e.shard = static_cast<std::int16_t>(shard);
-    // Cause: an explicitly configured (undersized) pool exhausts by
-    // capacity; the auto-sized pool covers the full queue geometry, so its
-    // exhaustion means offered load outran the gateway — overload.
-    e.cause = static_cast<std::uint8_t>(
-        config_.frame_pool_capacity > 0
-            ? obs::PoolExhaustCause::kConfiguredCapacity
-            : obs::PoolExhaustCause::kOverload);
-    e.a = pool_->in_flight();
-    e.b = pool_->capacity();
-    e.c = pool_exhausted_drops_;
-    telemetry_->audit().record(e);
-  }
 }
 
 LvrmSystem::VrState& LvrmSystem::classify(net::FrameMeta& frame) {
@@ -927,7 +794,7 @@ Nanos LvrmSystem::rx_cost(net::FrameMeta& frame, DispatchShard& shard) {
   return cost;
 }
 
-Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameCell> cells,
+Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
                                 DispatchShard& shard) {
   // Batched-hot-path equivalent of rx_cost over a whole drained burst
   // (DESIGN.md §9): classification and adapter receive stay per-frame, the
@@ -942,14 +809,7 @@ Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameCell> cells,
   if (rx_groups_.size() < vrs_.size()) rx_groups_.resize(vrs_.size());
   for (auto& g : rx_groups_) g.clear();
 
-  // Descriptor mode: hint every referenced pool slot into cache before the
-  // serve loop touches any meta (batch pop + prefetch; DESIGN.md §12).
-  if (pool_)
-    for (const net::FrameCell& c : cells)
-      if (c.pooled()) pool_->prefetch(c.handle());
-
-  for (net::FrameCell& c : cells) {
-    net::FrameMeta& f = meta_of(c);
+  for (net::FrameMeta& f : frames) {
     if (tracer_) f.obs_rx_at = now;
     VrState& vr = classify(f);
     if (vr.last_arrival >= 0) {
@@ -1019,14 +879,13 @@ Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameCell> cells,
   return cost;
 }
 
-void LvrmSystem::rx_sink(net::FrameCell&& cell) {
+void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
   // Fig 3.2: the allocation pass runs "upon receipt of a packet after 1s or
   // more from the previous core allocation/deallocation process".
   maybe_allocate();
   // The heartbeat pass rides the same poll loop but on its own (much
   // shorter) period, so faults are noticed well inside the 1 s window.
   maybe_health_probe();
-  net::FrameMeta& frame = meta_of(cell);
   // The snapshot tick piggybacks on the same loop: telemetry aggregation
   // never needs its own timer or thread.
   if (obs_) {
@@ -1039,7 +898,6 @@ void LvrmSystem::rx_sink(net::FrameCell&& cell) {
   if (frame.dispatch_vr < 0 || frame.dispatch_vri < 0) {
     ++unclassified_drops_;
     note_drop(frame, DropCause::kUnclassified);
-    drop_cell(std::move(cell));
     return;
   }
   VrState& vr = *vrs_[static_cast<std::size_t>(frame.dispatch_vr)];
@@ -1047,16 +905,15 @@ void LvrmSystem::rx_sink(net::FrameCell&& cell) {
   if (!slot.active) {
     ++vr.data_drops;
     note_drop(frame, DropCause::kVriInactive);
-    drop_cell(std::move(cell));
     return;
   }
   if (config_.overload_control.enabled) {
     // Degradation ladder (DESIGN.md §13): adapt the VR's sampling rate on
     // window boundaries, then apply the level-1 per-flow sampling shed.
     overload_tick(vr, sim_.now());
-    if (maybe_sample_shed(vr, slot, cell)) return;
+    if (maybe_sample_shed(vr, slot, frame)) return;
   }
-  if (maybe_shed(vr, slot, cell)) return;
+  if (maybe_shed(vr, slot, frame)) return;
   if (tracer_) {
     // §15 load-adaptive sampling replaces the fixed §10 countdown. The
     // pressure signal is the same one the §13 ladder watches — the chosen
@@ -1077,8 +934,7 @@ void LvrmSystem::rx_sink(net::FrameCell&& cell) {
     frame.obs_sampled = 1;
     frame.obs_enq_at = sim_.now();
   }
-  if (!push_cell_or_note(*slot.data_in, std::move(cell),
-                         DropCause::kQueueFull)) {
+  if (!push_or_note(*slot.data_in, frame, DropCause::kQueueFull)) {
     ++vr.data_drops;
     return;
   }
@@ -1087,7 +943,7 @@ void LvrmSystem::rx_sink(net::FrameCell&& cell) {
 }
 
 bool LvrmSystem::maybe_shed(VrState& vr, VriSlot& slot,
-                            net::FrameCell& cell) {
+                            net::FrameMeta& frame) {
   if (config_.shed_policy == ShedPolicy::kNone) return false;
   // Shed only when the VR cannot grow out of the overload — it is at its
   // VRI cap or no cores remain — and even its *chosen* (shortest for JSQ)
@@ -1117,19 +973,14 @@ bool LvrmSystem::maybe_shed(VrState& vr, VriSlot& slot,
                            << slot.index;
   if (config_.shed_policy == ShedPolicy::kDropOldest &&
       !slot.data_in->empty()) {
-    // Evict the stalest queued frame to admit the fresh one (its pool slot,
-    // if any, is recycled — "free once at drop").
-    net::FrameCell evicted = slot.data_in->pop();
-    note_drop(meta_of(evicted), DropCause::kShedDropOldest);
-    drop_cell(std::move(evicted));
-    if (push_cell_or_note(*slot.data_in, std::move(cell),
-                          DropCause::kQueueFull))
+    // Evict the stalest queued frame to admit the fresh one.
+    note_drop(slot.data_in->pop(), DropCause::kShedDropOldest);
+    if (push_or_note(*slot.data_in, frame, DropCause::kQueueFull))
       slot.estimator->on_dispatch(slot.data_in->size(), sim_.now());
     return true;
   }
   // kDropNewest: the arriving frame is shed before the enqueue.
-  note_drop(meta_of(cell), DropCause::kShedDropNewest);
-  drop_cell(std::move(cell));
+  note_drop(frame, DropCause::kShedDropNewest);
   return true;
 }
 
@@ -1174,7 +1025,7 @@ bool LvrmSystem::admission_reject(net::FrameMeta& frame) {
 }
 
 bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
-                                   net::FrameCell& cell) {
+                                   net::FrameMeta& f) {
   const OverloadConfig& oc = config_.overload_control;
   ++vr.win_frames;
   const auto watermark = static_cast<std::size_t>(
@@ -1187,7 +1038,6 @@ bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
   // hard the ladder sheds.
   vr.offered_estimate += 1.0;
   if (vr.level == OverloadLevel::kNormal) return false;
-  net::FrameMeta& f = meta_of(cell);
   if (in_subset(f, vr.sample_rate)) {
     // Survivors record their end-to-end sampling rate: the hash subsets
     // nest (subset(r1) ∩ subset(r2) == subset(min(r1, r2))), so the min of
@@ -1201,7 +1051,6 @@ bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
   ++vr.sampled_shed;
   if (obs_) obs_->sampled_shed.inc();
   note_drop(f, DropCause::kSampledShed);
-  drop_cell(std::move(cell));
   return true;
 }
 
@@ -1303,9 +1152,7 @@ void LvrmSystem::send_control(int vr_id, int src_vri, int dst_vri,
   f.dispatch_vr = static_cast<std::int16_t>(vr_id);
   f.dispatch_vri = static_cast<std::int16_t>(dst_vri);
   control_cbs_.emplace(f.id, std::move(on_delivered));
-  // Control frames always travel inline: they are rare, latency-sensitive
-  // and never part of the pooled data path (DESIGN.md §12).
-  if (!src.ctrl_out->push(net::FrameCell(std::move(f)))) {
+  if (!src.ctrl_out->push(std::move(f))) {
     ++control_drops_;
     control_cbs_.erase(next_control_id_ - 1);
   }
@@ -1682,7 +1529,7 @@ void LvrmSystem::spray_gc(Nanos now) {
     }
     // Idle sequencers retire too. One still holding frames had a gap that
     // will never fill (its frame is gone for good) — flush the stragglers
-    // in positional order rather than leak them (and their pool slots).
+    // in positional order rather than leak them.
     for (auto it = vr.seq_out.begin(); it != vr.seq_out.end();) {
       SeqOut& so = it->second;
       if (now - so.last_activity < idle) {
@@ -1824,17 +1671,17 @@ bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
       // FIFO promise, and Active-sprayed frames are re-sequenced at TX
       // (§16). Anything else is pinned — stop at the first pinned head so
       // a pinned flow's in-queue order is never split across VRIs.
-      const net::FrameMeta& head = victim.data_in->front().meta(pool_.get());
+      const net::FrameMeta& head = victim.data_in->front();
       const bool unpinned =
           config_.granularity == BalancerGranularity::kFrame ||
           (head.sprayed != 0 && spray_is_active(vr, head));
       if (!unpinned) break;
       if (thief.data_in->size() >= thief.data_in->capacity()) break;
-      net::FrameCell c = victim.data_in->pop();
+      net::FrameMeta f = victim.data_in->pop();
       // Re-stamp the dispatch decision: service accounting, NUMA costing
       // and TX-steal victim lookup all key off the executing VRI.
-      meta_of(c).dispatch_vri = static_cast<std::int16_t>(thief.index);
-      push_cell(*thief.data_in, std::move(c));
+      f.dispatch_vri = static_cast<std::int16_t>(thief.index);
+      thief.data_in->push(std::move(f));
       ++moved;
     }
     if (moved == 0) continue;
@@ -1882,8 +1729,8 @@ void LvrmSystem::audit_steal(obs::AuditKind kind, int thief,
                              const VriSlot& victim, std::size_t burst) {
   if (!telemetry_) return;
   const Nanos now = sim_.now();
-  // Rate-limited like kPoolExhausted: at most one event per sim second per
-  // kind — the counters stay exact, the bounded trail stays unflooded.
+  // Rate-limited: at most one event per sim second per kind — the counters
+  // stay exact, the bounded trail stays unflooded.
   Nanos& last = kind == obs::AuditKind::kTxSteal ? last_tx_steal_audit_
                                                  : last_vri_steal_audit_;
   if (last >= 0 && now - last < sec(1)) return;
@@ -1908,7 +1755,7 @@ void LvrmSystem::audit_steal(obs::AuditKind kind, int thief,
 }
 
 std::size_t LvrmSystem::mesh_ring_count() const {
-  // The SPSC mesh this fabric replaces: with S dispatch shards every slot
+  // The SPSC mesh the fabric replaces: with S dispatch shards every slot
   // needs a per-(shard, slot) ring in EACH direction (any shard may dispatch
   // to any slot; any slot's egress is drained by its producer shard — §11's
   // per-shard TX drains) plus its two control rings, and each shard has its
@@ -1930,10 +1777,9 @@ std::size_t LvrmSystem::fabric_ring_count() const {
 }
 
 std::size_t LvrmSystem::mesh_ring_bytes() const {
-  // Mesh data rings carry full FrameMeta records (the mesh predates the
-  // descriptor fabric), control rings are sized like the mesh arena sizes
-  // them today (data capacity); RX rings are identical under both
-  // topologies and excluded from both sides.
+  // Closed form for the SPSC mesh the fabric replaces: every ring, control
+  // rings included, sized at the data capacity. RX rings are identical
+  // under both topologies and excluded from both sides.
   const std::size_t S = shards_.size();
   std::size_t slots = 0;
   for (const auto& vr : vrs_) slots += vr->slots.size();
@@ -1942,15 +1788,13 @@ std::size_t LvrmSystem::mesh_ring_bytes() const {
 }
 
 std::size_t LvrmSystem::fabric_ring_bytes() const {
-  // Mirrors what the fabric arena actually reserves: per slot one ingress
-  // link (FrameHandle elements in descriptor mode) + two control rings at
-  // the control capacity; per shard one TX link.
+  // Mirrors what the arena actually reserves: per slot one ingress link +
+  // two control rings at the control capacity; per shard one TX link.
   const std::size_t S = shards_.size();
   std::size_t slots = 0;
   for (const auto& vr : vrs_) slots += vr->slots.size();
-  const std::size_t elem = config_.descriptor_rings ? sizeof(net::FrameHandle)
-                                                    : sizeof(net::FrameMeta);
-  const std::size_t link = config_.data_queue_capacity * elem;
+  const std::size_t link =
+      config_.data_queue_capacity * sizeof(net::FrameMeta);
   const std::size_t ctrl =
       config_.control_queue_capacity * sizeof(net::FrameMeta);
   return slots * (link + 2 * ctrl) + S * link;
@@ -2037,7 +1881,7 @@ void LvrmSystem::burst_step(int vr_id, Nanos gap, Nanos until) {
   f.wire_bytes = 84;
   // 64 synthetic flows inside the VR's own first subnet: they classify to
   // the target VR, route under its own prefix, and compete with real
-  // traffic for the same rings, pool slots and queues the ladder protects.
+  // traffic for the same rings and queues the ladder protects.
   f.src_ip = p.network + 2 + static_cast<net::Ipv4Addr>(burst_seq_ % 64);
   f.dst_ip = p.network + 1;
   f.src_port = static_cast<std::uint16_t>(40000 + burst_seq_ % 64);
@@ -2097,7 +1941,7 @@ void LvrmSystem::finish_drain(
   // Pop the backlog in FIFO order BEFORE evicting the flow pins, so the
   // redispatch below re-pins every live flow exactly once at its new home
   // and same-flow frames stay in arrival order end to end.
-  std::vector<net::FrameCell> live;
+  std::vector<net::FrameMeta> live;
   while (!slot.data_in->empty()) live.push_back(slot.data_in->pop());
   for (auto& d : vr.dispatchers)
     ev.flows_evicted += d->on_vri_destroyed(slot.index);
@@ -2115,10 +1959,8 @@ void LvrmSystem::finish_drain(
     if (vr.active_order.empty()) {
       ev.dropped = live.size();
       vr.data_drops += live.size();
-      for (auto& c : live) {
-        note_drop(meta_of(c), DropCause::kVriDestroyed);
-        drop_cell(std::move(c));
-      }
+      for (const net::FrameMeta& f : live)
+        note_drop(f, DropCause::kVriDestroyed);
     } else {
       ev.migrated = redispatch(vr, live);
       ev.dropped = live.size() - ev.migrated;
@@ -2164,7 +2006,7 @@ void LvrmSystem::finish_drain(
 void LvrmSystem::reap_crashed() {
   for (auto& vrp : vrs_) {
     VrState& vr = *vrp;
-    std::vector<net::FrameCell> stranded;
+    std::vector<net::FrameMeta> stranded;
     for (auto it = vr.active_order.begin(); it != vr.active_order.end();) {
       VriSlot& slot = *vr.slots[static_cast<std::size_t>(*it)];
       if (!slot.crashed) {
@@ -2178,9 +2020,7 @@ void LvrmSystem::reap_crashed() {
         trace_flight_dump(obs::FlightDumpCause::kVriCrash, slot.home_shard,
                           vr.id, slot.index);
       // waitpid()-style reaping: free the core, rescue (health layer) or
-      // discard the dead process' queued frames, drop its flow pins. In
-      // descriptor mode the rescue moves handles, not payloads — and the
-      // discard path must release their pool slots (no leaks on crash).
+      // discard the dead process' queued frames, drop its flow pins.
       if (health_ && config_.health.redispatch_stranded) {
         while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
       } else {
@@ -2216,7 +2056,6 @@ void LvrmSystem::reap_crashed() {
     if (!stranded.empty()) {
       if (vr.active_order.empty()) {
         vr.data_drops += stranded.size();
-        for (auto& c : stranded) drop_cell(std::move(c));
       } else {
         redispatched_ += redispatch(vr, stranded);
       }
@@ -2228,20 +2067,16 @@ void LvrmSystem::discard_stale_control(VriSlot& slot) {
   // The dead incarnation's control queues die with it (fresh segments are
   // allocated at respawn): in-flight events are lost, and their delivery
   // callbacks with them. Counted as control drops, never silent.
-  while (!slot.ctrl_in->empty()) {
-    const net::FrameMeta f = take_cell(slot.ctrl_in->pop());
-    control_cbs_.erase(f.id);
-    ++control_drops_;
-  }
-  while (!slot.ctrl_out->empty()) {
-    const net::FrameMeta f = take_cell(slot.ctrl_out->pop());
-    control_cbs_.erase(f.id);
-    ++control_drops_;
+  for (FrameQueue* q : {slot.ctrl_in.get(), slot.ctrl_out.get()}) {
+    while (!q->empty()) {
+      control_cbs_.erase(q->pop().id);
+      ++control_drops_;
+    }
   }
 }
 
 std::size_t LvrmSystem::redispatch(VrState& vr,
-                                   std::vector<net::FrameCell>& cells) {
+                                   std::vector<net::FrameMeta>& frames) {
   const Nanos now = sim_.now();
   std::vector<VriView> views;
   views.reserve(vr.active_order.size());
@@ -2250,8 +2085,7 @@ std::size_t LvrmSystem::redispatch(VrState& vr,
     views.push_back(VriView{idx, s.estimator->load_at(now), s.suspect});
   }
   std::size_t admitted = 0;
-  for (net::FrameCell& c : cells) {
-    net::FrameMeta& f = meta_of(c);
+  for (net::FrameMeta& f : frames) {
     // Re-dispatch through the frame's own shard's dispatcher so flow pins
     // stay consistent within the shard that owns the flow.
     const std::size_t shard =
@@ -2259,8 +2093,7 @@ std::size_t LvrmSystem::redispatch(VrState& vr,
     const int chosen = vr.dispatchers[shard]->dispatch(f, views, now);
     f.dispatch_vri = static_cast<std::int16_t>(chosen);
     VriSlot& target = *vr.slots[static_cast<std::size_t>(chosen)];
-    if (push_cell_or_note(*target.data_in, std::move(c),
-                          DropCause::kQueueFull)) {
+    if (push_or_note(*target.data_in, f, DropCause::kQueueFull)) {
       target.estimator->on_dispatch(target.data_in->size(), now);
       ++admitted;
     } else {
@@ -2268,7 +2101,7 @@ std::size_t LvrmSystem::redispatch(VrState& vr,
     }
   }
   lvrm_core().charge(
-      static_cast<Nanos>(cells.size()) * costs::kRedispatchPerFrame,
+      static_cast<Nanos>(frames.size()) * costs::kRedispatchPerFrame,
       CostCategory::kSystem);
   return admitted;
 }
@@ -2447,9 +2280,8 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   slot.needs_rebuild = true;
 
   // Rescue the frames stranded in the dead incarnation's incoming queue
-  // before its segments are torn down (handles move payload-free; the
-  // discard path releases their pool slots so a crash leaks nothing).
-  std::vector<net::FrameCell> stranded;
+  // before its segments are torn down.
+  std::vector<net::FrameMeta> stranded;
   if (config_.health.redispatch_stranded) {
     while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
   } else {
@@ -2500,7 +2332,6 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   if (!stranded.empty()) {
     if (vr.active_order.empty()) {
       vr.data_drops += stranded.size();
-      for (auto& c : stranded) drop_cell(std::move(c));
     } else {
       ev.redispatched = redispatch(vr, stranded);
       redispatched_ += ev.redispatched;
@@ -2581,12 +2412,22 @@ void LvrmSystem::rebuild_router(VrState& vr, VriSlot& slot) {
   for (const route::RouteUpdate& u : vr.route_log)
     slot.router->apply_route_update(u);
   // Fresh shared-memory segments for the new process' queues (Sec 3.8).
-  for (int q = 0; q < 4; ++q) {
-    arena_.destroy(slot.shm_ids[q]);
-    slot.shm_ids[q] =
-        arena_.create(config_.data_queue_capacity * sizeof(net::FrameMeta));
-  }
+  for (const queue::SegmentId id : slot.shm_ids) arena_.destroy(id);
+  create_slot_segments(slot);
   slot.needs_rebuild = false;
+}
+
+void LvrmSystem::create_slot_segments(VriSlot& slot) {
+  // One shared-memory segment per VRI-side queue, as in Sec 3.8: the
+  // identifiers are what a forked VRI would receive via its main()
+  // arguments. §17 fabric layout: the MPMC ingress link every shard feeds,
+  // then two control rings sized to the control capacity. There is no
+  // per-slot TX segment: egress rides the home shard's tx_link_shm.
+  slot.shm_ids[0] =
+      arena_.create(config_.data_queue_capacity * sizeof(net::FrameMeta));
+  for (int q = 1; q < 3; ++q)
+    slot.shm_ids[q] =
+        arena_.create(config_.control_queue_capacity * sizeof(net::FrameMeta));
 }
 
 void LvrmSystem::deactivate_vri(VrState& vr) {
@@ -2607,8 +2448,7 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
   slot.active = false;
   bump_pool_generation(vr);
   slot.server->stop();
-  // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost
-  // (their pool slots are recycled in descriptor mode).
+  // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost.
   vr.data_drops += drain_and_drop(*slot.data_in, DropCause::kVriDestroyed);
   if (slot.migration_event != sim::kInvalidEvent) {
     sim_.cancel(slot.migration_event);
@@ -3057,7 +2897,7 @@ void LvrmSystem::publish_gauges() {
   }
   if (tracer_) {
     // Trace gauges exist only with tracing on, so defaults-off exports stay
-    // byte-identical (same rule as the pool and ladder gauges).
+    // byte-identical (same rule as the ladder gauges).
     m.gauge("lvrm_trace_sample_every")
         .set(static_cast<double>(tracer_->sample_every()));
     m.gauge("lvrm_trace_adaptations")
@@ -3074,42 +2914,30 @@ void LvrmSystem::publish_gauges() {
   m.gauge("lvrm_audit_events").set(static_cast<double>(telemetry_->audit().total()));
   m.gauge("lvrm_audit_overwritten")
       .set(static_cast<double>(telemetry_->audit().overwritten()));
-  if (pool_) {
-    // Pool gauges exist only in descriptor mode so classic exports stay
-    // byte-identical (same rule as the per-shard breakdowns above).
-    m.gauge("lvrm_frame_pool_in_flight")
-        .set(static_cast<double>(pool_->in_flight()));
-    m.gauge("lvrm_frame_pool_capacity")
-        .set(static_cast<double>(pool_->capacity()));
-  }
   if (replication_) {
     // Replication gauges exist only with §16 replication on (same
-    // byte-identity rule as the pool gauges above).
+    // byte-identity rule as the per-shard breakdowns above).
     m.gauge("lvrm_spray_active_flows")
         .set(static_cast<double>(spray_active_flows()));
     m.gauge("lvrm_seq_held_frames")
         .set(static_cast<double>(seq_held_frames()));
   }
-  if (fabric_) {
-    // §17 fabric gauges exist only with the MPMC fabric on (same
-    // byte-identity rule as the replication gauges above). Reclaimed
-    // headroom = what the SPSC mesh would have reserved minus what the
-    // fabric actually reserves — the ShmArena audit the satellite asks for.
-    m.gauge("lvrm_fabric_rings")
-        .set(static_cast<double>(fabric_ring_count()));
-    m.gauge("lvrm_mesh_rings").set(static_cast<double>(mesh_ring_count()));
-    const std::size_t mesh_b = mesh_ring_bytes();
-    const std::size_t fab_b = fabric_ring_bytes();
-    m.gauge("lvrm_fabric_reclaimed_bytes")
-        .set(static_cast<double>(mesh_b > fab_b ? mesh_b - fab_b : 0));
-    if (stealing_) {
-      m.gauge("lvrm_tx_steals").set(static_cast<double>(tx_steals_));
-      m.gauge("lvrm_tx_steal_frames")
-          .set(static_cast<double>(tx_steal_frames_));
-      m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
-      m.gauge("lvrm_vri_steal_frames")
-          .set(static_cast<double>(vri_steal_frames_));
-    }
+  // §17 fabric inventory. Reclaimed headroom = what an SPSC mesh would
+  // have reserved minus what the fabric actually reserves.
+  m.gauge("lvrm_fabric_rings").set(static_cast<double>(fabric_ring_count()));
+  m.gauge("lvrm_mesh_rings").set(static_cast<double>(mesh_ring_count()));
+  const std::size_t mesh_b = mesh_ring_bytes();
+  const std::size_t fab_b = fabric_ring_bytes();
+  m.gauge("lvrm_fabric_reclaimed_bytes")
+      .set(static_cast<double>(mesh_b > fab_b ? mesh_b - fab_b : 0));
+  if (stealing_) {
+    // Steal gauges exist only with work stealing on (same byte-identity
+    // rule as the replication gauges above).
+    m.gauge("lvrm_tx_steals").set(static_cast<double>(tx_steals_));
+    m.gauge("lvrm_tx_steal_frames").set(static_cast<double>(tx_steal_frames_));
+    m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
+    m.gauge("lvrm_vri_steal_frames")
+        .set(static_cast<double>(vri_steal_frames_));
   }
 
   for (const auto& vrp : vrs_) {
@@ -3153,7 +2981,7 @@ void LvrmSystem::publish_gauges() {
     }
     if (config_.overload_control.enabled) {
       // Ladder gauges exist only with the ladder on, so defaults-off
-      // exports stay byte-identical (same rule as the pool gauges).
+      // exports stay byte-identical (same rule as the trace gauges).
       m.gauge("lvrm_overload_level", l)
           .set(static_cast<double>(static_cast<int>(vr.level)));
       m.gauge("lvrm_overload_sample_rate", l).set(vr.sample_rate);

@@ -12,8 +12,10 @@
 //        -> LVRM TX -> socket adapter -> egress
 //
 // Control queues outrank data queues at both LVRM and the VRIs (Sec 2.1).
-// Shared-memory segment ids are allocated per queue through ShmArena,
-// following the shmget()-identifier protocol of Sec 3.8.
+// Every queue carries an inline FrameMeta. Shared-memory segment ids are
+// allocated through ShmArena following the shmget()-identifier protocol of
+// Sec 3.8, in the §17 fabric layout: one ingress link and two control rings
+// per VRI, one TX link per dispatcher shard.
 //
 // With `LvrmConfig::dispatch_shards` > 1 the dispatch plane itself is
 // replicated (DESIGN.md §11): N dispatcher shards, each with its own socket
@@ -32,6 +34,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +48,6 @@
 #include "lvrm/socket_adapter.hpp"
 #include "lvrm/vri.hpp"
 #include "net/frame.hpp"
-#include "net/frame_pool.hpp"
 #include "queue/shm_arena.hpp"
 #include "sim/core.hpp"
 #include "sim/poll_server.hpp"
@@ -154,7 +156,7 @@ class LvrmSystem {
   /// aimed at `vr` — `fps` extra frames per second pushed straight into
   /// ingress() for `duration`. The burst cycles 64 synthetic flows inside
   /// the VR's first subnet, so it competes with real traffic for the same
-  /// rings, pool slots and queues the ladder protects.
+  /// rings and queues the ladder protects.
   void inject_overload_burst(int vr, double fps, Nanos duration);
 
   /// Reset-free decommission (DESIGN.md §13): stops the VRI, migrates its
@@ -279,11 +281,6 @@ class LvrmSystem {
   const SocketAdapter& adapter() const { return *shards_.front().adapter; }
   const LvrmConfig& config() const { return config_; }
   const queue::ShmArena& shm() const { return arena_; }
-  /// The shared frame pool (descriptor mode), or nullptr when
-  /// `config.descriptor_rings` is off or start() has not run.
-  const net::FramePool* frame_pool() const { return pool_.get(); }
-  /// Frames dropped at ingress because the frame pool was exhausted.
-  std::uint64_t pool_exhausted_drops() const { return pool_exhausted_drops_; }
   /// Shard 0's dispatcher for `vr` (the only one with dispatch_shards=1).
   const Dispatcher& dispatcher(int vr) const;
   /// A specific shard's dispatcher for `vr`.
@@ -303,13 +300,13 @@ class LvrmSystem {
   int shard_of(const net::FrameMeta& frame) const;
 
   // --- MPMC fabric & work stealing (DESIGN.md §17) --------------------------
-  // Ring accounting contrasts the two IPC topologies over the *same* shard
-  // and VRI-slot geometry: the SPSC mesh needs one ring per (shard, VRI)
-  // pair in each data direction, the fabric one MPMC ingress link per VRI
-  // and one MPMC TX drain per home shard. Control rings and RX rings are
-  // common to both. These are the numbers behind the `lvrm_fabric_*`
-  // gauges and `bench_exp9_fabric`.
-  /// Data-plane rings the SPSC mesh allocates for this geometry.
+  // The fabric is the only layout the arena allocates: one MPMC ingress
+  // link per VRI and one MPMC TX drain per home shard. The mesh figures are
+  // the closed-form counterfactual over the *same* shard and VRI-slot
+  // geometry: an SPSC mesh needs one ring per (shard, VRI) pair in each data
+  // direction. Control rings and RX rings are common to both. These are the
+  // numbers behind the `lvrm_fabric_*` gauges and `bench_exp9_fabric`.
+  /// Data-plane rings an SPSC mesh would allocate for this geometry.
   std::size_t mesh_ring_count() const;
   /// Data-plane rings the MPMC fabric allocates for this geometry.
   std::size_t fabric_ring_count() const;
@@ -355,11 +352,12 @@ class LvrmSystem {
   struct VrState;
   struct SeqOut;  // §16 per-spray-flow TX sequencer state
 
-  /// Every IPC queue carries FrameCell: an inline FrameMeta classically, a
-  /// 32-bit pooled FrameHandle in descriptor mode (DESIGN.md §12). One
-  /// element type keeps the two modes on a single code path.
-  using FrameQueue = sim::BoundedQueue<net::FrameCell>;
-  using FrameServer = sim::PollServer<net::FrameCell>;
+  /// Every IPC queue carries the frame inline (DESIGN.md §12).
+  using FrameQueue = sim::BoundedQueue<net::FrameMeta>;
+  using FrameServer = sim::PollServer<net::FrameMeta>;
+  // Queue hops copy frames (push_or_note); a trivially copyable FrameMeta
+  // keeps each copy as cheap as a move.
+  static_assert(std::is_trivially_copyable_v<net::FrameMeta>);
 
   /// One dispatcher shard: its own adapter instance, RX ring, and poll loop
   /// pinned to its own core. Shard 0 is the paper's LVRM process (owner 0,
@@ -382,34 +380,11 @@ class LvrmSystem {
     bool tx_steal_timer_armed = false;
   };
 
-  // --- FrameCell plumbing (descriptor mode; DESIGN.md §12) ------------------
-  /// The frame a cell names (pool deref for handles, inline otherwise).
-  net::FrameMeta& meta_of(net::FrameCell& cell) {
-    return cell.meta(pool_.get());
-  }
-  /// Consumes a cell into a by-value frame, releasing its pool slot.
-  net::FrameMeta take_cell(net::FrameCell&& cell) {
-    return std::move(cell).take(pool_.get());
-  }
-  /// Consumes a cell without using the frame, releasing its pool slot.
-  void drop_cell(net::FrameCell&& cell) { std::move(cell).drop(pool_.get()); }
-  /// Pushes with handle-safe failure: BoundedQueue::push destroys the
-  /// moved-in value on tail-drop, which would silently leak a pool slot, so
-  /// the handle is saved first and released when the push is refused.
-  bool push_cell(FrameQueue& q, net::FrameCell&& cell) {
-    const bool pooled = cell.pooled();
-    const net::FrameHandle h = pooled ? cell.handle() : net::kInvalidFrameHandle;
-    if (q.push(std::move(cell))) return true;
-    if (pooled) pool_->release(h);
-    return false;
-  }
-  /// Drops every queued cell (releasing pool slots); returns how many.
+  /// Drops every queued frame; returns how many.
   std::size_t drain_and_drop(FrameQueue& q, DropCause cause) {
     std::size_t n = 0;
-    while (q.size() > 0) {
-      net::FrameCell c = q.pop();
-      note_drop(meta_of(c), cause);
-      drop_cell(std::move(c));
+    while (!q.empty()) {
+      note_drop(q.pop(), cause);
       ++n;
     }
     return n;
@@ -426,28 +401,18 @@ class LvrmSystem {
     if (tracer_) trace_drop(f, cause);
     if (drop_hook_) drop_hook_(f, cause);
   }
-  /// push_cell plus drop reporting: the push consumes the cell even on
-  /// refusal, so the meta is copied up front — but only when a hook, the
-  /// tracer or replication (which must see sprayed-frame drops for its
-  /// sequencer tombstones) is installed, keeping the production path
-  /// copy-free.
-  bool push_cell_or_note(FrameQueue& q, net::FrameCell&& cell,
-                         DropCause cause) {
-    if (!drop_hook_ && !tracer_ && !replication_)
-      return push_cell(q, std::move(cell));
-    const net::FrameMeta copy = meta_of(cell);
-    if (push_cell(q, std::move(cell))) return true;
-    note_drop(copy, cause);
+  /// Pushes a copy of `f`; when the queue refuses it, reports `f` as
+  /// dropped with `cause`.
+  bool push_or_note(FrameQueue& q, const net::FrameMeta& f, DropCause cause) {
+    if (q.push(f)) return true;
+    note_drop(f, cause);
     return false;
   }
-  /// RX-side pool exhaustion: count (aggregate + per shard), report the
-  /// drop, and audit at most once per sim second with the exhaustion cause.
-  void on_pool_exhausted(int shard, const net::FrameMeta& frame);
 
   VrState& classify(net::FrameMeta& frame);
   Nanos rx_cost(net::FrameMeta& frame, DispatchShard& shard);
-  Nanos rx_cost_batch(std::span<net::FrameCell> cells, DispatchShard& shard);
-  void rx_sink(net::FrameCell&& cell);
+  Nanos rx_cost_batch(std::span<net::FrameMeta> frames, DispatchShard& shard);
+  void rx_sink(net::FrameMeta&& frame);
   void maybe_allocate();
   void reap_crashed();
   void activate_vri(VrState& vr, bool from_recovery = false);
@@ -472,19 +437,21 @@ class LvrmSystem {
   void recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
                     Nanos stalled_for);
   void rebuild_router(VrState& vr, VriSlot& slot);
+  /// Allocates the slot's §17 arena segments (ingress link, control rings).
+  void create_slot_segments(VriSlot& slot);
   void discard_stale_control(VriSlot& slot);
-  std::size_t redispatch(VrState& vr, std::vector<net::FrameCell>& cells);
+  std::size_t redispatch(VrState& vr, std::vector<net::FrameMeta>& frames);
   // Overload shedding; returns true when the frame was handled (shed).
-  bool maybe_shed(VrState& vr, VriSlot& slot, net::FrameCell& cell);
+  bool maybe_shed(VrState& vr, VriSlot& slot, net::FrameMeta& frame);
   // Overload ladder (DESIGN.md §13; all no-ops unless
   // config.overload_control.enabled).
   /// Whether the frame's flow falls in the sampling subset at this rate.
   bool in_subset(const net::FrameMeta& f, double rate) const;
-  /// Level-2 RX gate; true when the frame was rejected before ring/pool.
+  /// Level-2 RX gate; true when the frame was rejected before the ring.
   bool admission_reject(net::FrameMeta& frame);
   /// Level-1 dispatch-time sampling shed (also feeds the window pressure
   /// accounting and the bias-corrected offered estimate).
-  bool maybe_sample_shed(VrState& vr, VriSlot& slot, net::FrameCell& cell);
+  bool maybe_sample_shed(VrState& vr, VriSlot& slot, net::FrameMeta& f);
   /// Window adaptation: escalate / relax the VR's sampling rate and level.
   void overload_tick(VrState& vr, Nanos now);
   void set_overload_state(VrState& vr, OverloadLevel level, double rate,
@@ -592,12 +559,6 @@ class LvrmSystem {
   std::vector<bool> core_used_;
   queue::ShmArena arena_;
 
-  // Shared frame pool (descriptor mode only; created in start() so its
-  // auto-sizing sees the final shard and queue geometry).
-  std::unique_ptr<net::FramePool> pool_;
-  std::uint64_t pool_exhausted_drops_ = 0;
-  Nanos last_pool_audit_ = -1;  // rate limit: one audit event per sim second
-
   std::vector<DispatchShard> shards_;  // fixed at construction, never resized
   std::unique_ptr<CoreAllocator> allocator_;
 
@@ -649,8 +610,8 @@ class LvrmSystem {
   std::unordered_map<std::uint64_t, std::function<void(Nanos)>> control_cbs_;
 
   // State replication (DESIGN.md §16). `replication_` caches the config
-  // gate so the hot-path checks (note_drop, push_cell_or_note, the TX sink)
-  // stay one bool test with the feature off.
+  // gate so the hot-path checks (note_drop, the TX sink) stay one bool test
+  // with the feature off.
   bool replication_ = false;
   std::uint64_t sprayed_frames_ = 0;
   std::uint64_t spray_activations_ = 0;
@@ -662,9 +623,8 @@ class LvrmSystem {
   std::uint32_t next_spray_flow_ = 1;
   Nanos last_spray_gc_ = 0;
 
-  // §17 MPMC fabric & work stealing. `fabric_`/`stealing_` cache the config
-  // gates (stealing requires the fabric) so hot-path checks stay one bool.
-  bool fabric_ = false;
+  // §17 work stealing. `stealing_` caches the config gate so hot-path
+  // checks stay one bool.
   bool stealing_ = false;
   std::uint64_t tx_steals_ = 0;
   std::uint64_t tx_steal_frames_ = 0;

@@ -108,7 +108,6 @@ std::string to_string(OverloadLevel k) {
 std::string to_string(DropCause k) {
   switch (k) {
     case DropCause::kRxRingFull: return "rx-ring-full";
-    case DropCause::kPoolExhausted: return "pool-exhausted";
     case DropCause::kAdmissionReject: return "admission-reject";
     case DropCause::kSampledShed: return "sampled-shed";
     case DropCause::kShedDropNewest: return "shed-drop-newest";

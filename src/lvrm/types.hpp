@@ -94,7 +94,7 @@ enum class ShedPolicy {
 enum class OverloadLevel {
   kNormal,     // every offered frame is dispatched
   kSampling,   // hash-based per-flow sampling shed at dispatch (recorded rate)
-  kAdmission,  // RX-side admission control rejects before ring/pool entry
+  kAdmission,  // RX-side admission control rejects before ring entry
 };
 
 /// Why the system dropped a frame — the taxonomy reported through
@@ -102,7 +102,6 @@ enum class OverloadLevel {
 /// (delivered + every cause == offered) is checkable per flow class.
 enum class DropCause {
   kRxRingFull,      // ingress: shard RX ring tail-drop
-  kPoolExhausted,   // ingress: descriptor frame pool ran dry
   kAdmissionReject, // ingress: overload ladder level 2 rejected the flow
   kSampledShed,     // dispatch: flow outside the sampling subset (level 1+)
   kShedDropNewest,  // classic watermark shed: arriving frame dropped

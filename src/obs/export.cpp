@@ -219,20 +219,6 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
         emit(buf);
         break;
       }
-      case AuditKind::kPoolExhausted: {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"s\":\"p\","
-            "\"name\":\"pool_exhausted\",\"args\":{\"in_flight\":%llu,"
-            "\"capacity\":%llu,\"drops\":%llu,\"shard\":%d,"
-            "\"cause\":\"%s\"}}",
-            ts, static_cast<unsigned long long>(e.a),
-            static_cast<unsigned long long>(e.b),
-            static_cast<unsigned long long>(e.c), e.shard,
-            esc(to_string(static_cast<PoolExhaustCause>(e.cause))).c_str());
-        emit(buf);
-        break;
-      }
       case AuditKind::kOverloadLevel: {
         std::snprintf(
             buf, sizeof(buf),
@@ -327,6 +313,31 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
             "\"frames_sprayed\":%llu,\"spray_flow\":%llu}}",
             e.vr, ts, e.shard, static_cast<unsigned long long>(e.a),
             static_cast<unsigned long long>(e.b));
+        emit(buf);
+        break;
+      }
+      case AuditKind::kTxSteal: {
+        std::snprintf(
+            buf, sizeof(buf),
+            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
+            "\"name\":\"tx_steal\",\"args\":{\"shard\":%d,\"victim_vri\":%d,"
+            "\"frames\":%llu,\"steals_total\":%llu,\"frames_total\":%llu}}",
+            e.vr, ts, e.shard, e.vri, static_cast<unsigned long long>(e.a),
+            static_cast<unsigned long long>(e.b),
+            static_cast<unsigned long long>(e.c));
+        emit(buf);
+        break;
+      }
+      case AuditKind::kVriSteal: {
+        std::snprintf(
+            buf, sizeof(buf),
+            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
+            "\"name\":\"vri_steal\",\"args\":{\"vri\":%d,\"victim_vri\":%d,"
+            "\"frames\":%llu,\"steals_total\":%llu,\"frames_total\":%llu}}",
+            e.vr, ts, e.vri, static_cast<int>(e.service),
+            static_cast<unsigned long long>(e.a),
+            static_cast<unsigned long long>(e.b),
+            static_cast<unsigned long long>(e.c));
         emit(buf);
         break;
       }

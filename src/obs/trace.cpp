@@ -12,7 +12,6 @@ const char* to_string(FlightDumpCause c) {
     case FlightDumpCause::kVriCrash: return "vri_crash";
     case FlightDumpCause::kQuarantine: return "quarantine";
     case FlightDumpCause::kAdmission: return "admission";
-    case FlightDumpCause::kPoolExhausted: return "pool_exhausted";
     case FlightDumpCause::kManual: return "manual";
   }
   return "unknown";

@@ -69,8 +69,7 @@ enum class FlightDumpCause : std::uint8_t {
   kVriCrash = 0,      // reap of a crashed VRI (§8)
   kQuarantine = 1,    // health monitor quarantined a VRI (§8)
   kAdmission = 2,     // degradation ladder reached admission (§13)
-  kPoolExhausted = 3, // frame pool ran dry at RX ingress (§12)
-  kManual = 4,        // test/tooling request
+  kManual = 3,        // test/tooling request
 };
 
 const char* to_string(FlightDumpCause c);

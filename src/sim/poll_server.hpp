@@ -90,7 +90,8 @@ class PollServer {
     inputs_.push_back(Input{&q, priority, std::move(cost), std::move(sink),
                             category, batch < 1 ? 1 : batch, coalesce,
                             std::move(batch_cost),
-                            /*nonempty=*/!q.empty(), /*class_idx=*/0});
+                            /*nonempty=*/!q.empty(), /*class_idx=*/0,
+                            /*gate=*/{}});
     rebuild_classes();
     const std::size_t idx = inputs_.size() - 1;
     q.set_observer([this, idx] {

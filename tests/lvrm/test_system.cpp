@@ -234,9 +234,11 @@ TEST(LvrmSystem, ControlEventLatencyGrowsWithSize) {
 
 TEST(LvrmSystem, ShmSegmentsAllocatedPerQueue) {
   Rig rig;
-  // 7 slots x 4 queues for the single default VR.
+  // §17 fabric layout for the single default VR: 7 slots x (ingress link +
+  // two control rings), plus the one shard's shared TX link.
   EXPECT_EQ(rig.sys->shm().segment_count(),
-            static_cast<std::size_t>(rig.sys->config().max_vris_per_vr) * 4);
+            static_cast<std::size_t>(rig.sys->config().max_vris_per_vr) * 3 +
+                1);
 }
 
 TEST(LvrmSystem, ClickVrForwardsThroughGraph) {

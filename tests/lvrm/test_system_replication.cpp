@@ -94,29 +94,25 @@ TEST(SystemReplication, ElephantStaysPinnedWithReplicationOff) {
   EXPECT_EQ(r.spray_activations, 0u);
 }
 
-TEST(SystemReplication, OrderingHoldsAcrossBatchedShardedDescriptorMatrix) {
+TEST(SystemReplication, OrderingHoldsAcrossBatchedShardedMatrix) {
   // The §16 guarantee is mode-independent: every hot-path variant sprays
   // the elephant past one VRI's capacity and egresses it in order.
   for (const bool batched : {false, true}) {
     for (const int shards : {1, 2}) {
-      for (const bool descriptor : {false, true}) {
-        exp::ElephantTrialOptions opt;
-        opt.replication = true;
-        opt.vris = 4;
-        opt.batched = batched;
-        opt.shards = shards;
-        opt.descriptor_rings = descriptor;
-        opt.warmup = msec(10);
-        opt.measure = msec(40);
-        const auto r = exp::run_elephant_trial(opt);
-        const std::string mode = std::string(batched ? "batched" : "classic") +
-                                 "/" + std::to_string(shards) + "-shard/" +
-                                 (descriptor ? "descriptor" : "inline");
-        EXPECT_EQ(r.ordering_violations, 0u) << mode;
-        EXPECT_GT(r.elephant_fps, 1.1 * kOneVriFps)
-            << mode << " delivered " << r.elephant_fps << " fps";
-        EXPECT_GE(r.spray_activations, 1u) << mode;
-      }
+      exp::ElephantTrialOptions opt;
+      opt.replication = true;
+      opt.vris = 4;
+      opt.batched = batched;
+      opt.shards = shards;
+      opt.warmup = msec(10);
+      opt.measure = msec(40);
+      const auto r = exp::run_elephant_trial(opt);
+      const std::string mode = std::string(batched ? "batched" : "classic") +
+                               "/" + std::to_string(shards) + "-shard";
+      EXPECT_EQ(r.ordering_violations, 0u) << mode;
+      EXPECT_GT(r.elephant_fps, 1.1 * kOneVriFps)
+          << mode << " delivered " << r.elephant_fps << " fps";
+      EXPECT_GE(r.spray_activations, 1u) << mode;
     }
   }
 }

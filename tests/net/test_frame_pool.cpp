@@ -1,8 +1,8 @@
 // Tests for the shared-memory FramePool + FrameHandle descriptors
 // (DESIGN.md §12): acquire/release conservation, exhaustion behavior,
 // stale-handle generation tagging, slot alignment inside the ShmArena
-// segment, the FrameCell wrapper's lifecycle, and a two-thread RX->TX
-// stress that doubles as the TSan target for the descriptor data path.
+// segment, and a two-thread RX->TX stress that doubles as the TSan target
+// for the descriptor data path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,36 +108,6 @@ TEST(FramePool, OwnsOneArenaSegmentAndDestroysItWithThePool) {
   }
   // shmctl(IPC_RMID) at teardown: the segment is gone with the pool.
   EXPECT_EQ(arena.segment_count(), before);
-}
-
-TEST(FrameCell, InlineAndPooledLifecycles) {
-  queue::ShmArena arena;
-  FramePool pool(arena, 2);
-
-  // Inline cell: no pool interaction at all.
-  FrameMeta m;
-  m.id = 7;
-  FrameCell inline_cell{std::move(m)};
-  EXPECT_FALSE(inline_cell.pooled());
-  EXPECT_EQ(inline_cell.meta(&pool).id, 7u);
-  const FrameMeta taken = std::move(inline_cell).take(&pool);
-  EXPECT_EQ(taken.id, 7u);
-  EXPECT_EQ(pool.in_flight(), 0u);
-
-  // Pooled cell: take() releases the slot...
-  FrameHandle h = pool.acquire();
-  pool.at(h).id = 42;
-  FrameCell pooled{h};
-  EXPECT_TRUE(pooled.pooled());
-  EXPECT_EQ(std::move(pooled).take(&pool).id, 42u);
-  EXPECT_EQ(pool.in_flight(), 0u);
-
-  // ...and drop() releases without reading the frame.
-  h = pool.acquire();
-  FrameCell dropped{h};
-  std::move(dropped).drop(&pool);
-  EXPECT_EQ(pool.in_flight(), 0u);
-  EXPECT_EQ(pool.acquired_total(), pool.released_total());
 }
 
 TEST(FramePoolStress, TwoThreadRxTxPipelineConservesSlots) {

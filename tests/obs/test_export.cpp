@@ -158,8 +158,8 @@ TEST(ChromeTrace, MalformedCauseCodesCannotBreakTheDocument) {
   // escaper like every other table string).
   std::vector<AuditEvent> evs;
   for (const AuditKind kind :
-       {AuditKind::kPoolExhausted, AuditKind::kVriDrain,
-        AuditKind::kFlowTableResize, AuditKind::kFlightDump}) {
+       {AuditKind::kVriDrain, AuditKind::kFlowTableResize,
+        AuditKind::kFlightDump}) {
     AuditEvent e;
     e.time = usec(10);
     e.until = e.time;
@@ -177,6 +177,71 @@ TEST(ChromeTrace, MalformedCauseCodesCannotBreakTheDocument) {
   // string state and trip the balance assertions above; also check no raw
   // control characters leaked into the document.
   for (char c : text) EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20);
+}
+
+std::size_t count_trace_events(const std::string& text) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find("\"ph\":"); at != std::string::npos;
+       at = text.find("\"ph\":", at + 1))
+    ++n;
+  return n;
+}
+
+TEST(ChromeTrace, EveryAuditKindReachesTheTrace) {
+  // The trace is the only exporter of the audit trail, so a kind the writer
+  // has no case for is recorded and then silently lost. Walk every kind
+  // (to_string names each one and returns "unknown" past the last) and
+  // require that one event of it adds at least one trace event.
+  std::ostringstream empty;
+  write_chrome_trace({}, empty);
+  const std::size_t baseline = count_trace_events(empty.str());
+  int kinds = 0;
+  for (int k = 0;; ++k) {
+    const auto kind = static_cast<AuditKind>(k);
+    if (std::string(to_string(kind)) == "unknown") break;
+    ++kinds;
+    AuditEvent e;
+    e.time = usec(10);
+    e.until = usec(20);
+    e.kind = kind;
+    e.vr = 0;
+    e.vri = 1;
+    e.shard = 0;
+    e.a = 3;
+    std::ostringstream os;
+    write_chrome_trace({e}, os);
+    const std::string text = os.str();
+    expect_balanced(text);
+    EXPECT_GT(count_trace_events(text), baseline) << to_string(kind);
+  }
+  EXPECT_GE(kinds, 15);
+}
+
+TEST(ChromeTrace, StealEventsCarryThiefVictimAndCounts) {
+  AuditEvent tx;
+  tx.time = tx.until = usec(50);
+  tx.kind = AuditKind::kTxSteal;
+  tx.vr = 0;
+  tx.vri = 3;    // victim slot
+  tx.shard = 1;  // thief shard
+  tx.a = 16;
+  tx.b = 2;
+  tx.c = 40;
+  AuditEvent vri = tx;
+  vri.kind = AuditKind::kVriSteal;
+  vri.vri = 2;        // thief VRI
+  vri.service = 0.0;  // victim VRI index
+  std::ostringstream os;
+  write_chrome_trace({tx, vri}, os);
+  const std::string text = os.str();
+  expect_balanced(text);
+  EXPECT_NE(text.find("\"name\":\"tx_steal\",\"args\":{\"shard\":1,"
+                      "\"victim_vri\":3,\"frames\":16,\"steals_total\":2,"
+                      "\"frames_total\":40}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"vri_steal\",\"args\":{\"vri\":2,"
+                      "\"victim_vri\":0,\"frames\":16"),
+            std::string::npos);
 }
 
 TEST(ChromeTrace, FlightDumpEventsCarryCauseAndCounts) {

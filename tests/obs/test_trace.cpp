@@ -87,7 +87,6 @@ TEST(FlightDumpCauseNames, AreStableStrings) {
   EXPECT_STREQ(to_string(FlightDumpCause::kVriCrash), "vri_crash");
   EXPECT_STREQ(to_string(FlightDumpCause::kQuarantine), "quarantine");
   EXPECT_STREQ(to_string(FlightDumpCause::kAdmission), "admission");
-  EXPECT_STREQ(to_string(FlightDumpCause::kPoolExhausted), "pool_exhausted");
   EXPECT_STREQ(to_string(FlightDumpCause::kManual), "manual");
 }
 
