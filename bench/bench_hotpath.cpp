@@ -10,6 +10,9 @@
 //   serve    : the old boxed completion (make_shared<FrameMeta> + a
 //              shared_ptr-capturing std::function, two heap allocations per
 //              item) vs the new unboxed member-slot completion (zero).
+//   kernel   : the event queue alone: schedule + fire of a 152 B frame
+//              hand-off with 64 events standing, and the same with one far
+//              timer cancelled and re-armed per event (TCP's RTO pattern).
 //   poll     : a PollServer inside a Simulator driving frames through a
 //              cost+sink input, classic per-item serving vs coalesced batch
 //              serving; host ns per simulated frame.
@@ -79,6 +82,7 @@
 #include "queue/mpmc_link.hpp"
 #include "queue/shm_arena.hpp"
 #include "queue/spsc_ring.hpp"
+#include "sim/callback.hpp"
 #include "sim/costs.hpp"
 #include "sim/poll_server.hpp"
 #include "sim/queue.hpp"
@@ -262,6 +266,52 @@ double serve_unboxed_ns(std::uint64_t items) {
   g_guard.fetch_add(sunk, std::memory_order_relaxed);
   return elapsed / static_cast<double>(items);
 }
+
+// --- kernel: the discrete-event queue on its own ---------------------------------
+
+/// Schedules and fires frame hand-offs the way the per-frame events of
+/// LvrmSystem and the testbed do: each event captures `[this, FrameMeta]`
+/// (152 B, inside the Callback's inline buffer) and 64 events stand in the
+/// queue. With `rearm`, every fired event also cancels and re-arms one far
+/// timer, the RTO pattern of every TCP ACK. Returns host ns per fired event.
+class KernelBench {
+ public:
+  double run(std::uint64_t events, bool rearm) {
+    constexpr int kStanding = 64;
+    std::vector<Nanos> delays(4096);
+    Rng rng(7);
+    for (Nanos& d : delays) d = static_cast<Nanos>(1 + rng.uniform(2000));
+    std::size_t next = 0;
+    for (int i = 0; i < kStanding; ++i) schedule(delays[next++]);
+    sim::EventId timer = sim_.after(sec(3600), [this] { ++sunk_; });
+    const double t0 = now_ns();
+    for (std::uint64_t i = 0; i < events; ++i) {
+      sim_.step();
+      schedule(delays[next++ % delays.size()]);
+      if (rearm) {
+        sim_.cancel(timer);
+        timer = sim_.after(sec(3600), [this] { ++sunk_; });
+      }
+    }
+    const double elapsed = now_ns() - t0;
+    g_guard.fetch_add(sunk_, std::memory_order_relaxed);
+    return elapsed / static_cast<double>(events);
+  }
+
+ private:
+  void schedule(Nanos delay) {
+    net::FrameMeta f;
+    f.id = ++ids_;
+    auto hand_off = [this, f] { sunk_ += f.id; };
+    static_assert(sizeof(hand_off) == 152);
+    static_assert(sim::Callback::stores_inline<decltype(hand_off)>);
+    sim_.after(delay, std::move(hand_off));
+  }
+
+  sim::Simulator sim_;
+  std::uint64_t ids_ = 0;
+  std::uint64_t sunk_ = 0;
+};
 
 // --- poll: PollServer host overhead per simulated frame -------------------------
 
@@ -962,6 +1012,11 @@ int main(int argc, char** argv) {
   const double poll_coalesced =
       median_ns(reps, [&] { return poll_host_ns(kPollFrames, true); });
 
+  const double kernel_event = median_ns(
+      reps, [&] { return KernelBench{}.run(kServeItems, /*rearm=*/false); });
+  const double kernel_rearm = median_ns(
+      reps, [&] { return KernelBench{}.run(kServeItems, /*rearm=*/true); });
+
   const double disp_frame =
       median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, false); });
   const double disp_batch =
@@ -1349,7 +1404,9 @@ int main(int argc, char** argv) {
       << "  \"trace_overhead_frac\": " << trace_overhead << ",\n"
       << "  \"per_frame_host_overhead_ns\": " << per_frame_host << ",\n"
       << "  \"per_frame_host_ratio\": " << std::scientific << host_ratio
-      << std::fixed << "\n"
+      << std::fixed << ",\n"
+      << "  \"kernel_event_ns\": " << kernel_event << ",\n"
+      << "  \"kernel_rearm_ns\": " << kernel_rearm << "\n"
       << "}\n";
   out.close();
 
@@ -1364,6 +1421,8 @@ int main(int argc, char** argv) {
               unboxed, boxed / unboxed);
   std::printf("  poll item/coalesced   : %.1f / %.1f host ns/frame (%.2fx)\n",
               poll_item, poll_coalesced, poll_item / poll_coalesced);
+  std::printf("  kernel event / rearm  : %.1f / %.1f host ns/event\n",
+              kernel_event, kernel_rearm);
   std::printf("  dispatch frame/batch  : %.1f / %.1f ns (%.2fx)\n", disp_frame,
               disp_batch, disp_frame / disp_batch);
   std::printf("  desc hop copy/handle  : %.1f / %.1f ns (%.2fx)\n",

@@ -9,6 +9,7 @@
 #include "common/log.hpp"
 #include "net/flow.hpp"
 #include "net/state_record.hpp"
+#include "sim/callback.hpp"
 #include "sim/costs.hpp"
 #include "vr/factory.hpp"
 #include "vr/stateful.hpp"
@@ -580,12 +581,16 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           if (v->pipeline_latency > 0) {
             // The Click VR's internal Queue element delays the frame without
             // consuming extra CPU (Fig 4.6's higher latency).
-            sim_.after(v->pipeline_latency, [this, s, v, f] {
+            auto hand_off = [this, s, v, f] {
               if (!push_or_note(*s->data_out, f, DropCause::kQueueFull))
                 ++v->data_drops;
               else
                 maybe_poke_tx_thieves(*s);
-            });
+            };
+            // The largest per-frame capture; Callback's inline buffer is
+            // sized for it.
+            static_assert(sim::Callback::stores_inline<decltype(hand_off)>);
+            sim_.after(v->pipeline_latency, std::move(hand_off));
           } else if (!push_or_note(*s->data_out, f, DropCause::kQueueFull)) {
             ++v->data_drops;
           } else {
@@ -752,26 +757,26 @@ Nanos LvrmSystem::rx_cost(net::FrameMeta& frame, DispatchShard& shard) {
 
   // Fig 3.4 "estimate: called upon receipt of a packet": each VRI adapter
   // observes its current queue, then Fig 3.3's "get estimate" feeds JSQ.
-  std::vector<VriView> views;
-  views.reserve(vr.active_order.size());
+  views_scratch_.clear();
   for (int idx : vr.active_order) {
     VriSlot& s = *vr.slots[static_cast<std::size_t>(idx)];
     s.estimator->on_packet_observed(s.data_in->size(), now);
-    views.push_back(VriView{idx, s.estimator->load_at(now), s.suspect});
+    views_scratch_.push_back(
+        VriView{idx, s.estimator->load_at(now), s.suspect});
   }
-  if (views.empty()) {
+  if (views_scratch_.empty()) {
     frame.dispatch_vri = -1;
     return cost;
   }
 
   Dispatcher& disp = *vr.dispatchers[static_cast<std::size_t>(shard.id)];
-  int chosen = disp.dispatch(frame, views, now);
+  int chosen = disp.dispatch(frame, views_scratch_, now);
   // §16: a detected elephant overrides its pin with a per-frame spray pick.
   if (replication_)
-    chosen = maybe_spray(vr, shard, frame, views, chosen, now);
+    chosen = maybe_spray(vr, shard, frame, views_scratch_, chosen, now);
   frame.dispatch_vri = static_cast<std::int16_t>(chosen);
   const Nanos decision =
-      disp.decision_cost(views.size(), disp.last_was_flow_hit());
+      disp.decision_cost(views_scratch_.size(), disp.last_was_flow_hit());
   cost += decision + costs::kEnqueueCost;
   user_part += decision + costs::kEnqueueCost;
 

@@ -586,8 +586,9 @@ class LvrmSystem {
   int admission_active_ = 0;
   std::uint64_t burst_seq_ = 0;  // synthetic overload-burst frame ids
 
-  // Batched-hot-path scratch (reused per burst; no allocation after warm-up):
-  // per-VR pointer groups of the current RX burst, and the VriView set.
+  // RX scratch (reused per frame or burst; no allocation after warm-up):
+  // per-VR pointer groups of the current batched RX burst, and the VriView
+  // set that rx_cost and rx_cost_batch hand to the dispatcher.
   std::vector<std::vector<net::FrameMeta*>> rx_groups_;
   std::vector<VriView> views_scratch_;
 

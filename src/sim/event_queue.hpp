@@ -1,18 +1,29 @@
-// event_queue.hpp — cancellable min-heap of timestamped events.
+// event_queue.hpp — the discrete-event kernel: a slab of callback slots
+// indexed by a 4-ary min-heap on (time, insertion seq).
 //
-// Ties are broken by insertion sequence so simulation runs are fully
-// deterministic regardless of heap internals. Cancellation is lazy: cancelled
-// ids are skipped at pop time, which keeps cancel() O(1) — important for TCP
-// retransmission timers that are rescheduled on every ACK.
+// Pop order is the total order on (time, seq): ties at one instant fire in
+// insertion order, so a run is deterministic whatever the heap's arity or
+// layout. Each pending event owns one slab slot holding its Callback inline
+// and its seq; once the slab and the heap have grown to a run's peak of
+// standing events, scheduling and firing allocate nothing. Slots live in
+// fixed-size chunks that never move, so a callback runs in place while it
+// schedules more events and grows the slab.
+//
+// An EventId names a slot and the event's seq. cancel() frees the slot and
+// destroys the callback at once; an id that has fired, was cancelled, or
+// whose slot has since been reused no longer matches and is a no-op. The
+// cancelled event's heap entry stays behind, dead: its seq no longer
+// matches its slot. Dead entries are dropped when they reach the top, and
+// the heap is compacted once they outnumber live ones, so TCP's cancel and
+// re-arm of its RTO timer on every ACK cannot bloat it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 
 namespace lvrm::sim {
 
@@ -21,18 +32,20 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Enqueues `cb` to fire at absolute time `at`. Returns a handle usable
   /// with cancel().
   EventId push(Nanos at, Callback cb);
 
-  /// Cancels a pending event; cancelling an already-fired or invalid id is a
-  /// harmless no-op.
+  /// Cancels a pending event and destroys its callback; cancelling an
+  /// already-fired, already-cancelled or invalid id is a harmless no-op.
   void cancel(EventId id);
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t size() const { return callbacks_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
 
   /// Earliest pending event time; only valid when !empty().
   Nanos next_time();
@@ -45,23 +58,58 @@ class EventQueue {
   };
   Fired pop();
 
+  /// Pops the earliest live event, advances `clock` to its time (never
+  /// backwards) and runs its callback in its slot. The event counts as gone
+  /// from the moment it is popped: during the call, size() excludes it and
+  /// cancelling its id does nothing. Only valid when !empty().
+  void fire_next(Nanos& clock);
+
  private:
   struct Entry {
     Nanos at;
-    EventId id;
-    // min-heap on (at, id): earlier time first, then insertion order.
-    bool operator>(const Entry& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;
-    }
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
-  /// Discards heap entries whose callback was cancelled.
-  void skip_cancelled();
+  struct alignas(64) Slot {
+    Callback cb;
+    std::uint64_t seq = 0;  // seq of the pending event; 0 while free or firing
+  };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  EventId next_id_ = 1;
+  static constexpr std::size_t kArity = 4;
+  static constexpr unsigned kSlotBits = 24;  // EventId = seq << 24 | slot
+  static constexpr std::uint32_t kChunkSlots = 256;
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  static EventId make_id(std::uint64_t seq, std::uint32_t slot) {
+    return seq << kSlotBits | slot;
+  }
+
+  Slot& slot(std::uint32_t idx) {
+    return chunks_[idx / kChunkSlots][idx % kChunkSlots];
+  }
+  bool live(const Entry& e) { return slot(e.slot).seq == e.seq; }
+
+  /// Adds one chunk of free slots.
+  void grow();
+  /// Removes the heap's top entry.
+  void pop_top();
+  /// Drops dead entries from the top until a live one is there.
+  void drop_dead_top();
+  /// Moves `e` from `hole` towards the root / the leaves until in order.
+  void sift_up(std::size_t hole, Entry e);
+  void sift_down(std::size_t hole, Entry e);
+  /// Removes every dead entry and rebuilds the heap.
+  void compact();
+
+  std::vector<Entry> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_;  // LIFO: the warmest slot is reused first
+  std::size_t live_ = 0;
+  std::size_t dead_ = 0;  // heap entries of cancelled events
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace lvrm::sim

@@ -4,13 +4,13 @@
 
 namespace lvrm::sim {
 
-bool Link::transmit(std::int64_t bytes, std::function<void()> deliver) {
+std::optional<Nanos> Link::admit(std::int64_t bytes) {
   // A frame whose serialization has not begun occupies a TX-ring slot.
   const Nanos now = sim_.now();
   const bool wire_busy = wire_free_at_ > now;
   if (wire_busy && backlog_ >= queue_limit_) {
     ++drops_;
-    return false;
+    return std::nullopt;
   }
 
   const Nanos start = std::max(now, wire_free_at_);
@@ -23,12 +23,7 @@ bool Link::transmit(std::int64_t bytes, std::function<void()> deliver) {
     sim_.at(start, [this] { --backlog_; });
   }
 
-  sim_.at(wire_free_at_ + propagation_,
-          [this, deliver = std::move(deliver)]() mutable {
-            ++delivered_;
-            if (deliver) deliver();
-          });
-  return true;
+  return wire_free_at_ + propagation_;
 }
 
 }  // namespace lvrm::sim

@@ -7,8 +7,10 @@
 // the loss signal TCP Reno reacts to in Experiments 3c and 4.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <utility>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -31,8 +33,22 @@ class Link {
 
   /// Queues `bytes` for transmission; `deliver` fires at the receiver once
   /// serialization + propagation complete. Returns false (tail drop) when
-  /// the transmit queue is full.
-  bool transmit(std::int64_t bytes, std::function<void()> deliver);
+  /// the transmit queue is full. `deliver` is wrapped once, into the
+  /// delivery event's own Callback, so a frame-carrying capture stays
+  /// inline.
+  template <typename F>
+  bool transmit(std::int64_t bytes, F&& deliver) {
+    const std::optional<Nanos> arrival = admit(bytes);
+    if (!arrival) return false;
+    sim_.at(*arrival, [this, deliver = std::forward<F>(deliver)]() mutable {
+      ++delivered_;
+      deliver();
+    });
+    return true;
+  }
+  bool transmit(std::int64_t bytes, std::nullptr_t) {
+    return transmit(bytes, [] {});
+  }
 
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t drops() const { return drops_; }
@@ -43,6 +59,12 @@ class Link {
   Nanos busy_time() const { return busy_time_; }
 
  private:
+  /// Tail-drops the frame (nullopt) or puts it on the wire: schedules the
+  /// release of its TX-ring slot when it waits, and returns its arrival time
+  /// at the receiver. The caller then schedules the delivery, so a backlog
+  /// release is always queued before the delivery it precedes.
+  std::optional<Nanos> admit(std::int64_t bytes);
+
   Simulator& sim_;
   BitsPerSec rate_;
   Nanos propagation_;

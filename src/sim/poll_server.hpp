@@ -10,8 +10,8 @@
 //
 // Hot-path memory model (DESIGN.md §9): serving an item performs no heap
 // allocation. The in-service item lives in a member slot and the completion
-// callback captures only `this` (fits std::function's small-buffer storage),
-// so the simulated host overhead of a frame is not polluted by allocator
+// callback captures only `this` (stored inline in the event's Callback), so
+// the simulated host overhead of a frame is not polluted by allocator
 // noise. Input selection consults per-priority non-empty hints instead of
 // scanning every queue: a control (priority 0) input with pending work is
 // found without ever touching the data queues.

@@ -4,14 +4,6 @@
 
 namespace lvrm::sim {
 
-EventId Simulator::at(Nanos when, EventQueue::Callback cb) {
-  return queue_.push(std::max(when, now_), std::move(cb));
-}
-
-EventId Simulator::after(Nanos delay, EventQueue::Callback cb) {
-  return queue_.push(now_ + std::max<Nanos>(delay, 0), std::move(cb));
-}
-
 void Simulator::run_until(Nanos deadline) {
   while (!queue_.empty() && queue_.next_time() <= deadline) step();
   now_ = std::max(now_, deadline);
@@ -27,10 +19,8 @@ void Simulator::run_all(std::uint64_t max_events) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  now_ = std::max(now_, fired.at);
   ++processed_;
-  fired.cb();
+  queue_.fire_next(now_);
   return true;
 }
 

@@ -6,10 +6,12 @@
 // "600-second" experiment finish in milliseconds of host time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 
 namespace lvrm::sim {
@@ -23,10 +25,14 @@ class Simulator {
   Nanos now() const { return now_; }
 
   /// Schedules `cb` at absolute virtual time `at` (clamped to now).
-  EventId at(Nanos when, EventQueue::Callback cb);
+  EventId at(Nanos when, Callback cb) {
+    return queue_.push(std::max(when, now_), std::move(cb));
+  }
 
   /// Schedules `cb` after a relative delay.
-  EventId after(Nanos delay, EventQueue::Callback cb);
+  EventId after(Nanos delay, Callback cb) {
+    return queue_.push(now_ + std::max<Nanos>(delay, 0), std::move(cb));
+  }
 
   void cancel(EventId id) { queue_.cancel(id); }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace lvrm::sim {
@@ -66,6 +72,131 @@ TEST(EventQueue, FiredCarriesTimestamp) {
   q.push(123, [] {});
   const auto fired = q.pop();
   EXPECT_EQ(fired.at, 123);
+}
+
+TEST(EventQueue, StaleIdIsNoopAfterItsSlotIsReused) {
+  EventQueue q;
+  int fired = 0;
+  const EventId done = q.push(1, [&] { ++fired; });
+  q.pop().cb();
+  const EventId dropped = q.push(2, [&] { fired += 10; });
+  q.cancel(dropped);
+  // Freed slots are reused first: both stale ids now name the live event's
+  // slot, and neither may cancel it.
+  const EventId live = q.push(3, [&] { fired += 100; });
+  q.cancel(done);
+  q.cancel(dropped);
+  q.cancel(dropped);
+  EXPECT_NE(live, done);
+  EXPECT_NE(live, dropped);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().cb();
+  EXPECT_EQ(fired, 101);
+}
+
+TEST(EventQueue, CancelHeavyChurnKeepsOrder) {
+  // Cancels of pending events leave dead heap entries behind; once they
+  // outnumber the live ones the heap is compacted and rebuilt, several
+  // times over here, and must still pop in (time, insertion) order.
+  EventQueue q;
+  std::vector<std::pair<Nanos, int>> expected;
+  std::vector<EventId> ids;
+  std::vector<int> fired;
+  for (int i = 0; i < 1000; ++i) {
+    const Nanos at = (i * 7919) % 101;
+    ids.push_back(q.push(at, [&fired, i] { fired.push_back(i); }));
+    expected.emplace_back(at, i);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 10 == 3) continue;  // survivors
+    q.cancel(ids[static_cast<std::size_t>(i)]);
+    expected[static_cast<std::size_t>(i)].second = -1;
+  }
+  std::erase_if(expected, [](const auto& e) { return e.second < 0; });
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(q.size(), expected.size());
+  while (!q.empty()) q.pop().cb();
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t k = 0; k < fired.size(); ++k)
+    EXPECT_EQ(fired[k], expected[k].second);
+}
+
+TEST(EventQueue, MoveOnlyCaptureIsSchedulable) {
+  EventQueue q;
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  q.push(1, [&seen, owned = std::move(owned)] { seen = *owned; });
+  q.pop().cb();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(EventQueue, CaptureLargerThanInlineBufferStillFires) {
+  std::array<std::uint64_t, 64> big{};
+  std::iota(big.begin(), big.end(), 1);
+  std::uint64_t sum = 0;
+  auto sum_big = [&sum, big] {
+    sum = std::accumulate(big.begin(), big.end(), std::uint64_t{0});
+  };
+  static_assert(!Callback::stores_inline<decltype(sum_big)>);
+  EventQueue q;
+  q.push(2, [] {});
+  q.push(1, std::move(sum_big));
+  q.pop().cb();
+  EXPECT_EQ(sum, 64u * 65u / 2u);
+}
+
+// A capture that records its own destruction: moves hand the record over,
+// so each scheduled token is destroyed exactly once wherever it ends.
+struct Token {
+  std::vector<int>* destroyed;
+  int id;
+  Token(std::vector<int>* d, int i) : destroyed(d), id(i) {}
+  Token(Token&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)), id(o.id) {}
+  Token& operator=(Token&&) = delete;
+  ~Token() {
+    if (destroyed != nullptr) destroyed->push_back(id);
+  }
+};
+
+TEST(EventQueue, EveryCallbackIsDestroyedExactlyOnce) {
+  std::vector<int> destroyed;
+  std::array<char, 256> pad{};  // pushes the odd ids past the inline buffer
+  {
+    EventQueue q;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i) {
+      Token t(&destroyed, i);
+      if (i % 2 == 0)
+        ids.push_back(q.push(i, [t = std::move(t)] {}));
+      else
+        ids.push_back(q.push(i, [t = std::move(t), pad] {}));
+    }
+    q.pop().cb();  // fires 0 ...
+    EXPECT_EQ(destroyed, (std::vector<int>{0}));  // ... and destroys it
+    Nanos clock = 0;
+    q.fire_next(clock);  // fires 1 in place
+    EXPECT_EQ(destroyed, (std::vector<int>{0, 1}));
+    q.cancel(ids[3]);
+    q.cancel(ids[2]);
+    q.cancel(ids[2]);  // already cancelled
+    q.cancel(ids[0]);  // already fired
+    EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 3, 2}));
+  }  // 4 and 5 are still pending when the queue goes
+  EXPECT_EQ(destroyed.size(), 6u);
+  std::sort(destroyed.begin(), destroyed.end());
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, EmptyCallableGivesEmptyCallback) {
+  std::function<void()> none;
+  void (*no_fn)() = nullptr;
+  EXPECT_FALSE(Callback(none));
+  EXPECT_FALSE(Callback(no_fn));
+  EXPECT_FALSE(Callback(nullptr));
+  EXPECT_TRUE(Callback([] {}));
+  Callback empty;
+  EXPECT_THROW(empty(), std::bad_function_call);
 }
 
 }  // namespace
