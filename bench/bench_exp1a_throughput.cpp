@@ -11,7 +11,7 @@
 //                         DIR/exp1a_<mech>.{prom,csv,trace.json}.
 //   --tracing             enable §15 frame-level path tracing on the LVRM
 //                         mechanisms, so the exported trace.json carries
-//                         path spans (the CI trace-smoke path); results
+//                         path spans (the CI export-smoke path); results
 //                         must be bit-identical to the default off.
 #include <cctype>
 

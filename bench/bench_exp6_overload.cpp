@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"offered x", "ladder", "deliv %", "lat us", "est err %",
                       "mouse corr %", "peak", "sampled", "admitted out",
-                      "shed", "order viol"},
+                      "order viol"},
                      args.csv);
   for (const double mult : {0.8, 1.0, 1.5, 2.0, 3.0}) {
     for (const bool ladder : {false, true}) {
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
            level_name(r.peak_level),
            TablePrinter::num(static_cast<std::int64_t>(r.sampled_shed)),
            TablePrinter::num(static_cast<std::int64_t>(r.admission_rejected)),
-           TablePrinter::num(static_cast<std::int64_t>(r.shed_drops)),
            TablePrinter::num(static_cast<std::int64_t>(r.ordering_violations))});
     }
   }

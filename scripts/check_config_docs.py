@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Keeps README.md's `LvrmConfig` reference table complete and current.
+"""Keeps README.md's `LvrmConfig` reference table complete and current, and
+every `LvrmConfig` field a knob something actually turns.
 
 Parses `src/lvrm/config.hpp` for every field of `LvrmConfig` — recursing
 into the nested config structs defined in the same header (HealthConfig,
@@ -18,15 +19,39 @@ configuration-reference table in both directions:
   `overload_control.relax_pressure`). Nested fields of the obs:: configs
   are resolved against the structs in `src/obs/*.hpp`.
 
+It also runs a census of the settable values: every scalar field, with the
+nested configs (the obs:: ones included) expanded into their own fields.
+
+* Unassigned: a settable value that no experiment, bench, example or test
+  ever sets — its default is the only value the code has ever run with, so
+  it belongs in a named constant at its reader, not in the config. A value
+  counts as set when `.<leaf> =` (a member assignment or a designated
+  initializer) appears outside comments anywhere under ASSIGNMENT_DIRS. The
+  match is by leaf name, so a nested field whose leaf another struct shares
+  (`overload_control.adapt_period` vs `tracing.adapt_period`) passes when
+  either is set. ALLOWED_UNASSIGNED lists the deliberate exceptions.
+
 Usage: check_config_docs.py [ROOT]
-Prints every undocumented or stale field and exits non-zero if any were
-found.
+Prints every undocumented, stale or unassigned field and exits non-zero if
+any were found.
 """
 import pathlib
 import re
 import sys
 
+# Trees searched for assignments: the code that configures an LvrmSystem.
+ASSIGNMENT_DIRS = ("src/exp", "bench", "examples", "e2ebench/src", "tests")
+SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".h"}
+# Settable values that may stay unassigned, each with why it is a knob.
+ALLOWED_UNASSIGNED = {
+    "lvrm_core": "deployment pinning: the core the LVRM process runs on is a "
+                 "property of the host, not of any experiment",
+    "realloc_period": "the paper names the re-allocation period tunable "
+                      "(Sec 3.2)",
+}
+
 STRUCT = re.compile(r"^struct\s+(\w+)\s*\{", re.MULTILINE)
+COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 # "type name = default;" or "type name;" at one level of struct nesting.
 # Types may be qualified / templated (std::uint64_t, obs::TracingConfig,
 # std::vector<net::Prefix>); methods and using-decls don't match.
@@ -54,20 +79,39 @@ def fields_of(body):
     return [(m.group("type"), m.group("name")) for m in FIELD.finditer(body)]
 
 
-def known_fields(root, bodies):
-    """Every name a first-column cell may use: top-level and dotted nested."""
+def settable_values(root, bodies):
+    """Dotted name of every scalar LvrmConfig value, nested configs expanded."""
     external = {}
     for hdr in sorted((root / "src" / "obs").glob("*.hpp")):
         external.update(struct_bodies(hdr.read_text(encoding="utf-8")))
-    known = set()
+    values = []
     for ftype, name in fields_of(bodies["LvrmConfig"]):
-        known.add(name)
         base = ftype.rsplit("::", 1)[-1]
         nested = bodies.get(base) or (
             external.get(base) if ftype.startswith("obs::") else None)
-        if nested is not None:
-            known.update(f"{name}.{sub}" for _, sub in fields_of(nested))
-    return known
+        if nested is None:
+            values.append(name)
+        else:
+            values.extend(f"{name}.{sub}" for _, sub in fields_of(nested))
+    return values
+
+
+def known_fields(root, bodies):
+    """Every name a first-column cell may use: top-level and dotted nested."""
+    return set(settable_values(root, bodies)) | {
+        name for _, name in fields_of(bodies["LvrmConfig"])}
+
+
+def assigned_leaves(root):
+    """Every `.<leaf> =` target outside comments under ASSIGNMENT_DIRS."""
+    leaves = set()
+    for d in ASSIGNMENT_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
+                continue
+            code = COMMENT.sub("", path.read_text(encoding="utf-8"))
+            leaves.update(re.findall(r"\.\s*(\w+)\s*=(?!=)", code))
+    return leaves
 
 
 def table_first_cells(readme_text):
@@ -132,6 +176,12 @@ def main():
     stale = stale_rows(table_first_cells(readme.read_text(encoding="utf-8")),
                        known_fields(root, bodies))
 
+    values = settable_values(root, bodies)
+    assigned = assigned_leaves(root)
+    unassigned = [v for v in values
+                  if v.rsplit(".", 1)[-1] not in assigned
+                  and v not in ALLOWED_UNASSIGNED]
+
     if missing:
         print(f"{readme}: LvrmConfig fields missing from the configuration "
               f"reference table (add a backticked row per field):")
@@ -142,10 +192,18 @@ def main():
               f"field (remove or rename them):")
         for name in stale:
             print(f"  {name}")
-    if missing or stale:
+    if unassigned:
+        print(f"{header}: {len(unassigned)} LvrmConfig values are set nowhere "
+              f"in {', '.join(ASSIGNMENT_DIRS)} (make each a named constant "
+              f"at its reader, or allowlist it with a reason):")
+        for name in unassigned:
+            print(f"  {name}")
+    if missing or stale or unassigned:
         return 1
     print(f"check_config_docs: every LvrmConfig field of {header.name} is "
-          f"documented in {readme.name}, and every row names a field")
+          f"documented in {readme.name}, every row names a field, and each "
+          f"of the {len(values)} settable values is set somewhere or "
+          f"allowlisted")
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a telemetry export triple (<prefix>.prom/.csv/.trace.json).
 
-Used by CI's telemetry smoke step: after an experiment runs with
+Used by CI's export-smoke job: after an experiment runs with
 --telemetry-dir, every export prefix found in the directory must hold a
 parseable Prometheus text file with the core LVRM families, an RFC-4180 CSV
 series, and a Chrome trace_event JSON that a trace viewer (Perfetto,

@@ -5,7 +5,7 @@ validate_telemetry.py proves an export triple is *parseable*; this checker
 proves the tracing-specific content is *well-formed*: every span slice sits
 on a named track, durations are non-negative, flow arrows pair up, drop
 instants carry a cause, and flight dumps are time-ordered black boxes. CI's
-trace-smoke job runs an experiment with tracing on and feeds the resulting
+export-smoke job runs an experiment with tracing on and feeds the resulting
 .trace.json (and any flight_*.json dumps) through here, so a refactor that
 breaks what Perfetto would render fails before it ships.
 
@@ -20,11 +20,9 @@ import json
 import pathlib
 import sys
 
-# Span slices emitted by write_chrome_trace for sampled frames (§15).
+# Span slices emitted by write_chrome_trace for sampled frames (§15); the
+# audit trail emits no duration slices, so these are the only X events.
 SPAN_SLICES = {"dispatch", "queue_wait", "service", "tx_drain"}
-# Duration events emitted from the audit trail.
-AUDIT_SLICES = {"shed"}
-KNOWN_X = SPAN_SLICES | AUDIT_SLICES
 # TraceHop names as serialized into flight-dump records.
 HOPS = {"rx_ingress", "dispatch", "vri_start", "vri_end", "tx_drain", "drop"}
 # FlightDumpCause names as serialized into the dump "reason" field.
@@ -75,7 +73,7 @@ def check_trace(path):
                 span_tids.add(ev.get("tid"))
                 if not is_num(ev.get("args", {}).get("frame")):
                     fail(f"{path}: span slice without args.frame: {ev!r}")
-            elif name not in KNOWN_X:
+            else:
                 fail(f"{path}: unknown X slice name {name!r}")
         elif ph in ("s", "f"):
             if name != "frame_path":

@@ -784,7 +784,6 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
     out.offered_by_class[c] = gen.sent(static_cast<traffic::FlowClass>(c));
   out.sampled_shed = sys.sampled_shed_drops();
   out.admission_rejected = sys.admission_rejected_drops();
-  out.shed_drops = sys.shed_drops();
   out.queue_drops = sys.data_queue_drops();
   out.offered_estimate = sys.vr_offered_estimate(0);
   const double truth = static_cast<double>(sys.vr_frames_in(0)) +

@@ -170,10 +170,9 @@ struct OverloadTrialResult {
   /// subset keeps whole flows, so classes dominated by a few heavy flows
   /// reconstruct worse than the mouse tail.
   double corrected_by_class[3] = {0.0, 0.0, 0.0};
-  /// Ladder drop counters plus the classic shed/queue drops.
+  /// Ladder drop counters plus the data-queue tail drops.
   std::uint64_t sampled_shed = 0;
   std::uint64_t admission_rejected = 0;
-  std::uint64_t shed_drops = 0;
   std::uint64_t queue_drops = 0;
   /// Bias-corrected offered estimate vs the gateway-side ground truth
   /// (frames_in + admission_rejected), as a relative error.

@@ -39,10 +39,6 @@ struct HealthConfig {
 
   /// Consecutive strikes before a fail-slow verdict (rides out transients).
   int fail_slow_grace = 3;
-
-  /// Rescue frames stranded in a dead/hung VRI's incoming data queue and
-  /// re-dispatch them across the surviving VRIs instead of dropping them.
-  bool redispatch_stranded = true;
 };
 
 /// Overload-resilience ladder (DESIGN.md §13): a per-VR backpressure
@@ -50,46 +46,11 @@ struct HealthConfig {
 /// RX-side admission control, plus the reset-free VRI drain path. Disabled
 /// by default: with `enabled = false` no controller state is touched, no
 /// metric is registered and every output is byte-identical to the seed —
-/// the same rollout discipline as `batched_hot_path`.
+/// the same rollout discipline as `batched_hot_path`. The controller's
+/// watermark, cadence, pressure pair, rate floor and admission streak are
+/// fixed constants (DESIGN.md §13), not knobs.
 struct OverloadConfig {
   bool enabled = false;
-
-  /// A dispatched frame whose *chosen* data queue sits at or above this
-  /// fraction of capacity counts as "pressured" in the adaptation window.
-  /// Well under the classic `shed_watermark` so the ladder reacts before
-  /// blind tail-drop would.
-  double sample_watermark = 0.5;
-
-  /// Adaptation cadence — the controller re-evaluates the window pressure
-  /// at most once per period. Much shorter than the 1 s allocation pass:
-  /// sampling is reversible and bias-corrected, so reacting inside a flash
-  /// crowd's rise time is safe where core re-allocation is not.
-  Nanos adapt_period = msec(1);
-
-  /// Window pressure fraction at or above which the controller escalates
-  /// (halves the sampling rate, bumps the ladder level).
-  double escalate_pressure = 0.5;
-
-  /// Window pressure fraction at or below which it relaxes (doubles the
-  /// rate; the level steps down when the rate recovers to 1).
-  double relax_pressure = 0.1;
-
-  /// Floor of the per-flow sampling rate: even a worst-case flood keeps
-  /// this fraction of flows fully monitored.
-  double min_sample_rate = 1.0 / 64.0;
-
-  /// Consecutive escalations before RX-side admission control (level 2)
-  /// engages — sustained pressure, not one bursty window.
-  int admission_after = 2;
-
-  /// Drain (migrate live flows to siblings, keep router state warm)
-  /// instead of dropping queued frames when the allocator destroys a VRI
-  /// or the health layer quarantines a fail-slow one.
-  bool drain_on_destroy = true;
-
-  /// Salt decorrelating the sampling subset hash from the RSS shard hash
-  /// and the flow-table hash (all three key on the same 5-tuple).
-  std::uint64_t subset_salt = 0x9e3779b97f4a7c15ull;
 };
 
 /// State-compute replication (DESIGN.md §16): lets a single hot flow of a
@@ -101,29 +62,11 @@ struct OverloadConfig {
 /// output is never reordered. Disabled by default: no detector state, no
 /// metric is registered, every frame field stays 0 and outputs are
 /// byte-identical to the seed (same rollout discipline as
-/// `batched_hot_path` / `overload_control` / `tracing`).
+/// `batched_hot_path` / `overload_control` / `tracing`). The detector's
+/// threshold and window and the sequencer's reorder window are fixed
+/// constants (DESIGN.md §16), not knobs.
 struct StateReplicationConfig {
   bool enabled = false;
-
-  /// A flow is an elephant when its rate inside one detection window
-  /// exceeds this fraction of `per_vri_capacity_fps` — i.e. when it alone
-  /// occupies this share of the core it is pinned to.
-  double elephant_fraction = 0.5;
-
-  /// Length of the windows the rate detector counts frames over.
-  Nanos detect_window = msec(5);
-
-  /// Floor on frames-per-window before a flow can be promoted, so tiny
-  /// capacity configurations don't promote mice off a handful of frames.
-  std::uint64_t min_frames = 64;
-
-  /// Emit every Nth state delta of a sprayed flow (1 = every change).
-  /// Larger periods trade replica staleness for control-ring traffic.
-  std::uint32_t delta_period = 1;
-
-  /// Max out-of-order frames the TX sequencer holds per sprayed flow
-  /// before force-releasing (a safety valve, counted when it fires).
-  std::size_t reorder_window = 1024;
 };
 
 struct LvrmConfig {
@@ -155,17 +98,11 @@ struct LvrmConfig {
   /// experiments use 60 Kfps, the service rate under the 1/60 ms dummy load.
   double per_vri_capacity_fps = 60'000.0;
 
-  /// Destroy-side hysteresis keeping arrival == threshold from flapping.
-  double destroy_hysteresis = 0.97;
-
   /// Weight of the Fig 3.4 EWMA recurrences.
   double ewma_weight = 7.0;
 
   /// Upper bound on VRIs per VR (the testbed has 7 cores besides LVRM's).
   int max_vris_per_vr = 7;
-
-  std::size_t data_queue_capacity = sim::costs::kDataQueueCapacity;
-  std::size_t control_queue_capacity = sim::costs::kControlQueueCapacity;
 
   /// Frames drained per poll-loop pass from the RX ring and from each VRI's
   /// outgoing queue. Larger batches amortize the loop but delay control
@@ -194,11 +131,6 @@ struct LvrmConfig {
   /// more coherence traffic than it saves.
   std::size_t steal_min_backlog = 8;
 
-  /// Re-poll period of an idle thief while same-VR siblings still hold
-  /// backlog. The timer dies as soon as the VR goes idle, so a quiescing
-  /// simulation still terminates.
-  Nanos steal_poll_period = usec(5);
-
   /// Million-flow connection tracking (DESIGN.md §14): every per-shard
   /// Dispatcher swaps the linear-probing FlowTable for FlowTableV2 —
   /// cache-line-bucketed tags, incremental (pause-free) resize, idle-expiry
@@ -220,12 +152,6 @@ struct LvrmConfig {
   /// Health monitoring & fault tolerance (heartbeats, fail-slow watchdog,
   /// quarantine-and-respawn, stranded-frame re-dispatch).
   HealthConfig health;
-
-  /// Overload shedding: drop policy applied per VR once it can grow no
-  /// further (max VRIs or no free cores) and its chosen data queue passes
-  /// `shed_watermark` of capacity. kNone keeps the legacy tail-drop.
-  ShedPolicy shed_policy = ShedPolicy::kNone;
-  double shed_watermark = 0.9;
 
   /// Graceful-degradation ladder + reset-free drain (DESIGN.md §13).
   OverloadConfig overload_control;

@@ -4,15 +4,19 @@ namespace lvrm {
 
 namespace {
 
+/// Destroy-side hysteresis of the threshold allocators: a core is released
+/// only when one fewer VRI would run at or below this fraction of its
+/// threshold, so arrival == threshold cannot flap between create and destroy.
+constexpr double kDestroyHysteresis = 0.97;
+
 /// Shared Fig 3.2 comparison given a per-VRI capacity estimate.
-AllocDecision threshold_decision(const VrAllocView& vr, double per_vri_fps,
-                                 double hysteresis) {
+AllocDecision threshold_decision(const VrAllocView& vr, double per_vri_fps) {
   if (per_vri_fps <= 0.0) return AllocDecision::kHold;
   const int c = vr.active_vris;
   const double arrival = vr.arrival_rate_fps;
   // "if arrival rate <= threshold(service rate w/ 1 less VRI)": c-1 VRIs
   // suffice, so release a core (never below one VRI).
-  if (c > 1 && arrival <= per_vri_fps * (c - 1) * hysteresis)
+  if (c > 1 && arrival <= per_vri_fps * (c - 1) * kDestroyHysteresis)
     return AllocDecision::kDestroy;
   // "else if threshold(service rate) <= arrival rate": saturated, add one.
   if (arrival >= per_vri_fps * c) return AllocDecision::kCreate;
@@ -47,26 +51,24 @@ NumaPick pick_numa_core(const sim::CpuTopology& topo,
 
 AllocDecision DynamicFixedThresholdAllocator::decide(
     const VrAllocView& vr) const {
-  return threshold_decision(vr, per_vri_fps_, hysteresis_);
+  return threshold_decision(vr, per_vri_fps_);
 }
 
 AllocDecision DynamicDynamicThresholdAllocator::decide(
     const VrAllocView& vr) const {
-  return threshold_decision(vr, vr.service_rate_per_vri, hysteresis_);
+  return threshold_decision(vr, vr.service_rate_per_vri);
 }
 
 std::unique_ptr<CoreAllocator> make_allocator(AllocatorKind kind,
-                                              double per_vri_capacity_fps,
-                                              double destroy_hysteresis) {
+                                              double per_vri_capacity_fps) {
   switch (kind) {
     case AllocatorKind::kFixed:
       return std::make_unique<FixedAllocator>();
     case AllocatorKind::kDynamicFixedThreshold:
       return std::make_unique<DynamicFixedThresholdAllocator>(
-          per_vri_capacity_fps, destroy_hysteresis);
+          per_vri_capacity_fps);
     case AllocatorKind::kDynamicDynamicThreshold:
-      return std::make_unique<DynamicDynamicThresholdAllocator>(
-          destroy_hysteresis);
+      return std::make_unique<DynamicDynamicThresholdAllocator>();
   }
   return nullptr;
 }

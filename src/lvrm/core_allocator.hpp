@@ -86,9 +86,8 @@ class FixedAllocator final : public CoreAllocator {
 
 class DynamicFixedThresholdAllocator final : public CoreAllocator {
  public:
-  DynamicFixedThresholdAllocator(double per_vri_capacity_fps,
-                                 double destroy_hysteresis)
-      : per_vri_fps_(per_vri_capacity_fps), hysteresis_(destroy_hysteresis) {}
+  explicit DynamicFixedThresholdAllocator(double per_vri_capacity_fps)
+      : per_vri_fps_(per_vri_capacity_fps) {}
 
   AllocatorKind kind() const override {
     return AllocatorKind::kDynamicFixedThreshold;
@@ -100,14 +99,10 @@ class DynamicFixedThresholdAllocator final : public CoreAllocator {
 
  private:
   double per_vri_fps_;
-  double hysteresis_;
 };
 
 class DynamicDynamicThresholdAllocator final : public CoreAllocator {
  public:
-  explicit DynamicDynamicThresholdAllocator(double destroy_hysteresis)
-      : hysteresis_(destroy_hysteresis) {}
-
   AllocatorKind kind() const override {
     return AllocatorKind::kDynamicDynamicThreshold;
   }
@@ -115,13 +110,9 @@ class DynamicDynamicThresholdAllocator final : public CoreAllocator {
   double capacity_fps(const VrAllocView& vr) const override {
     return vr.service_rate_per_vri * vr.active_vris;
   }
-
- private:
-  double hysteresis_;
 };
 
 std::unique_ptr<CoreAllocator> make_allocator(AllocatorKind kind,
-                                              double per_vri_capacity_fps,
-                                              double destroy_hysteresis);
+                                              double per_vri_capacity_fps);
 
 }  // namespace lvrm

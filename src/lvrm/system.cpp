@@ -24,6 +24,51 @@ using sim::CostCategory;
 /// spell the nested name next to locals called `vr`.
 constexpr std::int32_t kPolicyDropIf = vr::StatefulVrBase::kPolicyDrop;
 
+// --- fixed policy constants ------------------------------------------------------
+
+// Degradation ladder (DESIGN.md §13). The pressure pair it escalates and
+// relaxes on is obs::kEscalatePressure / kRelaxPressure, shared with the §15
+// tracing controller.
+/// A dispatched frame whose *chosen* data queue sits at or above this
+/// fraction of capacity counts as "pressured" in the adaptation window.
+constexpr double kSampleWatermark = 0.5;
+/// Adaptation cadence: the ladder re-evaluates window pressure at most once
+/// per period. Much shorter than the 1 s allocation pass: sampling is
+/// reversible and bias-corrected, so reacting inside a flash crowd's rise
+/// time is safe where core re-allocation is not.
+constexpr Nanos kAdaptPeriod = msec(1);
+/// Consecutive escalations before RX-side admission control (level 2)
+/// engages — sustained pressure, not one bursty window.
+constexpr int kAdmissionAfter = 2;
+/// Salt decorrelating the sampling-subset hash from the RSS shard hash and
+/// the flow-table hash (all three key on the same 5-tuple).
+constexpr std::uint64_t kSubsetSalt = 0x9e3779b97f4a7c15ull;
+
+/// The §13 pressure signal, read by the ladder and by the §15 tracer.
+static bool pressured(const sim::BoundedQueue<net::FrameMeta>& q) {
+  return q.size() >= static_cast<std::size_t>(
+                         kSampleWatermark * static_cast<double>(q.capacity()));
+}
+
+// State replication (DESIGN.md §16).
+/// A flow is an elephant when its rate inside one detection window exceeds
+/// this fraction of `per_vri_capacity_fps` — i.e. when it alone occupies
+/// this share of the core it is pinned to.
+constexpr double kElephantFraction = 0.5;
+/// Length of the windows the heavy-hitter detector counts frames over.
+constexpr Nanos kDetectWindow = msec(5);
+/// Floor on frames-per-window before a flow can be promoted, so tiny
+/// capacity configurations don't promote mice off a handful of frames.
+constexpr std::uint64_t kMinElephantFrames = 64;
+/// Max out-of-order frames the TX sequencer holds per sprayed flow before
+/// force-releasing (a safety valve, counted when it fires).
+constexpr std::size_t kReorderWindow = 1024;
+
+/// Re-poll period of an idle §17 thief while a victim still holds backlog.
+/// The timer dies as soon as the backlog does, so a quiescing simulation
+/// still terminates.
+constexpr Nanos kStealPollPeriod = usec(5);
+
 // --- internal structures --------------------------------------------------------
 
 /// VRI adapter + LVRM adapter + the VRI process itself: queues, estimator,
@@ -132,18 +177,9 @@ struct LvrmSystem::VrState {
   std::uint64_t frames_in = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t data_drops = 0;
-  std::uint64_t shed_drops = 0;
 
-  // Telemetry bookkeeping (audit trail; see DESIGN.md §10). A shedding
-  // episode opens on the first shed frame and closes at the first
-  // allocation pass that saw no further shedding.
-  bool shed_open = false;
-  Nanos shed_start = 0;
-  std::uint64_t shed_at_open = 0;
-  std::uint64_t shed_last_seen = 0;
-  double shed_rate = 0.0;
-  double shed_service = 0.0;
-  // Balancer-summary deltas between allocation passes.
+  // Balancer-summary deltas between allocation passes (audit trail; see
+  // DESIGN.md §10).
   std::uint64_t summary_decisions = 0;
   std::uint64_t summary_hits = 0;
 
@@ -183,7 +219,6 @@ struct LvrmSystem::VrState {
     int shard = 0;                // dispatch shard steering the flow
     std::uint32_t next_seq = 0;   // next spray sequence number to stamp
     std::uint64_t frames = 0;     // frames sprayed over the lifetime
-    std::uint64_t delta_seq = 0;  // delta_period gating counter
     Nanos last_frame = 0;         // idle-expiry clock
     double rate_fps = 0.0;        // detected rate at promotion
   };
@@ -278,8 +313,7 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     shards_.push_back(std::move(shard));
   }
 
-  allocator_ = make_allocator(config_.allocator, config_.per_vri_capacity_fps,
-                              config_.destroy_hysteresis);
+  allocator_ = make_allocator(config_.allocator, config_.per_vri_capacity_fps);
   if (config_.health.enabled)
     health_ = std::make_unique<HealthMonitor>(config_.health);
 
@@ -361,8 +395,8 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
   // claimed segments (each producer's burst occupies a contiguous claimed
   // sub-region, so per-producer FIFO sub-queues model the link exactly).
   for (DispatchShard& shard : shards_) {
-    shard.tx_link_shm = arena_.create(config_.data_queue_capacity *
-                                      sizeof(net::FrameMeta));
+    shard.tx_link_shm =
+        arena_.create(costs::kDataQueueCapacity * sizeof(net::FrameMeta));
     if (!stealing_) continue;
     DispatchShard* sh = &shard;
     const std::string suffix =
@@ -371,7 +405,7 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     // enter by move from the victim's drain and leave through the same
     // finish_tx path, so conservation holds (tested in test_system_fabric).
     shard.tx_steal_q = std::make_unique<FrameQueue>(
-        config_.data_queue_capacity, "tx-steal" + suffix);
+        costs::kDataQueueCapacity, "tx-steal" + suffix);
     shard.tx_steal_input = shard.server->add_input(
         *shard.tx_steal_q, /*priority=*/1,
         [this, sh](net::FrameMeta& f) {
@@ -480,13 +514,13 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
     s->home_shard = (vr->id + i) % shard_count();
     const std::string base =
         vr->cfg.name + "/vri" + std::to_string(i);
-    s->data_in = std::make_unique<FrameQueue>(config_.data_queue_capacity,
+    s->data_in = std::make_unique<FrameQueue>(costs::kDataQueueCapacity,
                                               base + "/data-in");
-    s->data_out = std::make_unique<FrameQueue>(config_.data_queue_capacity,
+    s->data_out = std::make_unique<FrameQueue>(costs::kDataQueueCapacity,
                                                base + "/data-out");
-    s->ctrl_in = std::make_unique<FrameQueue>(config_.control_queue_capacity,
+    s->ctrl_in = std::make_unique<FrameQueue>(costs::kControlQueueCapacity,
                                               base + "/ctrl-in");
-    s->ctrl_out = std::make_unique<FrameQueue>(config_.control_queue_capacity,
+    s->ctrl_out = std::make_unique<FrameQueue>(costs::kControlQueueCapacity,
                                                base + "/ctrl-out");
     create_slot_segments(*s);
 
@@ -918,16 +952,12 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
     overload_tick(vr, sim_.now());
     if (maybe_sample_shed(vr, slot, frame)) return;
   }
-  if (maybe_shed(vr, slot, frame)) return;
   if (tracer_) {
     // §15 load-adaptive sampling replaces the fixed §10 countdown. The
     // pressure signal is the same one the §13 ladder watches — the chosen
     // data queue at/above the sample watermark — so span resolution rises
     // when the pipeline is idle and backs off under overload.
-    const auto watermark = static_cast<std::size_t>(
-        config_.overload_control.sample_watermark *
-        static_cast<double>(slot.data_in->capacity()));
-    tracer_->observe_pressure(slot.data_in->size() >= watermark, sim_.now());
+    tracer_->observe_pressure(pressured(*slot.data_in), sim_.now());
     if (tracer_->should_sample()) {
       frame.obs_sampled = 1;
       frame.obs_enq_at = sim_.now();
@@ -947,48 +977,6 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
   slot.estimator->on_dispatch(slot.data_in->size(), sim_.now());
 }
 
-bool LvrmSystem::maybe_shed(VrState& vr, VriSlot& slot,
-                            net::FrameMeta& frame) {
-  if (config_.shed_policy == ShedPolicy::kNone) return false;
-  // Shed only when the VR cannot grow out of the overload — it is at its
-  // VRI cap or no cores remain — and even its *chosen* (shortest for JSQ)
-  // queue is past the watermark, i.e. arrival has exceeded the allocated
-  // capacity for long enough to back every queue up.
-  if (static_cast<int>(vr.active_order.size()) < config_.max_vris_per_vr &&
-      any_free_core())
-    return false;
-  const auto watermark = static_cast<std::size_t>(
-      config_.shed_watermark * static_cast<double>(slot.data_in->capacity()));
-  if (slot.data_in->size() < watermark) return false;
-
-  ++vr.shed_drops;
-  if (telemetry_ && !vr.shed_open) {
-    // Open a shedding episode: remember the load picture that caused it.
-    vr.shed_open = true;
-    vr.shed_start = sim_.now();
-    vr.shed_at_open = vr.shed_drops - 1;
-    vr.shed_rate = arrival_rate_estimate(vr.id);
-    vr.shed_service = measured_service_rate(vr);
-    LVRM_CLOG(kShed, kInfo)
-        << "vr=" << vr.id << " shedding opened: arrival="
-        << vr.shed_rate << " fps, service=" << vr.shed_service
-        << " fps/vri, watermark=" << config_.shed_watermark;
-  }
-  LVRM_CLOG(kShed, kTrace) << "vr=" << vr.id << " shed frame at vri="
-                           << slot.index;
-  if (config_.shed_policy == ShedPolicy::kDropOldest &&
-      !slot.data_in->empty()) {
-    // Evict the stalest queued frame to admit the fresh one.
-    note_drop(slot.data_in->pop(), DropCause::kShedDropOldest);
-    if (push_or_note(*slot.data_in, frame, DropCause::kQueueFull))
-      slot.estimator->on_dispatch(slot.data_in->size(), sim_.now());
-    return true;
-  }
-  // kDropNewest: the arriving frame is shed before the enqueue.
-  note_drop(frame, DropCause::kShedDropNewest);
-  return true;
-}
-
 // --- degradation ladder (DESIGN.md §13) ---------------------------------------------
 
 bool LvrmSystem::in_subset(const net::FrameMeta& f, double rate) const {
@@ -997,8 +985,8 @@ bool LvrmSystem::in_subset(const net::FrameMeta& f, double rate) const {
   // and RSS steering key on, salted so the subset is independent of both.
   // Halving the rate always keeps a subset of the previous survivors, so
   // escalation never re-admits a flow it already shed.
-  const std::uint64_t h = net::hash_tuple(net::FiveTuple::from_frame(f)) ^
-                          config_.overload_control.subset_salt;
+  const std::uint64_t h =
+      net::hash_tuple(net::FiveTuple::from_frame(f)) ^ kSubsetSalt;
   return static_cast<double>(h >> 32) < rate * 4294967296.0;
 }
 
@@ -1031,11 +1019,8 @@ bool LvrmSystem::admission_reject(net::FrameMeta& frame) {
 
 bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
                                    net::FrameMeta& f) {
-  const OverloadConfig& oc = config_.overload_control;
   ++vr.win_frames;
-  const auto watermark = static_cast<std::size_t>(
-      oc.sample_watermark * static_cast<double>(slot.data_in->capacity()));
-  if (slot.data_in->size() >= watermark) ++vr.win_pressured;
+  if (pressured(*slot.data_in)) ++vr.win_pressured;
   // Every frame the sampler inspects is tallied before the shed decision:
   // level-1 drops happen with the frame in hand, so — together with the
   // admission gate's exact reject tally — the per-VR offered count stays
@@ -1060,12 +1045,11 @@ bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
 }
 
 void LvrmSystem::overload_tick(VrState& vr, Nanos now) {
-  const OverloadConfig& oc = config_.overload_control;
   if (vr.win_start < 0) {
     vr.win_start = now;
     return;
   }
-  if (now - vr.win_start < oc.adapt_period) return;
+  if (now - vr.win_start < kAdaptPeriod) return;
   // An empty window is calm, not unknown: at a deep admission rung every
   // active flow can fall outside the subset, so no frame ever reaches the
   // sampler again — holding the rung on silence would deadlock the ladder.
@@ -1073,15 +1057,15 @@ void LvrmSystem::overload_tick(VrState& vr, Nanos now) {
                               ? 0.0
                               : static_cast<double>(vr.win_pressured) /
                                     static_cast<double>(vr.win_frames);
-  if (pressure >= oc.escalate_pressure) {
+  if (pressure >= obs::kEscalatePressure) {
     ++vr.escalations;
-    const double next = std::max(oc.min_sample_rate, vr.sample_rate * 0.5);
-    const OverloadLevel level = vr.escalations >= oc.admission_after
+    const double next = std::max(kMinSampleRate, vr.sample_rate * 0.5);
+    const OverloadLevel level = vr.escalations >= kAdmissionAfter
                                     ? OverloadLevel::kAdmission
                                     : OverloadLevel::kSampling;
     if (level != vr.level || next != vr.sample_rate)
       set_overload_state(vr, level, next, pressure);
-  } else if (pressure <= oc.relax_pressure) {
+  } else if (pressure <= obs::kRelaxPressure) {
     vr.escalations = 0;
     if (vr.level == OverloadLevel::kAdmission) {
       // Step down one rung at a time: admission releases first, the
@@ -1215,7 +1199,6 @@ int LvrmSystem::maybe_spray(VrState& vr, DispatchShard& shard,
   // Spraying needs a flow pin to relax and a sibling to spray to.
   if (config_.granularity != BalancerGranularity::kFlow || chosen < 0)
     return chosen;
-  const StateReplicationConfig& rc = config_.state_replication;
   const auto tuple = net::FiveTuple::from_frame(f);
 
   const auto it = vr.sprays.find(tuple);
@@ -1253,18 +1236,16 @@ int LvrmSystem::maybe_spray(VrState& vr, DispatchShard& shard,
   if (views.size() < 2) return chosen;
   const std::size_t slot = static_cast<std::size_t>(
       net::hash_tuple(tuple) & (VrState::kHhSlots - 1));
-  const Nanos window = std::max<Nanos>(1, rc.detect_window);
-  const auto win = static_cast<std::uint64_t>(now / window);
+  const auto win = static_cast<std::uint64_t>(now / kDetectWindow);
   if (vr.hh_window[slot] != win) {
     vr.hh_window[slot] = win;
     vr.hh_counts[slot] = 0;
   }
   const std::uint64_t count = ++vr.hh_counts[slot];
-  const double window_sec = static_cast<double>(window) / 1e9;
+  const double window_sec = to_seconds(kDetectWindow);
   const double threshold_frames =
-      std::max(static_cast<double>(rc.min_frames),
-               rc.elephant_fraction * config_.per_vri_capacity_fps *
-                   window_sec);
+      std::max(static_cast<double>(kMinElephantFrames),
+               kElephantFraction * config_.per_vri_capacity_fps * window_sec);
   if (static_cast<double>(count) < threshold_frames) return chosen;
 
   // Promotion: enter Pending (still pinned), start the snapshot handshake,
@@ -1359,20 +1340,10 @@ void LvrmSystem::start_spray_handshake(VrState& vr, int shard, int owner,
 }
 
 std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
-  const StateReplicationConfig& rc = config_.state_replication;
   net::StateDelta d;
   std::size_t drained = 0;
   while (slot.router->take_delta(d)) {
     ++drained;
-    if (rc.delta_period > 1) {
-      // Relay every Nth delta of the flow; the ones in between are absorbed
-      // by the next relayed record (deltas carry absolute state, so a
-      // skipped one costs freshness, not correctness).
-      const auto it = vr.sprays.find(d.flow);
-      if (it != vr.sprays.end() &&
-          (it->second.delta_seq++ % rc.delta_period) != 0)
-        continue;
-    }
     for (const int idx : vr.active_order) {
       if (idx == slot.index) continue;
       VriSlot* sib = vr.slots[static_cast<std::size_t>(idx)].get();
@@ -1471,7 +1442,7 @@ void LvrmSystem::sequence_tx(VrState& vr, net::FrameMeta&& f) {
   }
   it->second = std::move(f);
   ++so.live;
-  while (so.live > config_.state_replication.reorder_window) {
+  while (so.live > kReorderWindow) {
     // Overflow: more FRAMES held than the window allows — force-release
     // from the oldest held position. This is the one case external order
     // can be violated, and it is counted.
@@ -1509,8 +1480,7 @@ void LvrmSystem::seq_skip(const net::FrameMeta& f) {
 void LvrmSystem::spray_gc(Nanos now) {
   if (now - last_spray_gc_ < sec(1)) return;
   last_spray_gc_ = now;
-  const Nanos idle =
-      std::max<Nanos>(sec(1), 2 * config_.state_replication.detect_window);
+  constexpr Nanos idle = std::max<Nanos>(sec(1), 2 * kDetectWindow);
   for (auto& vrp : vrs_) {
     VrState& vr = *vrp;
     for (auto it = vr.sprays.begin(); it != vr.sprays.end();) {
@@ -1651,7 +1621,7 @@ void LvrmSystem::arm_tx_steal_timer(DispatchShard& thief) {
   if (!backlog) return;
   thief.tx_steal_timer_armed = true;
   DispatchShard* t = &thief;
-  sim_.after(config_.steal_poll_period, [this, t] {
+  sim_.after(kStealPollPeriod, [this, t] {
     t->tx_steal_timer_armed = false;
     if (!stealing_ || t->server->busy()) return;
     // Re-run the idle scan (which re-arms this timer while backlog holds).
@@ -1722,7 +1692,7 @@ void LvrmSystem::arm_steal_timer(VrState& vr, VriSlot& thief) {
   thief.steal_timer_armed = true;
   VrState* v = &vr;
   VriSlot* t = &thief;
-  sim_.after(config_.steal_poll_period, [this, v, t] {
+  sim_.after(kStealPollPeriod, [this, v, t] {
     t->steal_timer_armed = false;
     if (!stealing_ || !t->active || t->crashed || t->server->busy()) return;
     // Re-run the idle scan (which re-arms this timer while backlog holds).
@@ -1788,7 +1758,7 @@ std::size_t LvrmSystem::mesh_ring_bytes() const {
   const std::size_t S = shards_.size();
   std::size_t slots = 0;
   for (const auto& vr : vrs_) slots += vr->slots.size();
-  const std::size_t data = config_.data_queue_capacity * sizeof(net::FrameMeta);
+  const std::size_t data = costs::kDataQueueCapacity * sizeof(net::FrameMeta);
   return slots * (2 * S * data + 2 * data);
 }
 
@@ -1798,10 +1768,9 @@ std::size_t LvrmSystem::fabric_ring_bytes() const {
   const std::size_t S = shards_.size();
   std::size_t slots = 0;
   for (const auto& vr : vrs_) slots += vr->slots.size();
-  const std::size_t link =
-      config_.data_queue_capacity * sizeof(net::FrameMeta);
+  const std::size_t link = costs::kDataQueueCapacity * sizeof(net::FrameMeta);
   const std::size_t ctrl =
-      config_.control_queue_capacity * sizeof(net::FrameMeta);
+      costs::kControlQueueCapacity * sizeof(net::FrameMeta);
   return slots * (link + 2 * ctrl) + S * link;
 }
 
@@ -2026,7 +1995,7 @@ void LvrmSystem::reap_crashed() {
                           vr.id, slot.index);
       // waitpid()-style reaping: free the core, rescue (health layer) or
       // discard the dead process' queued frames, drop its flow pins.
-      if (health_ && config_.health.redispatch_stranded) {
+      if (health_) {
         while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
       } else {
         vr.data_drops += drain_and_drop(*slot.data_in,
@@ -2118,9 +2087,9 @@ void LvrmSystem::maybe_allocate() {
   reap_crashed();
   // §16: idle-expire sprayed flows and drained sequencers (1 s cadence).
   if (replication_) spray_gc(now);
-  // Audit: per-VR balancer summaries and shed-episode closure ride the
-  // allocation pass (the decision cadence of the whole system).
-  if (telemetry_) audit_balance_and_shed(now);
+  // Audit: per-VR balancer summaries ride the allocation pass (the
+  // decision cadence of the whole system).
+  if (telemetry_) audit_balance(now);
   if (allocator_->kind() == AllocatorKind::kFixed) return;
 
   const Nanos iterate =
@@ -2226,7 +2195,6 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   ev.stranded = slot.data_in->size();
 
   if (reason == VriHealth::kFailSlow && config_.overload_control.enabled &&
-      config_.overload_control.drain_on_destroy &&
       vr.active_order.size() > 1) {
     // Reset-free quarantine (DESIGN.md §13): a fail-slow process is alive —
     // it can be stopped cleanly and its backlog migrated over the normal
@@ -2287,11 +2255,7 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   // Rescue the frames stranded in the dead incarnation's incoming queue
   // before its segments are torn down.
   std::vector<net::FrameMeta> stranded;
-  if (config_.health.redispatch_stranded) {
-    while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
-  } else {
-    vr.data_drops += drain_and_drop(*slot.data_in, DropCause::kVriDestroyed);
-  }
+  while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
   discard_stale_control(slot);
 
   slot.active = false;
@@ -2429,10 +2393,10 @@ void LvrmSystem::create_slot_segments(VriSlot& slot) {
   // then two control rings sized to the control capacity. There is no
   // per-slot TX segment: egress rides the home shard's tx_link_shm.
   slot.shm_ids[0] =
-      arena_.create(config_.data_queue_capacity * sizeof(net::FrameMeta));
+      arena_.create(costs::kDataQueueCapacity * sizeof(net::FrameMeta));
   for (int q = 1; q < 3; ++q)
     slot.shm_ids[q] =
-        arena_.create(config_.control_queue_capacity * sizeof(net::FrameMeta));
+        arena_.create(costs::kControlQueueCapacity * sizeof(net::FrameMeta));
 }
 
 void LvrmSystem::deactivate_vri(VrState& vr) {
@@ -2440,9 +2404,7 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
   const int idx = vr.active_order.back();
   VriSlot& slot = *vr.slots[static_cast<std::size_t>(idx)];
   if (slot.draining) return;  // quiescing already; retry next pass
-  if (config_.overload_control.enabled &&
-      config_.overload_control.drain_on_destroy &&
-      vr.active_order.size() > 1) {
+  if (config_.overload_control.enabled && vr.active_order.size() > 1) {
     // Reset-free destroy (DESIGN.md §13): the allocator's scale-down stops
     // the VRI but migrates its backlog and flow pins to the survivors —
     // Fig 3.2's semantics without the frame loss.
@@ -2604,13 +2566,6 @@ VrAllocView LvrmSystem::alloc_view(const VrState& vr) const {
   return view;
 }
 
-bool LvrmSystem::any_free_core() const {
-  for (std::size_t c = 0; c < core_used_.size(); ++c)
-    if (!core_used_[c] && static_cast<sim::CoreId>(c) != config_.lvrm_core)
-      return true;
-  return false;
-}
-
 int LvrmSystem::active_vris(int vr) const {
   return static_cast<int>(
       vrs_.at(static_cast<std::size_t>(vr))->active_order.size());
@@ -2655,16 +2610,6 @@ std::uint64_t LvrmSystem::no_route_drops() const {
   for (const auto& vr : vrs_)
     for (const auto& slot : vr->slots) total += slot->no_route;
   return total;
-}
-
-std::uint64_t LvrmSystem::shed_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& vr : vrs_) total += vr->shed_drops;
-  return total;
-}
-
-std::uint64_t LvrmSystem::vr_shed_drops(int vr) const {
-  return vrs_.at(static_cast<std::size_t>(vr))->shed_drops;
 }
 
 OverloadLevel LvrmSystem::overload_level(int vr) const {
@@ -2803,32 +2748,9 @@ void LvrmSystem::trace_flight_dump(obs::FlightDumpCause cause, int shard,
   telemetry_->audit().record(e);
 }
 
-void LvrmSystem::close_shed_episode(VrState& vr, Nanos now) {
-  if (!vr.shed_open) return;
-  vr.shed_open = false;
-  obs::AuditEvent e;
-  e.time = vr.shed_start;
-  e.until = now;
-  e.kind = obs::AuditKind::kShedEpisode;
-  e.vr = static_cast<std::int16_t>(vr.id);
-  e.rate = vr.shed_rate;
-  e.threshold = config_.shed_watermark;
-  e.service = vr.shed_service;
-  e.a = vr.shed_drops - vr.shed_at_open;
-  telemetry_->audit().record(e);
-  LVRM_CLOG(kShed, kInfo) << "vr=" << vr.id << " shedding closed: " << e.a
-                          << " frames shed over " << (now - vr.shed_start)
-                          << " ns";
-}
-
-void LvrmSystem::audit_balance_and_shed(Nanos now) {
+void LvrmSystem::audit_balance(Nanos now) {
   for (auto& vrp : vrs_) {
     VrState& vr = *vrp;
-    // A pass with no new shed frames ends the episode.
-    if (vr.shed_open && vr.shed_drops == vr.shed_last_seen)
-      close_shed_episode(vr, now);
-    vr.shed_last_seen = vr.shed_drops;
-
     const DispatchStats stats = vr.dispatch_stats();
     const std::uint64_t decisions = stats.decisions;
     const std::uint64_t hits = stats.flow_hits;
@@ -2958,7 +2880,6 @@ void LvrmSystem::publish_gauges() {
     m.gauge("lvrm_forwarded", l).set(static_cast<double>(vr.forwarded));
     m.gauge("lvrm_data_queue_drops", l)
         .set(static_cast<double>(vr.data_drops));
-    m.gauge("lvrm_shed_drops", l).set(static_cast<double>(vr.shed_drops));
     const DispatchStats stats = vr.dispatch_stats();
     m.gauge("lvrm_dispatch_decisions", l)
         .set(static_cast<double>(stats.decisions));
@@ -3002,7 +2923,6 @@ void LvrmSystem::publish_gauges() {
 bool LvrmSystem::export_telemetry(const std::string& prefix) {
   if (!telemetry_) return false;
   const Nanos now = sim_.now();
-  for (auto& vrp : vrs_) close_shed_episode(*vrp, now);
   publish_gauges();
   return telemetry_->export_files(prefix, now,
                                   tracer_ ? &tracer_->spans() : nullptr);

@@ -167,8 +167,8 @@ class LvrmSystem {
   /// when the slot is not active (or has crashed — a corpse cannot drain).
   bool decommission_vri(int vr, int vri);
 
-  /// Every reset-free drain so far (allocator destroy with
-  /// `overload_control.drain_on_destroy`, fail-slow quarantine, or explicit
+  /// Every reset-free drain so far (allocator destroy or fail-slow
+  /// quarantine with `overload_control.enabled`, or explicit
   /// decommission_vri), in order.
   const std::vector<DrainEvent>& drain_log() const { return drain_log_; }
   /// Flow pins migrated to siblings across all drains.
@@ -215,15 +215,16 @@ class LvrmSystem {
   }
   std::uint64_t data_queue_drops() const;
   std::uint64_t no_route_drops() const;
-  /// Frames shed by the overload drop policy (documented, not silent).
-  std::uint64_t shed_drops() const;
-  std::uint64_t vr_shed_drops(int vr) const;
 
   // --- overload ladder (DESIGN.md §13) --------------------------------------
+  /// Floor of the ladder's per-flow sampling rate: even a worst-case flood
+  /// keeps this fraction of flows fully monitored.
+  static constexpr double kMinSampleRate = 1.0 / 64.0;
   /// The VR's current degradation-ladder level (kNormal unless
   /// `overload_control.enabled`).
   OverloadLevel overload_level(int vr) const;
-  /// The VR's current per-flow sampling rate (1.0 at kNormal).
+  /// The VR's current per-flow sampling rate (1.0 at kNormal, never below
+  /// kMinSampleRate).
   double sample_rate(int vr) const;
   /// Frames shed by the adaptive sampling subset, per VR / total.
   std::uint64_t vr_sampled_shed(int vr) const;
@@ -431,7 +432,6 @@ class LvrmSystem {
   double measured_service_rate(const VrState& vr) const;
   double vri_departure_rate(const VriSlot& slot) const;
   VrAllocView alloc_view(const VrState& vr) const;
-  bool any_free_core() const;
   // Health monitoring & recovery.
   void maybe_health_probe();
   void recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
@@ -441,8 +441,6 @@ class LvrmSystem {
   void create_slot_segments(VriSlot& slot);
   void discard_stale_control(VriSlot& slot);
   std::size_t redispatch(VrState& vr, std::vector<net::FrameMeta>& frames);
-  // Overload shedding; returns true when the frame was handled (shed).
-  bool maybe_shed(VrState& vr, VriSlot& slot, net::FrameMeta& frame);
   // Overload ladder (DESIGN.md §13; all no-ops unless
   // config.overload_control.enabled).
   /// Whether the frame's flow falls in the sampling subset at this rate.
@@ -483,8 +481,7 @@ class LvrmSystem {
   obs::PathSpan span_of(const net::FrameMeta& f, std::uint8_t terminal) const;
   void audit_vri_change(VrState& vr, VriSlot& slot, bool create,
                         bool from_recovery);
-  void audit_balance_and_shed(Nanos now);
-  void close_shed_episode(VrState& vr, Nanos now);
+  void audit_balance(Nanos now);
   // State replication (DESIGN.md §16; all no-ops unless
   // config.state_replication.enabled → replication_).
   /// Heavy-hitter detection + spray override after the flow-pinned dispatch
@@ -499,7 +496,7 @@ class LvrmSystem {
                              const net::FiveTuple& tuple, double rate_fps,
                              double threshold_fps);
   /// Drains the deltas a stateful router queued while processing a sprayed
-  /// frame and relays each to the active siblings (delta_period-gated).
+  /// frame and relays each to the active siblings.
   /// Returns how many deltas were drained (the emit-cost multiplier).
   std::size_t relay_deltas(VrState& vr, VriSlot& slot);
   /// TX-side completion: counters, tracer/telemetry, egress. Split out of

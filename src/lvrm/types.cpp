@@ -87,15 +87,6 @@ std::string to_string(FaultKind k) {
   return "?";
 }
 
-std::string to_string(ShedPolicy k) {
-  switch (k) {
-    case ShedPolicy::kNone: return "none";
-    case ShedPolicy::kDropNewest: return "drop-newest";
-    case ShedPolicy::kDropOldest: return "drop-oldest";
-  }
-  return "?";
-}
-
 std::string to_string(OverloadLevel k) {
   switch (k) {
     case OverloadLevel::kNormal: return "normal";
@@ -110,8 +101,6 @@ std::string to_string(DropCause k) {
     case DropCause::kRxRingFull: return "rx-ring-full";
     case DropCause::kAdmissionReject: return "admission-reject";
     case DropCause::kSampledShed: return "sampled-shed";
-    case DropCause::kShedDropNewest: return "shed-drop-newest";
-    case DropCause::kShedDropOldest: return "shed-drop-oldest";
     case DropCause::kQueueFull: return "queue-full";
     case DropCause::kUnclassified: return "unclassified";
     case DropCause::kVriInactive: return "vri-inactive";

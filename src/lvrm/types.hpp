@@ -80,14 +80,6 @@ enum class FaultKind {
   kOverloadBurst,  // synthetic flash-crowd burst injected at RX ingress
 };
 
-/// Per-VR load-shedding policy once arrival exceeds allocated capacity and
-/// no cores remain to grow into (graceful degradation under overload).
-enum class ShedPolicy {
-  kNone,        // legacy behaviour: tail-drop only when a queue is full
-  kDropNewest,  // shed the arriving frame at LVRM before the enqueue
-  kDropOldest,  // evict the head of the chosen queue to admit the new frame
-};
-
 /// Degradation-ladder level of one VR's backpressure controller
 /// (DESIGN.md §13). The ladder escalates one rung at a time and relaxes the
 /// same way, so every transition is observable in the audit trail.
@@ -104,8 +96,6 @@ enum class DropCause {
   kRxRingFull,      // ingress: shard RX ring tail-drop
   kAdmissionReject, // ingress: overload ladder level 2 rejected the flow
   kSampledShed,     // dispatch: flow outside the sampling subset (level 1+)
-  kShedDropNewest,  // classic watermark shed: arriving frame dropped
-  kShedDropOldest,  // classic watermark shed: queue head evicted
   kQueueFull,       // data queue (in or out) refused the push
   kUnclassified,    // no VR / no active VRI for the frame
   kVriInactive,     // dispatched to a VRI that deactivated in flight
@@ -131,7 +121,6 @@ std::string to_string(AffinityPolicy k);
 std::string to_string(VrKind k);
 std::string to_string(VriHealth k);
 std::string to_string(FaultKind k);
-std::string to_string(ShedPolicy k);
 std::string to_string(OverloadLevel k);
 std::string to_string(DropCause k);
 std::string to_string(DrainCause k);

@@ -9,7 +9,6 @@ const char* to_string(AuditKind k) {
     case AuditKind::kHealthDead: return "health_dead";
     case AuditKind::kHealthHung: return "health_hung";
     case AuditKind::kHealthFailSlow: return "health_fail_slow";
-    case AuditKind::kShedEpisode: return "shed_episode";
     case AuditKind::kBalanceSummary: return "balance_summary";
     case AuditKind::kOverloadLevel: return "overload_level";
     case AuditKind::kVriDrain: return "vri_drain";

@@ -1,7 +1,7 @@
 // audit.hpp — bounded binary decision audit trail (DESIGN.md §10).
 //
 // Every control-plane decision the LVRM takes — core allocation changes,
-// health-monitor transitions, shedding episodes, balancer summaries — is
+// health-monitor transitions, overload-ladder moves, balancer summaries — is
 // recorded as one fixed-size binary event carrying the *cause* (the observed
 // EWMA rate, the threshold it was compared against, the service-rate
 // estimate), so "why did VR2 get a third core at t=4.2s?" is answerable from
@@ -26,7 +26,6 @@ enum class AuditKind : std::uint8_t {
   kHealthDead,     // health monitor declared a VRI dead (crash)
   kHealthHung,     // health monitor declared a VRI hung
   kHealthFailSlow, // health monitor flagged a fail-slow VRI
-  kShedEpisode,    // a contiguous run of overload shedding on one VR
   kBalanceSummary, // periodic balancer choice summary for one VR
   kOverloadLevel,  // a VR's degradation ladder changed level / sampling rate
   kVriDrain,       // reset-free VRI drain: live flows migrated to siblings
@@ -54,11 +53,6 @@ const char* to_string(AuditKind k);
 ///     threshold = configured detection threshold
 ///     service   = per-VRI service-rate estimate (fps)
 ///     a         = frames stranded, b = frames re-dispatched, c = 1 if respawned
-///   kShedEpisode (duration event, `until` > `time`):
-///     rate      = arrival EWMA (fps) when the episode opened
-///     threshold = configured shed watermark (queue fraction)
-///     service   = service-rate estimate (fps)
-///     a         = frames shed in the episode
 ///   kBalanceSummary:
 ///     rate      = arrival EWMA (fps), service = service-rate estimate (fps)
 ///     a         = frames dispatched since last summary

@@ -196,18 +196,6 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
         emit(buf);
         break;
       }
-      case AuditKind::kShedEpisode: {
-        const double dur = to_micros(e.until - e.time);
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,"
-            "\"name\":\"shed\",\"args\":{\"frames_shed\":%llu,"
-            "\"rate_fps\":%.3f,\"watermark\":%.3f,\"service_fps\":%.3f}}",
-            e.vr, ts, dur, static_cast<unsigned long long>(e.a), e.rate,
-            e.threshold, e.service);
-        emit(buf);
-        break;
-      }
       case AuditKind::kBalanceSummary: {
         std::snprintf(
             buf, sizeof(buf),

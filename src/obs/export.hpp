@@ -9,7 +9,7 @@
 //     `read_csv` and pivots client-side.
 //   * Chrome trace_event JSON of the audit trail, loadable directly in
 //     chrome://tracing or Perfetto: per-VR VRI counts as counter tracks,
-//     health transitions as instants, shed episodes as duration slices.
+//     health transitions and ladder moves as instants.
 #pragma once
 
 #include <ostream>

@@ -9,8 +9,7 @@ namespace lvrm::obs {
 
 void Telemetry::take_snapshot(Nanos at) {
   series_.push_back(metrics_.snapshot(at));
-  if (cfg_.max_snapshots > 0 && series_.size() > cfg_.max_snapshots)
-    series_.erase(series_.begin());
+  if (series_.size() > kMaxSnapshots) series_.erase(series_.begin());
 }
 
 bool Telemetry::export_files(const std::string& prefix, Nanos now,

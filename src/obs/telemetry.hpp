@@ -25,21 +25,22 @@ struct TelemetryConfig {
   /// Master switch; when false LvrmSystem creates no Telemetry at all and
   /// the hot path carries zero extra work beyond one pointer null check.
   bool enabled = true;
-  /// Latency sampling period: stamp every Nth RX frame (1 = all, 0 = none).
-  std::uint32_t sample_every = 64;
-  /// Audit-trail ring capacity (overwrite-oldest beyond this).
-  std::size_t audit_capacity = 8192;
   /// Periodic snapshot cadence in sim time; 0 disables periodic snapshots
   /// (a final snapshot is still taken at export time).
   Nanos snapshot_period = msec(250);
-  /// Bound on the retained snapshot series (oldest dropped beyond this).
-  std::size_t max_snapshots = 4096;
 };
 
 class Telemetry {
  public:
+  /// Latency sampling period: stamp every Nth RX frame.
+  static constexpr std::uint32_t kSampleEvery = 64;
+  /// Audit-trail ring capacity (overwrite-oldest beyond this).
+  static constexpr std::size_t kAuditCapacity = 8192;
+  /// Bound on the retained snapshot series (oldest dropped beyond this).
+  static constexpr std::size_t kMaxSnapshots = 4096;
+
   explicit Telemetry(const TelemetryConfig& cfg)
-      : cfg_(cfg), audit_(cfg.audit_capacity), sampler_(cfg.sample_every) {}
+      : cfg_(cfg), audit_(kAuditCapacity), sampler_(kSampleEvery) {}
 
   const TelemetryConfig& config() const { return cfg_; }
   MetricsRegistry& metrics() { return metrics_; }
@@ -50,8 +51,8 @@ class Telemetry {
   /// Deterministic 1-in-N tick for latency sampling (no RNG: determinism).
   /// The countdown itself lives in TelemetrySampler (sampler.hpp) so the
   /// §15 adaptive tracing controller shares the exact same tick; the
-  /// `sample_every = 0 -> disabled`, `1 -> everything` contract is
-  /// documented and tested there.
+  /// `period = 0 -> disabled`, `1 -> everything` contract is documented and
+  /// tested there.
   bool should_sample() { return sampler_.tick(); }
 
   /// Append an aggregated snapshot to the retained series.
@@ -72,7 +73,7 @@ class Telemetry {
   MetricsRegistry metrics_;
   AuditTrail audit_;
   std::vector<Snapshot> series_;
-  TelemetrySampler sampler_;  // deterministic 1-in-sample_every countdown
+  TelemetrySampler sampler_;  // deterministic 1-in-kSampleEvery countdown
 };
 
 }  // namespace lvrm::obs

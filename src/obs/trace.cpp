@@ -51,10 +51,10 @@ void Tracer::adapt(Nanos now) {
                 static_cast<double>(win_frames_);
   const std::uint32_t period = sampler_.period();
   std::uint32_t next = period;
-  if (pressure >= cfg_.escalate_pressure) {
+  if (pressure >= kEscalatePressure) {
     // Overload: back span resolution off (longer period, fewer samples).
     next = clamp_period(period * 2, cfg_);
-  } else if (pressure <= cfg_.relax_pressure) {
+  } else if (pressure <= kRelaxPressure) {
     // Idle: raise resolution toward 1-in-min_sample_every.
     next = clamp_period(period / 2, cfg_);
   }

@@ -10,12 +10,12 @@
 //     tail frame's latency went.
 //   * FlightRecorder rings (flight_recorder.hpp) — always-on compact
 //     records for ALL frames, dumped on incidents.
-//   * The load-adaptive sampling controller — replaces the fixed
-//     `sample_every = 64` with a feedback loop on the §13 pressure signal:
-//     the sampling period halves toward `min_sample_every` (1-in-4) while
-//     the observed dispatch-queue pressure stays low and doubles toward
-//     `max_sample_every` under overload, holding measured tracing overhead
-//     under the bench_hotpath --check-trace-overhead CI budget.
+//   * The load-adaptive sampling controller — replaces the fixed §10
+//     1-in-64 latency sampling with a feedback loop on the §13 pressure
+//     signal: the sampling period halves toward `min_sample_every` (1-in-4)
+//     while the observed dispatch-queue pressure stays low and doubles
+//     toward `max_sample_every` under overload, holding measured tracing
+//     overhead under the bench_hotpath --check-trace-overhead CI budget.
 //
 // Like the rest of src/obs this is host-side observation only: no sim cost
 // is charged, no RNG is consumed, and nothing here is read back by any
@@ -33,6 +33,14 @@
 
 namespace lvrm::obs {
 
+/// Window-pressure thresholds shared by the §13 overload ladder and the §15
+/// adaptive tracing controller, which mirrors it. Pressure is the fraction
+/// of a window's frames whose chosen data queue sat at/above the §13 sample
+/// watermark: at or above kEscalatePressure a controller backs off, at or
+/// below kRelaxPressure it recovers, in between it holds.
+inline constexpr double kEscalatePressure = 0.5;
+inline constexpr double kRelaxPressure = 0.1;
+
 struct TracingConfig {
   /// Master switch; when false LvrmSystem creates no Tracer at all and the
   /// hot path carries zero extra work beyond one pointer null check.
@@ -45,12 +53,10 @@ struct TracingConfig {
   /// Lowest resolution, the overload floor the controller backs off to.
   std::uint32_t max_sample_every = 1024;
 
-  /// Controller cadence and thresholds, mirroring the §13 ladder's window
-  /// controller: the fraction of frames in the window whose chosen data
-  /// queue sat at/above the §13 `sample_watermark` is the pressure signal.
+  /// Controller cadence. Each window's pressure is compared against the
+  /// kEscalatePressure / kRelaxPressure pair above: the period doubles at
+  /// or above the first and halves at or below the second.
   Nanos adapt_period = msec(1);
-  double escalate_pressure = 0.5;  // pressure >= this: period doubles
-  double relax_pressure = 0.1;     // pressure <= this: period halves
 
   /// Per-shard flight-recorder ring capacity (records; rounded to pow2).
   std::size_t recorder_capacity = 4096;

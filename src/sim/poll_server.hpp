@@ -252,8 +252,8 @@ class PollServer {
     // Non-empty hint: set by the queue observer (which fires on every
     // empty->non-empty transition), cleared only when a scan observes the
     // queue actually empty. The hint can therefore be stale-HIGH (external
-    // actors — recovery, shedding — pop/clear queues without telling us)
-    // but never stale-LOW, so a set hint is always safe to probe and a
+    // actors — recovery, drains, thieves — pop/clear queues without telling
+    // us) but never stale-LOW, so a set hint is always safe to probe and a
     // cleared hint is always safe to skip.
     bool nonempty = false;
     std::size_t class_idx = 0;

@@ -1,7 +1,7 @@
 // End-to-end recovery: the health monitor's verdicts driving quarantine,
-// state-consistent respawn, stranded-frame re-dispatch and overload shedding
-// through LvrmSystem. Counterpart of test_fault_injector.cpp, which shows the
-// same faults UNdetected on the stock system.
+// state-consistent respawn, stranded-frame re-dispatch and the overload
+// tail drop through LvrmSystem. Counterpart of test_fault_injector.cpp,
+// which shows the same faults UNdetected on the stock system.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -79,7 +79,7 @@ struct RecoveryRig {
   /// Every frame is accounted for: forwarded or counted in a drop bucket.
   std::uint64_t accounted() const {
     return delivered + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->shed_drops() + sys->no_route_drops();
+           sys->no_route_drops();
   }
 };
 
@@ -240,66 +240,17 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
   EXPECT_EQ(rig.sys->no_route_drops(), 0u);
 }
 
-LvrmConfig overload_config(ShedPolicy policy) {
+TEST(Recovery, OverloadWithoutTheLadderTailDropsAndConserves) {
+  // One VRI that cannot grow and no §13 ladder: the only overload response
+  // left is the data queue's tail drop, and every frame stays accounted for.
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
-  cfg.max_vris_per_vr = 1;  // cannot grow: shedding may engage
-  cfg.shed_policy = policy;
-  return cfg;
-}
-
-TEST(Recovery, SheddingDisabledKeepsLegacyTailDrop) {
-  RecoveryRig rig(overload_config(ShedPolicy::kNone), 1);
+  cfg.max_vris_per_vr = 1;
+  RecoveryRig rig(cfg, 1);
   rig.offer(120'000.0, sec(2));  // 2x the 60 Kfps capacity
   rig.sim.run_all();
-  EXPECT_EQ(rig.sys->shed_drops(), 0u);
   EXPECT_GT(rig.sys->data_queue_drops(), 0u);
   EXPECT_EQ(rig.accounted(), rig.sent);
-}
-
-TEST(Recovery, DropNewestShedsArrivalsAtTheWatermark) {
-  RecoveryRig rig(overload_config(ShedPolicy::kDropNewest), 1);
-  std::uint64_t last_delivered_id = 0;
-  rig.sys->set_egress([&](net::FrameMeta&& f) {
-    ++rig.delivered;
-    last_delivered_id = f.id;
-  });
-  rig.offer(120'000.0, sec(2));
-  rig.sim.run_all();
-  EXPECT_GT(rig.sys->shed_drops(), 0u);
-  EXPECT_EQ(rig.sys->vr_shed_drops(0), rig.sys->shed_drops());
-  // The queue sat at the watermark when the last frame arrived: it was shed,
-  // so the newest id never egresses.
-  EXPECT_LT(last_delivered_id, rig.sent - 1);
-  EXPECT_EQ(rig.accounted(), rig.sent);
-}
-
-TEST(Recovery, DropOldestKeepsTheFreshestFrames) {
-  RecoveryRig rig(overload_config(ShedPolicy::kDropOldest), 1);
-  std::uint64_t max_delivered_id = 0;
-  rig.sys->set_egress([&](net::FrameMeta&& f) {
-    ++rig.delivered;
-    max_delivered_id = std::max(max_delivered_id, f.id);
-  });
-  rig.offer(120'000.0, sec(2));
-  rig.sim.run_all();
-  EXPECT_GT(rig.sys->shed_drops(), 0u);
-  // Drop-oldest admits every arrival by evicting the stalest: the final
-  // frame always survives to egress.
-  EXPECT_EQ(max_delivered_id, rig.sent - 1);
-  EXPECT_EQ(rig.accounted(), rig.sent);
-}
-
-TEST(Recovery, SheddingDoesNotEngageWhileTheVrCanGrow) {
-  // Same overload but the VR may still add VRIs: growth, not shedding, is
-  // the right response, and the dynamic allocator provides it.
-  LvrmConfig cfg;
-  cfg.shed_policy = ShedPolicy::kDropNewest;
-  RecoveryRig rig(cfg, 1);
-  rig.offer(120'000.0, sec(4));
-  rig.sim.run_all();
-  EXPECT_GT(rig.sys->active_vris(0), 1);
-  EXPECT_EQ(rig.sys->shed_drops(), 0u);
 }
 
 TEST(Recovery, CapacityEstimateTracksActiveVris) {

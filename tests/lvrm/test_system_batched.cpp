@@ -65,7 +65,7 @@ struct BatchRig {
 
   std::uint64_t accounted() const {
     return sys->forwarded() + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->shed_drops() + sys->no_route_drops();
+           sys->no_route_drops();
   }
 };
 

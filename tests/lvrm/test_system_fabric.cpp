@@ -83,7 +83,7 @@ struct FabricRig {
 
   std::uint64_t accounted() const {
     return delivered + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->shed_drops() + sys->no_route_drops();
+           sys->no_route_drops();
   }
 };
 

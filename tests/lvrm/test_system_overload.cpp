@@ -168,8 +168,7 @@ TEST(SystemOverload, SustainedOverloadEscalatesThroughSamplingToAdmission) {
   EXPECT_EQ(seen[1], OverloadLevel::kSampling);
   EXPECT_EQ(seen[2], OverloadLevel::kAdmission);
   EXPECT_LT(rig.sys->sample_rate(0), 1.0);
-  EXPECT_GE(rig.sys->sample_rate(0),
-            LvrmConfig{}.overload_control.min_sample_rate);
+  EXPECT_GE(rig.sys->sample_rate(0), LvrmSystem::kMinSampleRate);
   EXPECT_GT(rig.sys->vr_sampled_shed(0), 0u);
   EXPECT_GT(rig.sys->vr_admission_rejected(0), 0u);
   // Survivors keep their per-flow order through the shedding.
@@ -355,12 +354,11 @@ TEST(SystemOverload, OverloadBurstFaultEscalatesAndSelfClears) {
 }
 
 TEST(SystemOverload, CrashPlusShedPlusRespawnConservesFrames) {
-  // Every exit path in one scenario: an overload burst forcing every shed
-  // path, a crash stranding in-flight frames, and a health-monitor respawn.
-  // After quiesce, every frame the rig offered was delivered or reported
-  // through the drop hook, exactly once.
+  // Every exit path in one scenario: an overload burst forcing the ladder's
+  // shed paths (sampling, admission), a crash stranding in-flight frames,
+  // and a health-monitor respawn. After quiesce, every frame the rig
+  // offered was delivered or reported through the drop hook, exactly once.
   LvrmConfig c = OverloadRig::cfg(true);
-  c.shed_policy = ShedPolicy::kDropOldest;
   HealthConfig h;
   h.enabled = true;
   c.health = h;

@@ -86,7 +86,7 @@ struct ShardRig {
 
   std::uint64_t accounted() const {
     return delivered + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->shed_drops() + sys->no_route_drops();
+           sys->no_route_drops();
   }
 };
 

@@ -193,29 +193,6 @@ TEST(SystemTelemetry, DisabledMeansNoTelemetryObject) {
   EXPECT_FALSE(rig.sys->export_telemetry("/tmp/should_not_exist"));
 }
 
-TEST(SystemTelemetry, ShedEpisodeIsAudited) {
-  LvrmConfig cfg = TelRig::dynamic_cfg();
-  cfg.max_vris_per_vr = 1;  // cannot grow: overload must shed
-  cfg.shed_policy = ShedPolicy::kDropNewest;
-  cfg.shed_watermark = 0.5;
-  TelRig rig(cfg);
-  rig.offer(150'000.0, 0, sec(3));
-  rig.sim.run_all();
-  ASSERT_GT(rig.sys->shed_drops(), 0u);
-
-  // Episodes close at the first calm allocation pass or at export.
-  const std::string prefix = ::testing::TempDir() + "tel_shed";
-  ASSERT_TRUE(rig.sys->export_telemetry(prefix));
-  std::uint64_t shed_in_episodes = 0;
-  for (const auto& e : rig.sys->telemetry()->audit().events())
-    if (e.kind == obs::AuditKind::kShedEpisode) {
-      EXPECT_GE(e.until, e.time);
-      EXPECT_DOUBLE_EQ(e.threshold, 0.5);
-      shed_in_episodes += e.a;
-    }
-  EXPECT_EQ(shed_in_episodes, rig.sys->shed_drops());
-}
-
 TEST(SystemTelemetry, HealthTransitionIsAudited) {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;

@@ -160,8 +160,8 @@ TEST(FramePoolStress, TwoThreadRxTxPipelineConservesSlots) {
 TEST(FramePoolStress, ShedChurnReleasesEverySlotUnderMixedDropAndForward) {
   // The overload regime of DESIGN.md §13: under shedding, a large fraction
   // of acquired slots are released on a DROP path (admission reject, sampled
-  // shed, watermark shed) rather than the TX completion path, and the pool
-  // runs near exhaustion the whole time. Drop-side releases and acquire
+  // shed, queue-full tail drop) rather than the TX completion path, and the
+  // pool runs near exhaustion the whole time. Drop-side releases and acquire
   // retries must stay race-free and conserve every slot.
   constexpr std::uint64_t kFrames = 20'000;
   queue::ShmArena arena;

@@ -50,7 +50,7 @@ TEST(AuditTrail, OverwritesOldestBeyondCapacity) {
 TEST(AuditTrail, ExactlyAtCapacityLosesNothing) {
   AuditTrail trail(3);
   for (std::uint64_t i = 0; i < 3; ++i)
-    trail.record(ev(static_cast<Nanos>(i), AuditKind::kShedEpisode, i));
+    trail.record(ev(static_cast<Nanos>(i), AuditKind::kOverloadLevel, i));
   EXPECT_EQ(trail.overwritten(), 0u);
   EXPECT_EQ(trail.events().front().a, 0u);
   EXPECT_EQ(trail.events().back().a, 2u);
@@ -62,7 +62,6 @@ TEST(AuditKindNames, AreStableStrings) {
   EXPECT_STREQ(to_string(AuditKind::kHealthDead), "health_dead");
   EXPECT_STREQ(to_string(AuditKind::kHealthHung), "health_hung");
   EXPECT_STREQ(to_string(AuditKind::kHealthFailSlow), "health_fail_slow");
-  EXPECT_STREQ(to_string(AuditKind::kShedEpisode), "shed_episode");
   EXPECT_STREQ(to_string(AuditKind::kBalanceSummary), "balance_summary");
 }
 

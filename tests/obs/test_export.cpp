@@ -79,12 +79,6 @@ std::vector<AuditEvent> one_of_each() {
   health.kind = AuditKind::kHealthHung;
   health.time = usec(20);
   evs.push_back(health);
-  AuditEvent shed = create;
-  shed.kind = AuditKind::kShedEpisode;
-  shed.time = usec(30);
-  shed.until = usec(90);
-  shed.a = 17;
-  evs.push_back(shed);
   AuditEvent bal = create;
   bal.kind = AuditKind::kBalanceSummary;
   bal.time = usec(100);
@@ -100,9 +94,7 @@ TEST(ChromeTrace, EmitsEveryPhaseKind) {
   EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);  // metadata
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);  // counter track
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);  // instant
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);  // duration slice
   EXPECT_NE(text.find("\"name\":\"vri_create\""), std::string::npos);
-  EXPECT_NE(text.find("\"dur\":60.000"), std::string::npos);  // 60 us episode
   // Structurally valid JSON: balanced braces/brackets, no trailing comma.
   int depth = 0;
   bool in_string = false;
@@ -214,7 +206,7 @@ TEST(ChromeTrace, EveryAuditKindReachesTheTrace) {
     expect_balanced(text);
     EXPECT_GT(count_trace_events(text), baseline) << to_string(kind);
   }
-  EXPECT_GE(kinds, 15);
+  EXPECT_GE(kinds, 14);
 }
 
 TEST(ChromeTrace, StealEventsCarryThiefVictimAndCounts) {
@@ -311,7 +303,7 @@ TEST(ChromeTrace, DroppedSpanEmitsTheExitInstantAtItsLastStamp) {
   s.svc_start = 0;  // terminated while queued: never reached service
   s.svc_end = 0;
   s.gw_out = 0;
-  s.terminal = 7;  // 1 + DropCause code 6
+  s.terminal = 7;  // 1 + DropCause code 6 (kVriDestroyed)
   std::ostringstream os;
   write_chrome_trace({}, {s}, os);
   const std::string text = os.str();
