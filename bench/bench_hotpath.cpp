@@ -12,7 +12,8 @@
 //              item) vs the new unboxed member-slot completion (zero).
 //   kernel   : the event queue alone: schedule + fire of a 152 B frame
 //              hand-off with 64 events standing, and the same with one far
-//              timer cancelled and re-armed per event (TCP's RTO pattern).
+//              timer cancelled and pushed again per event (a cancel-and-push
+//              re-arm, the pattern sim::Timer avoids).
 //   poll     : a PollServer inside a Simulator driving frames through a
 //              cost+sink input, classic per-item serving vs coalesced batch
 //              serving; host ns per simulated frame.
@@ -36,6 +37,9 @@
 //              the gateway end to end. --check-trace-overhead=0.03 gates
 //              the ratio add-on / pipeline-frame-cost — see the comment at
 //              the measurement for why the ratio, not an e2e difference.
+//   tcp pipe : host ns per offered frame of a short Exp 4 run_tcp_trial
+//              (100 Reno flows, 2000-frame bottleneck trunks), the one
+//              section whose event heap runs deep. Additive and ungated.
 //   shards   : the DESIGN.md §11 sharded dispatch plane, end to end through
 //              LvrmSystem in *simulated* time (deterministic, unlike the
 //              host-ns sections): aggregate Kfps at 1 vs 2 dispatcher shards
@@ -272,8 +276,9 @@ double serve_unboxed_ns(std::uint64_t items) {
 /// Schedules and fires frame hand-offs the way the per-frame events of
 /// LvrmSystem and the testbed do: each event captures `[this, FrameMeta]`
 /// (152 B, inside the Callback's inline buffer) and 64 events stand in the
-/// queue. With `rearm`, every fired event also cancels and re-arms one far
-/// timer, the RTO pattern of every TCP ACK. Returns host ns per fired event.
+/// queue. With `rearm`, every fired event also cancels and re-pushes one
+/// far timer, the cost a cancel-and-push re-arm adds to an event. Returns
+/// host ns per fired event.
 class KernelBench {
  public:
   double run(std::uint64_t events, bool rearm) {
@@ -1138,6 +1143,27 @@ int main(int argc, char** argv) {
     pipe_samples.push_back(pipeline_frame_ns());
   const double pipeline_frame =
       *std::min_element(pipe_samples.begin(), pipe_samples.end());
+
+  // The same cost on the Exp 4 world: 100 closed-loop Reno flows both ways
+  // through 2000-frame bottleneck trunks. Its frames wait on the trunks
+  // and its timers re-arm on every ACK, so the event heap runs deep, which
+  // the udp pipeline above never does. Host ns per frame the hosts offer.
+  auto pipeline_tcp_frame_ns = [&]() {
+    lvrm::exp::TcpWorldOptions opt;
+    opt.warmup = quick ? msec(300) : msec(500);
+    opt.measure = quick ? msec(200) : msec(1000);
+    const double t0 = now_ns();
+    const auto res = lvrm::exp::run_tcp_trial(opt);
+    const double elapsed = now_ns() - t0;
+    g_guard.fetch_add(res.retransmits, std::memory_order_relaxed);
+    return elapsed / static_cast<double>(
+                         res.frames_offered ? res.frames_offered : 1);
+  };
+  std::vector<double> tcp_pipe_samples;
+  for (int r = 0; r < reps; ++r)
+    tcp_pipe_samples.push_back(pipeline_tcp_frame_ns());
+  const double pipeline_tcp_frame =
+      *std::min_element(tcp_pipe_samples.begin(), tcp_pipe_samples.end());
   // Signed on purpose: a negative add-on means the on/off difference is
   // inside the loop's noise, and clamping it to zero would hide that.
   const double trace_addon = trace_on - trace_off;
@@ -1401,6 +1427,7 @@ int main(int argc, char** argv) {
       << "  \"poll_trace_on_ns\": " << trace_on << ",\n"
       << "  \"trace_addon_ns\": " << trace_addon << ",\n"
       << "  \"pipeline_frame_ns\": " << pipeline_frame << ",\n"
+      << "  \"pipeline_tcp_frame_ns\": " << pipeline_tcp_frame << ",\n"
       << "  \"trace_overhead_frac\": " << trace_overhead << ",\n"
       << "  \"per_frame_host_overhead_ns\": " << per_frame_host << ",\n"
       << "  \"per_frame_host_ratio\": " << std::scientific << host_ratio
@@ -1463,6 +1490,8 @@ int main(int argc, char** argv) {
               trace_off, trace_on, trace_addon);
   std::printf("  tracing vs pipeline   : %+.1f ns on %.1f ns/frame e2e (%+.2f%%)\n",
               trace_addon, pipeline_frame, 100.0 * trace_overhead);
+  std::printf("  tcp pipeline (Exp 4)  : %.1f host ns/offered frame\n",
+              pipeline_tcp_frame);
   std::printf(
       "  shards 1->2 (sim)     : %.1f -> %.1f Kfps (%.2fx), %llu violations\n",
       shard1.delivered_fps / 1e3, shard2.delivered_fps / 1e3, shard_speedup,

@@ -870,6 +870,7 @@ TcpResult run_tcp_trial(const TcpWorldOptions& options) {
   bed.set_gateway([&gw](net::FrameMeta f) { return gw.ingress(std::move(f)); });
   gw.set_egress([&bed](net::FrameMeta&& f) { bed.gateway_egress(std::move(f)); });
 
+  TcpResult out;
   std::vector<std::unique_ptr<tcp::RenoFlow>> flows;
   flows.reserve(static_cast<std::size_t>(options.flow_pairs));
   for (int i = 0; i < options.flow_pairs; ++i) {
@@ -886,8 +887,12 @@ TcpResult run_tcp_trial(const TcpWorldOptions& options) {
     const int host = i % 2;
     flows.push_back(std::make_unique<tcp::RenoFlow>(
         sim, rc,
-        [&bed, host](net::FrameMeta f) { bed.from_sender(host, std::move(f)); },
-        [&bed, host](net::FrameMeta f) {
+        [&bed, &out, host](net::FrameMeta f) {
+          ++out.frames_offered;
+          bed.from_sender(host, std::move(f));
+        },
+        [&bed, &out, host](net::FrameMeta f) {
+          ++out.frames_offered;
           bed.from_receiver(host, std::move(f));
         }));
   }
@@ -915,7 +920,6 @@ TcpResult run_tcp_trial(const TcpWorldOptions& options) {
   sim.run_until(options.warmup);
   for (auto& flow : flows) flow->begin_measurement(sim.now());
 
-  TcpResult out;
   if (options.series_interval > 0) {
     const int points = static_cast<int>(options.measure /
                                         options.series_interval);

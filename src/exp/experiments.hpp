@@ -419,6 +419,9 @@ struct TcpResult {
   std::vector<std::pair<double, double>> series;  // (t seconds, Mbps)
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
+  /// Frames the hosts handed to the testbed over the whole trial: data
+  /// segments and ACKs.
+  std::uint64_t frames_offered = 0;
 };
 
 TcpResult run_tcp_trial(const TcpWorldOptions& options);

@@ -90,10 +90,13 @@ class Callback {
   struct Ops {
     void (*invoke)(void* buf);
     /// Moves the callable from `from` into raw storage `to` and ends the
-    /// source's lifetime. Null: copying the buffer's bytes is a move.
+    /// source's lifetime. Null: copying the first `bytes` bytes of the
+    /// buffer is a move.
     void (*relocate)(void* from, void* to) noexcept;
     /// Null: nothing to destroy.
     void (*destroy)(void* buf) noexcept;
+    /// Bytes of the buffer in use: the capture, or the box pointer.
+    std::size_t bytes;
   };
 
   template <typename D>
@@ -110,7 +113,8 @@ class Callback {
   template <typename D>
   static constexpr Ops make_ops() {
     if constexpr (stores_inline<D>) {
-      Ops ops{[](void* buf) { (*inline_ptr<D>(buf))(); }, nullptr, nullptr};
+      Ops ops{[](void* buf) { (*inline_ptr<D>(buf))(); }, nullptr, nullptr,
+              sizeof(D)};
       if constexpr (!std::is_trivially_copyable_v<D>) {
         ops.relocate = [](void* from, void* to) noexcept {
           D* src = inline_ptr<D>(from);
@@ -124,7 +128,8 @@ class Callback {
     } else {
       // The buffer holds only the pointer, which copies like any bytes.
       return Ops{[](void* buf) { (*boxed_ptr<D>(buf))(); }, nullptr,
-                 [](void* buf) noexcept { delete boxed_ptr<D>(buf); }};
+                 [](void* buf) noexcept { delete boxed_ptr<D>(buf); },
+                 sizeof(D*)};
     }
   }
   template <typename D>
@@ -145,7 +150,7 @@ class Callback {
     if (other.ops_->relocate != nullptr)
       other.ops_->relocate(other.buf_, buf_);
     else
-      std::memcpy(buf_, other.buf_, kInlineBytes);
+      std::memcpy(buf_, other.buf_, other.ops_->bytes);
     ops_ = std::exchange(other.ops_, nullptr);
   }
 

@@ -5,7 +5,7 @@
 namespace lvrm::sim {
 
 Nanos Core::run(Nanos cost, CostCategory cat, OwnerId owner,
-                Callback done) {
+                Callback&& done) {
   Nanos start = std::max(sim_.now(), busy_until_);
   if (owner != last_owner_ && last_owner_ != kNoOwner && owner != kNoOwner) {
     start += ctx_cost_;

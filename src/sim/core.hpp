@@ -50,7 +50,7 @@ class Core {
   /// invoking `done` at completion. Returns the completion time. If the core
   /// is currently busy the work starts when it frees up (callers that want
   /// explicit queueing — PollServer — only call this when idle()).
-  Nanos run(Nanos cost, CostCategory cat, OwnerId owner, Callback done);
+  Nanos run(Nanos cost, CostCategory cat, OwnerId owner, Callback&& done);
 
   /// Charges cost synchronously without scheduling a callback; used for
   /// cheap bookkeeping work folded into a larger operation.

@@ -7,11 +7,10 @@
 
 namespace lvrm::sim {
 
-EventId EventQueue::push(Nanos at, Callback cb) {
+EventId EventQueue::insert(Nanos at, std::uint64_t seq, Callback&& cb) {
   if (free_.empty()) grow();
   const std::uint32_t idx = free_.back();
-  const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Entry{at, seq, idx});  // the only step here that can throw
+  heap_.push_back(Entry{{at, seq}, idx});  // the only step here that can throw
   free_.pop_back();
   Slot& s = slot(idx);
   s.cb = std::move(cb);
@@ -40,7 +39,7 @@ void EventQueue::cancel(EventId id) {
 Nanos EventQueue::next_time() {
   assert(!empty());
   drop_dead_top();
-  return heap_.front().at;
+  return heap_.front().key.at;
 }
 
 EventQueue::Fired EventQueue::pop() {
@@ -49,7 +48,8 @@ EventQueue::Fired EventQueue::pop() {
   const Entry top = heap_.front();
   pop_top();
   Slot& s = slot(top.slot);
-  Fired fired{top.at, make_id(top.seq, top.slot), std::move(s.cb)};
+  cursor_ = top.key;
+  Fired fired{top.key.at, make_id(top.key.seq, top.slot), std::move(s.cb)};
   s.seq = 0;
   --live_;
   free_.push_back(top.slot);
@@ -64,7 +64,8 @@ void EventQueue::fire_next(Nanos& clock) {
   Slot& s = slot(top.slot);
   s.seq = 0;
   --live_;
-  clock = std::max(clock, top.at);
+  cursor_ = top.key;
+  clock = std::max(clock, top.key.at);
   // Chunks never move, so `s` stays valid while the callback grows the slab;
   // the slot is released once the call returns or throws.
   struct Release {

@@ -7,6 +7,7 @@ namespace lvrm::sim {
 void Simulator::run_until(Nanos deadline) {
   while (!queue_.empty() && queue_.next_time() <= deadline) step();
   now_ = std::max(now_, deadline);
+  queue_.pass_through(deadline);
 }
 
 void Simulator::run_all(std::uint64_t max_events) {

@@ -13,12 +13,9 @@ RenoFlow::RenoFlow(sim::Simulator& sim, RenoConfig config, SendFn send_data,
       send_data_(std::move(send_data)),
       send_ack_(std::move(send_ack)),
       cwnd_(config.initial_cwnd),
+      rto_timer_(sim, [this] { on_rto(); }),
       rto_(config.min_rto * 2),
       rng_(0x7C0FFEE0 + static_cast<std::uint64_t>(config.flow_index)) {}
-
-RenoFlow::~RenoFlow() {
-  if (rto_event_ != sim::kInvalidEvent) sim_.cancel(rto_event_);
-}
 
 void RenoFlow::start(Nanos at) {
   start_time_ = at;
@@ -73,12 +70,7 @@ void RenoFlow::emit_segment(std::uint64_t seq, bool retransmit) {
 }
 
 void RenoFlow::arm_rto() {
-  if (rto_event_ != sim::kInvalidEvent) sim_.cancel(rto_event_);
-  const Nanos rto = std::min(config_.max_rto, rto_ << rto_backoff_);
-  rto_event_ = sim_.after(rto, [this] {
-    rto_event_ = sim::kInvalidEvent;
-    on_rto();
-  });
+  rto_timer_.arm(sim_.now() + std::min(config_.max_rto, rto_ << rto_backoff_));
 }
 
 void RenoFlow::on_rto() {
@@ -135,10 +127,7 @@ void RenoFlow::on_ack_at_sender(const net::FrameMeta& frame) {
       cwnd_ += 1.0 / cwnd_;  // congestion avoidance
     }
     if (in_flight() == 0) {
-      if (rto_event_ != sim::kInvalidEvent) {
-        sim_.cancel(rto_event_);
-        rto_event_ = sim::kInvalidEvent;
-      }
+      rto_timer_.disarm();
     } else {
       arm_rto();
     }

@@ -23,6 +23,7 @@
 #include "common/units.hpp"
 #include "net/frame.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 
 namespace lvrm::tcp {
 
@@ -67,7 +68,6 @@ class RenoFlow {
 
   RenoFlow(sim::Simulator& sim, RenoConfig config, SendFn send_data,
            SendFn send_ack);
-  ~RenoFlow();
   RenoFlow(const RenoFlow&) = delete;
   RenoFlow& operator=(const RenoFlow&) = delete;
 
@@ -127,7 +127,7 @@ class RenoFlow {
   int dup_acks_ = 0;
   bool in_recovery_ = false;
   std::uint64_t recover_ = 0;  // recovery ends when ack passes this
-  sim::EventId rto_event_ = sim::kInvalidEvent;
+  sim::Timer rto_timer_;
   Nanos rto_ = msec(1000);
   Nanos srtt_ = 0;
   Nanos rttvar_ = 0;

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/simulator.hpp"
+
 namespace lvrm::sim {
 namespace {
 
@@ -186,6 +188,107 @@ TEST(EventQueue, EveryCallbackIsDestroyedExactlyOnce) {
   EXPECT_EQ(destroyed.size(), 6u);
   std::sort(destroyed.begin(), destroyed.end());
   EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, ReservedSeqOrdersTheEventWhereItWasReserved) {
+  EventQueue q;
+  std::vector<char> order;
+  const std::uint64_t early = q.reserve_seq();
+  q.push(5, [&] { order.push_back('a'); });
+  const std::uint64_t mid = q.reserve_seq();
+  q.push(5, [&] { order.push_back('b'); });
+  // Scheduled last, but their seqs place them before 'a' and between the
+  // two pushes at the same instant.
+  q.push_reserved(5, mid, [&] { order.push_back('m'); });
+  q.push_reserved(5, early, [&] { order.push_back('e'); });
+  const std::uint64_t late = q.reserve_seq();
+  q.push_reserved(4, late, [&] { order.push_back('l'); });  // earlier time
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<char>{'l', 'e', 'a', 'm', 'b'}));
+}
+
+TEST(EventQueue, ReservedEventsCancelLikePushedOnes) {
+  EventQueue q;
+  int fired = 0;
+  const std::uint64_t seq = q.reserve_seq();
+  q.push(1, [&] { ++fired; });
+  const EventId id = q.push_reserved(2, seq, [&] { fired += 10; });
+  q.cancel(id);
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, PopMovesTheCursor) {
+  EventQueue q;
+  EXPECT_FALSE(q.passed(0, 1));
+  const std::uint64_t before = q.reserve_seq();
+  q.push(7, [] {});
+  const std::uint64_t after = q.reserve_seq();
+  q.pop();
+  EXPECT_TRUE(q.passed(7, before));
+  EXPECT_FALSE(q.passed(7, after));
+  EXPECT_TRUE(q.passed(6, after));
+  EXPECT_FALSE(q.passed(8, 0));
+}
+
+TEST(Simulator, PassedFollowsTheFiringCursor) {
+  Simulator sim;
+  const std::uint64_t before = sim.reserve_seq();
+  bool inside_before = false;
+  bool inside_after = true;
+  std::uint64_t after = 0;
+  sim.at(10, [&] {
+    inside_before = sim.passed(10, before);
+    inside_after = sim.passed(10, after);
+  });
+  after = sim.reserve_seq();
+  sim.at(20, [] {});
+  EXPECT_FALSE(sim.passed(0, before));
+
+  ASSERT_TRUE(sim.step());  // fires the event at 10
+  EXPECT_TRUE(inside_before);
+  EXPECT_FALSE(inside_after);
+  EXPECT_TRUE(sim.passed(10, before));
+  EXPECT_FALSE(sim.passed(10, after));
+  EXPECT_TRUE(sim.passed(9, after));
+
+  // run_until passes every key up to its deadline whose seq is taken,
+  // fired or not; a seq taken afterwards still lies ahead.
+  sim.run_until(15);
+  EXPECT_TRUE(sim.passed(15, after));
+  EXPECT_FALSE(sim.passed(15, sim.reserve_seq()));
+  EXPECT_FALSE(sim.passed(16, 0));
+  const std::uint64_t at_deadline = sim.reserve_seq();
+  sim.at_reserved(15, at_deadline, [] {});  // still ahead of the cursor
+  sim.run_until(12);  // behind the clock: the cursor stays
+  EXPECT_FALSE(sim.passed(15, at_deadline));
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), 15);
+  EXPECT_TRUE(sim.passed(15, at_deadline));
+
+  // The next event to fire moves the cursor to its own key.
+  const std::uint64_t later = sim.reserve_seq();
+  ASSERT_TRUE(sim.step());  // the event at 20, scheduled before `later`
+  EXPECT_EQ(sim.now(), 20);
+  EXPECT_TRUE(sim.passed(20, after));
+  EXPECT_FALSE(sim.passed(20, later));
+}
+
+TEST(Simulator, AtReservedSchedulesFromInsideACallback) {
+  // A component reserves a seq now and schedules the event later, from the
+  // callback of an earlier event: it fires where a push at reservation time
+  // would have fired.
+  Simulator sim;
+  std::vector<char> order;
+  const std::uint64_t reserved = sim.reserve_seq();
+  sim.at(10, [&] {
+    order.push_back('a');
+    sim.at_reserved(20, reserved, [&] { order.push_back('r'); });
+  });
+  sim.at(20, [&] { order.push_back('b'); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
 }
 
 TEST(EventQueue, EmptyCallableGivesEmptyCallback) {
