@@ -3,13 +3,10 @@
 //
 // Unlike the exp* benches, which measure *simulated* time, this one measures
 // REAL host nanoseconds spent per frame of simulation work — the overhead the
-// thesis' Sec 3.5 optimizations target. Four comparisons:
+// thesis' Sec 3.5 optimizations target. Sections:
 //
 //   ring     : SpscRing/McRingBuffer throughput, try_push/try_pop one at a
 //              time vs try_push_batch/try_pop_batch in bursts of 16.
-//   serve    : the old boxed completion (make_shared<FrameMeta> + a
-//              shared_ptr-capturing std::function, two heap allocations per
-//              item) vs the new unboxed member-slot completion (zero).
 //   kernel   : the event queue alone: schedule + fire of a 152 B frame
 //              hand-off with 64 events standing, and the same with one far
 //              timer cancelled and pushed again per event (a cancel-and-push
@@ -22,8 +19,10 @@
 //
 // Emits BENCH_hotpath.json (flat key:number). With --baseline=FILE the run
 // compares its per-frame host overhead (normalized by a calibration spin
-// loop so the check is machine-independent) against the committed baseline
-// and exits non-zero on regression beyond --tolerance (default 0.25).
+// loop so the check is machine-independent) and the fabric_scaling_* ratio
+// keys against the committed baseline. Every gate runs and prints its
+// verdict; the exit code is 1 if any failed (regression beyond --tolerance,
+// default 0.25, or an overhead gate below), 2 for an unreadable baseline.
 //
 //   telemetry: the same poll workload with the obs-layer hot-path touches
 //              (pre-registered counter adds + sampled histogram records) on
@@ -53,6 +52,8 @@
 //              consumer index blocks live on separate cache lines
 //              (alignas(kCacheLine)); this is the workload that collapses
 //              if that separation regresses (false sharing).
+//   fabric   : the §17 MPMC link, and the real-thread ingress fan-in of
+//              bench/fanin.hpp, SPSC mesh vs fabric, at three topologies.
 //
 // Usage: bench_hotpath [--quick] [--out=BENCH_hotpath.json]
 //                      [--baseline=FILE] [--tolerance=0.25]
@@ -64,14 +65,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/fanin.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "exp/experiments.hpp"
@@ -221,54 +221,6 @@ double ring_single_mops(Ring& ring, std::uint64_t items) {
   const double elapsed = now_ns() - t0;
   g_guard.fetch_add(acc, std::memory_order_relaxed);
   return static_cast<double>(items) * 1e3 / elapsed;
-}
-
-// --- serve: boxed (seed) vs unboxed (this PR) -----------------------------------
-
-/// The seed's completion shape: the item is boxed into a shared_ptr so the
-/// completion lambda is copyable for std::function — one allocation for the
-/// control block + payload, and (shared_ptr capture > SBO) one for the
-/// std::function itself. Mirrors sim/poll_server.hpp@PR1 line 119.
-double serve_boxed_ns(std::uint64_t items) {
-  std::uint64_t sunk = 0;
-  auto sink = [&sunk](net::FrameMeta&& f) { sunk += f.id; };
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < items; ++i) {
-    net::FrameMeta item;
-    item.id = i;
-    auto boxed = std::make_shared<net::FrameMeta>(std::move(item));
-    std::function<void()> done = [boxed, &sink] { sink(std::move(*boxed)); };
-    done();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(items);
-}
-
-/// This PR's completion shape: the item parks in a member-style slot and the
-/// callback captures one pointer (fits std::function's small-buffer
-/// optimization) — zero heap allocations per item.
-double serve_unboxed_ns(std::uint64_t items) {
-  std::uint64_t sunk = 0;
-  auto sink = [&sunk](net::FrameMeta&& f) { sunk += f.id; };
-  struct Slot {
-    std::optional<net::FrameMeta> in_service;
-  } slot;
-  const double t0 = now_ns();
-  for (std::uint64_t i = 0; i < items; ++i) {
-    net::FrameMeta item;
-    item.id = i;
-    slot.in_service = std::move(item);
-    std::function<void()> done = [&slot, &sink] {
-      net::FrameMeta f = std::move(*slot.in_service);
-      slot.in_service.reset();
-      sink(std::move(f));
-    };
-    done();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(sunk, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(items);
 }
 
 // --- kernel: the discrete-event queue on its own ---------------------------------
@@ -777,7 +729,7 @@ double ring_padding_mops(std::uint64_t items) {
   return static_cast<double>(items) * 1e3 / elapsed;
 }
 
-// --- MPMC link & fabric fan-in (DESIGN.md §17) ----------------------------------
+// --- MPMC link (DESIGN.md §17) ---------------------------------------------------
 
 /// Real-thread MPMC transfer: `producers` pushers and `consumers` poppers
 /// hammering one MpmcLink. Conservation is checked (sum of popped values);
@@ -828,113 +780,6 @@ double mpmc_threaded_mops(std::size_t producers, std::size_t consumers,
   return static_cast<double>(total) * 1e3 / elapsed;
 }
 
-/// Aggregate throughput of an S-shard x V-VRI ingress fan-in on real
-/// threads, mesh vs fabric topology, with the thread pool capped at 4
-/// producers + 4 consumers so the comparison scales by TOPOLOGY (how many
-/// rings a consumer must scan, how items concentrate) rather than by core
-/// count. Traffic is sparse the way flow-affinity dispatch makes it: at any
-/// moment only a couple of shards feed a given VRI (`kHotShards`), but the
-/// mesh consumer cannot know which, so it sweeps all S per-VRI rings and
-/// pays S-2 empty probes per pass — the cost the fabric deletes by
-/// concentrating each VRI's ingress in one MpmcLink. Mesh: V*S SpscRings,
-/// producer p sole pusher of its shards' rings, consumer c scanning all S
-/// rings of each owned VRI. Fabric: V MpmcLinks, every producer pushing
-/// straight into the destination VRI's one link.
-double fabric_fanin_mops(bool fabric, std::size_t shards, std::size_t vris,
-                         std::uint64_t per_vri) {
-  const std::size_t kProducers = std::min<std::size_t>(4, shards);
-  const std::size_t kConsumers = std::min<std::size_t>(4, vris);
-  const std::size_t kHotShards = std::min<std::size_t>(2, shards);
-  const std::uint64_t per_pair = per_vri / kHotShards;
-  const std::uint64_t total = per_pair * kHotShards * vris;
-  // Equal aggregate buffering per VRI in both topologies: the fabric link
-  // is as deep as the S mesh rings it replaces, matching how LvrmSystem
-  // sizes them from one data_queue_capacity. The per-ring depth is kept
-  // shallow (a served system drains ahead of its producers), which is
-  // where the topologies diverge: a shallow mesh ring hands the consumer
-  // fragmented sub-burst pops — one index handshake per few items — while
-  // the link concentrates the same backlog into full-burst pops.
-  const std::size_t kMeshCap = 16;
-  std::vector<std::unique_ptr<queue::SpscRing<std::uint64_t>>> mesh;
-  std::vector<std::unique_ptr<queue::MpmcLink<std::uint64_t>>> links;
-  if (fabric) {
-    for (std::size_t v = 0; v < vris; ++v)
-      links.push_back(std::make_unique<queue::MpmcLink<std::uint64_t>>(
-          kMeshCap * shards));
-  } else {
-    for (std::size_t i = 0; i < vris * shards; ++i)
-      mesh.push_back(std::make_unique<queue::SpscRing<std::uint64_t>>(kMeshCap));
-  }
-  std::atomic<std::uint64_t> popped{0};
-  const double t0 = now_ns();
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kConsumers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      std::uint64_t buf[16];
-      for (std::size_t i = 0; i < 16; ++i) buf[i] = i;
-      // Remaining quota per (vri, hot-shard) pair, walked round-robin so
-      // every active destination stays warm the way a dispatch plane keeps
-      // them. VRI v's hot shards are v%S, v+1%S, ... — spread so every
-      // shard (and so every producer thread) carries an equal share.
-      std::vector<std::pair<std::size_t, std::uint64_t>> work;  // {dst, rem}
-      for (std::size_t v = 0; v < vris; ++v)
-        for (std::size_t k = 0; k < kHotShards; ++k) {
-          const std::size_t s = (v + k) % shards;
-          if (s % kProducers != p) continue;
-          work.emplace_back(fabric ? v : v * shards + s, per_pair);
-        }
-      std::size_t live = work.size();
-      while (live > 0) {
-        bool progressed = false;
-        for (auto& [dst, rem] : work) {
-          if (rem == 0) continue;
-          const std::size_t want =
-              static_cast<std::size_t>(std::min<std::uint64_t>(16, rem));
-          const std::size_t ok = fabric
-                                     ? links[dst]->try_push_batch(buf, want)
-                                     : mesh[dst]->try_push_batch(buf, want);
-          rem -= ok;
-          if (ok > 0) progressed = true;
-          if (rem == 0) --live;
-        }
-        if (!progressed) std::this_thread::yield();
-      }
-    });
-  }
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      std::uint64_t buf[64];
-      std::uint64_t acc = 0;
-      while (popped.load(std::memory_order_relaxed) < total) {
-        std::uint64_t round = 0;
-        for (std::size_t v = c; v < vris; v += kConsumers) {
-          if (fabric) {
-            const std::size_t got = links[v]->try_pop_batch(buf, 64);
-            for (std::size_t i = 0; i < got; ++i) acc += buf[i];
-            round += got;
-          } else {
-            for (std::size_t s = 0; s < shards; ++s) {
-              const std::size_t got =
-                  mesh[v * shards + s]->try_pop_batch(buf, 64);
-              for (std::size_t i = 0; i < got; ++i) acc += buf[i];
-              round += got;
-            }
-          }
-        }
-        if (round == 0)
-          std::this_thread::yield();
-        else
-          popped.fetch_add(round, std::memory_order_relaxed);
-      }
-      g_guard.fetch_add(acc, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed = now_ns() - t0;
-  return static_cast<double>(total) * 1e3 / elapsed;
-}
-
 // --- tiny flat-JSON reader (baseline files are written by this binary) ----------
 
 std::map<std::string, double> read_flat_json(const std::string& path) {
@@ -971,7 +816,7 @@ int main(int argc, char** argv) {
   const double tolerance = cli.get_double("tolerance", 0.25);
 
   const std::uint64_t kRingItems = quick ? 400'000 : 4'000'000;
-  const std::uint64_t kServeItems = quick ? 200'000 : 2'000'000;
+  const std::uint64_t kKernelEvents = quick ? 200'000 : 2'000'000;
   const std::uint64_t kPollFrames = quick ? 50'000 : 400'000;
   const std::uint64_t kDispatchFrames = quick ? 80'000 : 800'000;
   const std::uint64_t kCalibIters = 2'000'000;
@@ -989,11 +834,6 @@ int main(int argc, char** argv) {
       median_ns(reps, [&] { return ring_mops(mc, kRingItems, 1); });
   const double mc_batch =
       median_ns(reps, [&] { return ring_mops(mc, kRingItems, 16); });
-
-  const double boxed =
-      median_ns(reps, [&] { return serve_boxed_ns(kServeItems); });
-  const double unboxed =
-      median_ns(reps, [&] { return serve_unboxed_ns(kServeItems); });
 
   // Pair each poll-overhead rep with a calibration sample taken immediately
   // before it: on a shared box the machine speed drifts over the run, so a
@@ -1018,9 +858,9 @@ int main(int argc, char** argv) {
       median_ns(reps, [&] { return poll_host_ns(kPollFrames, true); });
 
   const double kernel_event = median_ns(
-      reps, [&] { return KernelBench{}.run(kServeItems, /*rearm=*/false); });
+      reps, [&] { return KernelBench{}.run(kKernelEvents, /*rearm=*/false); });
   const double kernel_rearm = median_ns(
-      reps, [&] { return KernelBench{}.run(kServeItems, /*rearm=*/true); });
+      reps, [&] { return KernelBench{}.run(kKernelEvents, /*rearm=*/true); });
 
   const double disp_frame =
       median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, false); });
@@ -1293,21 +1133,36 @@ int main(int argc, char** argv) {
   const auto fab_8x16 = fabric_rings(8, 16);
   const auto fab_16x32 = fabric_rings(16, 32);
   const std::uint64_t kPerVriItems = quick ? 24'000 : 96'000;
-  auto fanin_pair = [&](std::size_t shards, std::size_t vris) {
-    const double mesh_mops = best_max(reps, [&] {
-      return fabric_fanin_mops(false, shards, vris, kPerVriItems);
-    });
-    const double fab_mops = best_max(reps, [&] {
-      return fabric_fanin_mops(true, shards, vris, kPerVriItems);
-    });
-    return std::pair<double, double>{mesh_mops, fab_mops};
+  // Mesh and fabric runs alternate, and the reps cycle through the three
+  // topologies, so a burst of host noise lands on both sides of several
+  // keys instead of on every rep of one; each side keeps its best run
+  // (noise only ever lowers throughput). Their ratios feed the baseline
+  // gate, so they get five times the usual reps.
+  const int fanin_reps = 5 * reps;
+  struct Fanin {
+    std::size_t shards, vris;
+    double mesh_mops, fab_mops;
   };
-  const auto [fanin_mesh_4x8, fanin_fab_4x8] = fanin_pair(4, 8);
-  const auto [fanin_mesh_8x16, fanin_fab_8x16] = fanin_pair(8, 16);
-  const auto [fanin_mesh_16x32, fanin_fab_16x32] = fanin_pair(16, 32);
+  Fanin fanin[] = {{4, 8, 0.0, 0.0}, {8, 16, 0.0, 0.0}, {16, 32, 0.0, 0.0}};
+  for (int r = 0; r < fanin_reps; ++r) {
+    for (Fanin& f : fanin) {
+      f.mesh_mops = std::max(f.mesh_mops, bench::fabric_fanin_mops(
+                                              false, f.shards, f.vris,
+                                              kPerVriItems));
+      f.fab_mops = std::max(f.fab_mops, bench::fabric_fanin_mops(
+                                            true, f.shards, f.vris,
+                                            kPerVriItems));
+    }
+  }
+  const double fanin_mesh_4x8 = fanin[0].mesh_mops;
+  const double fanin_fab_4x8 = fanin[0].fab_mops;
+  const double fanin_mesh_8x16 = fanin[1].mesh_mops;
+  const double fanin_fab_8x16 = fanin[1].fab_mops;
+  const double fanin_mesh_16x32 = fanin[2].mesh_mops;
+  const double fanin_fab_16x32 = fanin[2].fab_mops;
 
-  // Steal hit-rate: fraction of delivered frames that moved through a steal
-  // under the skewed-frame workload (one slowed VRI, stealing on).
+  // Steal hit-rate: fraction of delivered frames an idle VRI stole under the
+  // skewed-frame workload (one slowed VRI, stealing on).
   lvrm::exp::FabricTrialOptions steal_opt;
   steal_opt.shards = 2;
   steal_opt.vris = 4;
@@ -1321,8 +1176,7 @@ int main(int argc, char** argv) {
       (static_cast<double>(steal_opt.measure) / 1e9);
   const double steal_hitrate =
       steal_delivered > 0.0
-          ? static_cast<double>(steal_trial.vri_steal_frames +
-                                steal_trial.tx_steal_frames) /
+          ? static_cast<double>(steal_trial.vri_steal_frames) /
                 steal_delivered
           : 0.0;
 
@@ -1343,9 +1197,6 @@ int main(int argc, char** argv) {
       << "  \"ring_mc_batch1_mops\": " << mc_single << ",\n"
       << "  \"ring_mc_batch16_mops\": " << mc_batch << ",\n"
       << "  \"ring_mc_batch_speedup\": " << mc_batch / mc_single << ",\n"
-      << "  \"serve_boxed_ns\": " << boxed << ",\n"
-      << "  \"serve_unboxed_ns\": " << unboxed << ",\n"
-      << "  \"serve_speedup\": " << boxed / unboxed << ",\n"
       << "  \"poll_per_item_host_ns\": " << poll_item << ",\n"
       << "  \"poll_coalesced_host_ns\": " << poll_coalesced << ",\n"
       << "  \"poll_coalesced_speedup\": " << poll_item / poll_coalesced
@@ -1444,8 +1295,6 @@ int main(int argc, char** argv) {
               spsc_single, spsc_batch, spsc_batch / spsc_single);
   std::printf("  McRing   batch 1/16   : %.1f / %.1f Mops (%.2fx)\n",
               mc_single, mc_batch, mc_batch / mc_single);
-  std::printf("  serve boxed/unboxed   : %.1f / %.1f ns (%.2fx)\n", boxed,
-              unboxed, boxed / unboxed);
   std::printf("  poll item/coalesced   : %.1f / %.1f host ns/frame (%.2fx)\n",
               poll_item, poll_coalesced, poll_item / poll_coalesced);
   std::printf("  kernel event / rearm  : %.1f / %.1f host ns/event\n",
@@ -1508,15 +1357,19 @@ int main(int argc, char** argv) {
                                       drain.ordering_violations));
   std::printf("  wrote %s\n", out_path.c_str());
 
+  // Every gate runs and prints its verdict, so one failing key cannot hide
+  // another; the exit code reports whether any failed.
+  bool failed = false;
   const double tel_gate = cli.get_double("check-telemetry-overhead", -1.0);
   if (tel_gate >= 0.0) {
     std::printf("  telemetry gate        : %+.2f%% vs %.0f%% allowed\n",
                 100.0 * tel_overhead, 100.0 * tel_gate);
     if (tel_overhead > tel_gate) {
       std::printf("  telemetry hot-path overhead too high: FAIL\n");
-      return 1;
+      failed = true;
+    } else {
+      std::printf("  within telemetry budget: OK\n");
     }
-    std::printf("  within telemetry budget: OK\n");
   }
 
   const double trace_gate = cli.get_double("check-trace-overhead", -1.0);
@@ -1525,9 +1378,10 @@ int main(int argc, char** argv) {
                 100.0 * trace_overhead, 100.0 * trace_gate);
     if (trace_overhead > trace_gate) {
       std::printf("  tracing hot-path overhead too high: FAIL\n");
-      return 1;
+      failed = true;
+    } else {
+      std::printf("  within tracing budget : OK\n");
     }
-    std::printf("  within tracing budget : OK\n");
   }
 
   if (!baseline.empty()) {
@@ -1555,14 +1409,15 @@ int main(int argc, char** argv) {
         now_ratio, base_ratio, tolerance * 100.0);
     if (now_ratio > base_ratio * (1.0 + tolerance)) {
       std::printf("  per-frame host overhead regressed: FAIL\n");
-      return 1;
+      failed = true;
+    } else {
+      std::printf("  within tolerance: OK\n");
     }
-    std::printf("  within tolerance: OK\n");
 
     // Fabric-scaling gate: only the RATIO keys (speedup / reduction) are
     // compared — they divide out machine speed, unlike the raw mops keys.
     // A current ratio more than `tolerance` below the committed baseline's
-    // fails the build. Baselines that predate these keys skip silently.
+    // fails. Baselines that predate these keys skip silently.
     const std::map<std::string, double> fabric_now = {
         {"fabric_scaling_ring_reduction_8x16",
          static_cast<double>(fab_8x16.mesh_rings) /
@@ -1575,14 +1430,11 @@ int main(int argc, char** argv) {
     for (const auto& [key, now_val] : fabric_now) {
       const auto it = base.find(key);
       if (it == base.end() || it->second <= 0.0) continue;
-      std::printf("  %s: now %.3f vs baseline %.3f\n", key.c_str(), now_val,
-                  it->second);
-      if (now_val < it->second * (1.0 - tolerance)) {
-        std::printf("  fabric scaling regressed: FAIL\n");
-        return 1;
-      }
+      const bool regressed = now_val < it->second * (1.0 - tolerance);
+      std::printf("  %s: now %.3f vs baseline %.3f%s\n", key.c_str(), now_val,
+                  it->second, regressed ? ": FAIL" : "");
+      failed |= regressed;
     }
-    std::printf("  fabric scaling within tolerance: OK\n");
   }
-  return 0;
+  return failed ? 1 : 0;
 }

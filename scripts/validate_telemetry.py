@@ -12,8 +12,12 @@ Exits non-zero with a per-file message on the first malformed export.
 
 With --check-doc, every metric family found in the .prom exports and every
 audit-event name found in the .trace.json exports must appear (backticked)
-in the given reference doc — docs/METRICS.md stays honest by construction:
-adding a metric or audit kind without documenting it fails CI.
+in the given reference doc, and in the other direction every name in the
+first column of the doc's `family` and `name` tables must appear inside a
+string literal somewhere under src/ (`<N>` in a name matches a printf
+conversion such as `%d`) — docs/METRICS.md stays honest by construction:
+adding a metric or audit kind without documenting it, or deleting one and
+leaving its row behind, fails CI.
 """
 import csv
 import json
@@ -127,8 +131,57 @@ def trace_names(path):
     return names
 
 
+SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
+STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def table_names(text):
+    """Backticked names in the first column of the doc's `family` / `name`
+    tables (the metric, audit-event and path-span references)."""
+    names = set()
+    header = None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if header is None:
+            header = first
+        elif header in ("family", "name") and set(first) - set("-: "):
+            names.update(re.findall(r"`([^`]+)`", first))
+    return names
+
+
+def src_literals(root):
+    """The contents of every string literal under `root`, one per line,
+    with escaped quotes undone (the trace writer spells JSON in C strings)."""
+    literals = []
+    for path in sorted(root.rglob("*")):
+        if path.suffix in (".cpp", ".hpp"):
+            literals += [m.group(1).replace('\\"', '"')
+                         for m in STRING_LITERAL.finditer(path.read_text())]
+    return "\n".join(literals)
+
+
+def check_doc_names_in_src(doc):
+    """Every documented family / audit name must still exist in src/."""
+    literals = src_literals(SRC_ROOT)
+    stale = []
+    for name in sorted(table_names(doc.read_text())):
+        pattern = re.escape(name).replace(re.escape("<N>"), r"%\w+")
+        if not re.search(rf"(?<!\w){pattern}(?!\w)", literals):
+            stale.append(name)
+    for name in stale:
+        print(f"validate_telemetry: {doc}: {name!r} is documented but "
+              f"appears in no string literal under {SRC_ROOT}",
+              file=sys.stderr)
+    if stale:
+        fail(f"{doc}: {len(stale)} documented name(s) no longer exist")
+
+
 def check_doc(doc_path, prefixes):
-    """Every exported family / audit name must be documented (backticked)."""
+    """Every exported family / audit name must be documented (backticked),
+    and every documented one must still exist in the source."""
     doc = pathlib.Path(doc_path)
     if not doc.exists():
         fail(f"{doc}: reference doc not found")
@@ -144,6 +197,7 @@ def check_doc(doc_path, prefixes):
             if name and name not in documented:
                 fail(f"{trace}: audit event {name!r} is exported but not "
                      f"documented in {doc}")
+    check_doc_names_in_src(doc)
     print(f"validate_telemetry: OK doc cross-check against {doc}")
 
 

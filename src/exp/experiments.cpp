@@ -694,8 +694,6 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   // before the steal counters are read.
   simulator.run_all();
   out.avg_latency_us = latency_us.mean();
-  out.tx_steals = sys.tx_steals();
-  out.tx_steal_frames = sys.tx_steal_frames();
   out.vri_steals = sys.vri_steals();
   out.vri_steal_frames = sys.vri_steal_frames();
   return out;
@@ -1088,7 +1086,7 @@ FlowScaleResult run_flow_scale_trial(const FlowScaleOptions& opt) {
   out.flows = opt.v2 ? v2.size() : v1.size();
 
   // Steady phase: replay the pregenerated stream, timing every op. The v2
-  // path includes gc_tick exactly as the dispatcher's probe path does — the
+  // path calls gc_tick before each probe, as a user of the table must — the
   // wheel's background work is part of its honest per-op cost.
   std::vector<std::uint32_t> samples(ops.size());
   std::uint64_t lookups = 0;

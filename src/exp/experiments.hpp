@@ -340,9 +340,7 @@ struct FabricTrialResult {
   std::size_t fabric_rings = 0;
   std::size_t mesh_ring_bytes = 0;
   std::size_t fabric_ring_bytes = 0;
-  /// Steal counters at end of run (0 unless `stealing`).
-  std::uint64_t tx_steals = 0;
-  std::uint64_t tx_steal_frames = 0;
+  /// Idle-VRI steal counters at end of run (0 unless `stealing`).
   std::uint64_t vri_steals = 0;
   std::uint64_t vri_steal_frames = 0;
   /// Per-flow frame-id regressions at egress. Must be 0 for kPinned and

@@ -118,32 +118,13 @@ struct LvrmConfig {
   /// experiment is calibrated against (bit-identical results).
   bool batched_hot_path = false;
 
-  /// Work stealing over the MPMC link fabric (DESIGN.md §17): an idle
-  /// shard steals TX bursts from another shard's home drain, and an idle
-  /// VRI steals ingress frames from an overloaded same-VR sibling — only
-  /// unpinned (frame-granularity or sprayed) frames, so flow pinning and
-  /// the §16 sequencer keep external order exact. Off by default; no hook
-  /// is installed and outputs are byte-identical with it off.
+  /// Idle-VRI work stealing over the MPMC link fabric (DESIGN.md §17): a
+  /// VRI with nothing to serve steals ingress frames from an overloaded
+  /// same-VR sibling — only unpinned (frame-granularity or sprayed) frames,
+  /// so flow pinning and the §16 sequencer keep external order exact. Off
+  /// by default; no hook is installed and outputs are byte-identical with
+  /// it off.
   bool work_stealing = false;
-
-  /// Minimum victim backlog (queued frames) before an idle VRI steals from
-  /// a sibling — stealing the last few frames of a near-empty queue costs
-  /// more coherence traffic than it saves.
-  std::size_t steal_min_backlog = 8;
-
-  /// Million-flow connection tracking (DESIGN.md §14): every per-shard
-  /// Dispatcher swaps the linear-probing FlowTable for FlowTableV2 —
-  /// cache-line-bucketed tags, incremental (pause-free) resize, idle-expiry
-  /// GC wheel, O(flows-on-VRI) eviction. Off by default: the classic table
-  /// is the calibrated reference and results are byte-identical off-vs-on
-  /// (same rollout discipline as `batched_hot_path`).
-  bool flow_table_v2 = false;
-
-  /// Initial per-Dispatcher flow-table capacity hint, in entries. The
-  /// default matches the classic table's historical footprint; a gateway
-  /// expected to front millions of concurrent flows should start near its
-  /// steady state so the ramp-up skips the early resize ladder.
-  std::size_t flow_table_capacity = 4096;
 
   /// Seed for the random balancer, allocation-jitter and kernel-migration
   /// draws; everything is deterministic given the seed.

@@ -19,9 +19,7 @@
 #include "common/units.hpp"
 #include "lvrm/types.hpp"
 #include "net/flow.hpp"
-#include "net/flow_v2.hpp"
 #include "net/frame.hpp"
-#include "obs/metrics.hpp"
 
 namespace lvrm {
 
@@ -98,13 +96,12 @@ struct DispatchStats {
 /// In frame mode it simply delegates; in flow mode it tracks 5-tuples.
 class Dispatcher {
  public:
-  /// `flow_table_v2` selects the million-flow FlowTableV2 (DESIGN.md §14)
-  /// over the classic linear-probing table; `flow_capacity` is the initial
-  /// capacity hint of whichever table is built. Defaults reproduce the
-  /// historical dispatcher byte for byte.
+  /// Initial capacity hint of the connection-tracking table, in entries:
+  /// the thesis-scale footprint. The table doubles past its load factor.
+  static constexpr std::size_t kFlowTableCapacity = 4096;
+
   Dispatcher(std::unique_ptr<LoadBalancer> inner, BalancerGranularity gran,
-             Nanos flow_idle_timeout = sec(30), bool flow_table_v2 = false,
-             std::size_t flow_capacity = 4096);
+             Nanos flow_idle_timeout = sec(30));
 
   /// Chooses a VRI for `frame`. `vris` lists the active candidates with
   /// their current loads.
@@ -149,32 +146,8 @@ class Dispatcher {
   const LoadBalancer& inner() const { return *inner_; }
   bool last_was_flow_hit() const { return last_flow_hit_; }
   const net::FlowTable& flow_table() const { return flows_; }
-  /// Non-null iff this dispatcher was built with flow_table_v2.
-  const net::FlowTableV2* flow_table_v2() const { return flows_v2_.get(); }
-
-  /// Tracked flow entries / slot capacity of whichever table is active
-  /// (feeds the lvrm_flowtable_occupancy gauge).
-  std::size_t flow_entries() const {
-    return flows_v2_ ? flows_v2_->size() : flows_.size();
-  }
-  std::size_t flow_slots() const {
-    return flows_v2_ ? flows_v2_->capacity() : flows_.bucket_count();
-  }
-
-  /// Probe-length histogram: when valid, every flow-table probe records the
-  /// buckets it touched. Wired by LvrmSystem only when telemetry AND
-  /// flow_table_v2 are on (the metrics-off export must stay byte-identical).
-  void set_probe_histogram(obs::LogHistogram h) { probe_hist_ = h; }
-
-  /// Resize observer, forwarded to whichever table is active (feeds the
-  /// flowtable_resize audit events).
-  void set_flow_resize_hook(net::FlowResizeHook hook) {
-    if (flows_v2_) {
-      flows_v2_->set_resize_hook(std::move(hook));
-    } else {
-      flows_.set_resize_hook(std::move(hook));
-    }
-  }
+  /// Tracked flow entries.
+  std::size_t flow_entries() const { return flows_.size(); }
 
   // Telemetry accessors (plain counters; read at snapshot time only).
   /// Frames dispatched through either path.
@@ -193,18 +166,9 @@ class Dispatcher {
   /// back to the full set if none remain).
   std::span<const VriView> healthy_pool(std::span<const VriView> vris);
 
-  /// Table-selection seam: both paths preserve the classic table's exact
-  /// lookup/insert/expiry semantics, so dispatch decisions are identical
-  /// whichever is active. The v2 probe also records its probe length and
-  /// runs the GC wheel's bounded background expiry.
-  std::optional<int> flow_lookup(const net::FiveTuple& t, Nanos now);
-  void flow_insert(const net::FiveTuple& t, int vri, Nanos now);
-
   std::unique_ptr<LoadBalancer> inner_;
   BalancerGranularity granularity_;
   net::FlowTable flows_;
-  std::unique_ptr<net::FlowTableV2> flows_v2_;
-  obs::LogHistogram probe_hist_;
   bool last_flow_hit_ = false;
   std::uint64_t decisions_ = 0;
   std::uint64_t flow_probes_ = 0;

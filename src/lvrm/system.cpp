@@ -64,6 +64,10 @@ constexpr std::uint64_t kMinElephantFrames = 64;
 /// force-releasing (a safety valve, counted when it fires).
 constexpr std::size_t kReorderWindow = 1024;
 
+/// Minimum victim backlog (queued frames) before an idle §17 VRI steals
+/// from a sibling: stealing the last few frames of a near-empty queue costs
+/// more coherence traffic than it saves.
+constexpr std::size_t kStealMinBacklog = 8;
 /// Re-poll period of an idle §17 thief while a victim still holds backlog.
 /// The timer dies as soon as the backlog does, so a quiescing simulation
 /// still terminates.
@@ -121,14 +125,10 @@ struct LvrmSystem::VriSlot {
                                  queue::kInvalidSegment};
   sim::EventId migration_event = sim::kInvalidEvent;
 
-  // §17 work stealing. Input indices let thieves repair the right hint on
-  // the right server after an external pop; `steal_inflight` counts stolen
-  // TX frames not yet egressed — the home server's drain gate stays closed
-  // while it is non-zero, so newer same-slot frames cannot overtake the
-  // stolen burst. `steal_timer_armed` dedups the idle re-poll timer.
-  std::size_t data_in_input = 0;   // data_in's index on this slot's server
-  std::size_t data_out_input = 0;  // data_out's index on the home server
-  std::size_t steal_inflight = 0;
+  // §17 work stealing. The input index lets a thief repair the victim
+  // server's hint after an external pop; `steal_timer_armed` dedups the
+  // idle re-poll timer.
+  std::size_t data_in_input = 0;  // data_in's index on this slot's server
   bool steal_timer_armed = false;
 
   /// Frames the slot's stateful VR refused (§16 policy drops; 0 for the
@@ -260,9 +260,6 @@ struct LvrmSystem::ObsHooks {
   // `overload_control.enabled`, keeping ladder-off exports byte-identical).
   obs::Counter sampled_shed;
   obs::Counter admission_rejected;
-  // Flow-table probe length in buckets touched (registered only when
-  // `flow_table_v2` is on — the classic-table export stays byte-identical).
-  obs::LogHistogram flow_probe_len;
   // §16 replication counters (registered only when
   // `state_replication.enabled` — defaults-off exports stay byte-identical).
   obs::Counter sprayed_frames;
@@ -274,8 +271,6 @@ struct LvrmSystem::ObsHooks {
   obs::Counter seq_window_overflow;
   // §17 work-stealing counters (registered only when `work_stealing` is on
   // — defaults-off exports stay byte-identical).
-  obs::Counter tx_steals;
-  obs::Counter tx_steal_frames;
   obs::Counter vri_steals;
   obs::Counter vri_steal_frames;
   Nanos last_snapshot = 0;
@@ -339,9 +334,6 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
       obs_->sampled_shed = m.counter("lvrm_sampled_shed_total");
       obs_->admission_rejected = m.counter("lvrm_admission_rejected_total");
     }
-    if (config_.flow_table_v2) {
-      obs_->flow_probe_len = m.histogram("lvrm_flowtable_probe_len");
-    }
     if (config_.state_replication.enabled) {
       obs_->sprayed_frames = m.counter("lvrm_sprayed_frames_total");
       obs_->spray_activations = m.counter("lvrm_spray_activations_total");
@@ -354,8 +346,6 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     if (stealing_) {
       // §17 steal counters exist only with work stealing on, so a
       // stealing-off export stays byte-identical to earlier builds.
-      obs_->tx_steals = m.counter("lvrm_tx_steals_total");
-      obs_->tx_steal_frames = m.counter("lvrm_tx_steal_frames_total");
       obs_->vri_steals = m.counter("lvrm_vri_steals_total");
       obs_->vri_steal_frames = m.counter("lvrm_vri_steal_frames_total");
     }
@@ -394,59 +384,9 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
   // simulation the per-slot BoundedQueues stand for the link's per-producer
   // claimed segments (each producer's burst occupies a contiguous claimed
   // sub-region, so per-producer FIFO sub-queues model the link exactly).
-  for (DispatchShard& shard : shards_) {
+  for (DispatchShard& shard : shards_)
     shard.tx_link_shm =
         arena_.create(costs::kDataQueueCapacity * sizeof(net::FrameMeta));
-    if (!stealing_) continue;
-    DispatchShard* sh = &shard;
-    const std::string suffix =
-        shard.id == 0 ? "" : "/s" + std::to_string(shard.id);
-    // Staging queue for bursts stolen off other shards' TX links. Frames
-    // enter by move from the victim's drain and leave through the same
-    // finish_tx path, so conservation holds (tested in test_system_fabric).
-    shard.tx_steal_q = std::make_unique<FrameQueue>(
-        costs::kDataQueueCapacity, "tx-steal" + suffix);
-    shard.tx_steal_input = shard.server->add_input(
-        *shard.tx_steal_q, /*priority=*/1,
-        [this, sh](net::FrameMeta& f) {
-          Nanos cost = costs::kDequeueCost + sh->adapter->send_cost(f);
-          Nanos user_part = costs::kDequeueCost;
-          // The producer is the victim VRI's core, not a dispatcher's.
-          const VriSlot* victim = steal_victim_slot(f);
-          if (victim && cross_socket(victim->core_id, sh->core_id)) {
-            cost += costs::kCrossSocketQueueOp;
-            user_part += costs::kCrossSocketQueueOp;
-          }
-          if (sh->adapter->send_category() != CostCategory::kUser)
-            core(sh->core_id)
-                .reclassify(sh->adapter->send_category(), CostCategory::kUser,
-                            user_part);
-          return cost;
-        },
-        [this](net::FrameMeta&& f) {
-          f.gw_out_at = sim_.now();
-          VriSlot* victim = steal_victim_slot(f);
-          VrState* v =
-              victim ? vrs_[static_cast<std::size_t>(victim->vr_id)].get()
-                     : nullptr;
-          if (victim && victim->steal_inflight > 0 &&
-              --victim->steal_inflight == 0) {
-            // Last stolen frame egressed: reopen the victim's own drain
-            // (the gate held it closed so nothing could overtake).
-            shards_[static_cast<std::size_t>(victim->home_shard)]
-                .server->kick(victim->data_out_input);
-          }
-          if (!v) return;  // victim VR gone (cannot happen today)
-          if (replication_ && f.sprayed) {
-            sequence_tx(*v, std::move(f));
-            return;
-          }
-          finish_tx(*v, std::move(f));
-        },
-        shard.adapter->send_category(), config_.poll_batch,
-        /*coalesce=*/config_.batched_hot_path);
-    shard.server->set_idle_hook([this, sh] { return try_tx_steal(*sh); });
-  }
 }
 
 LvrmSystem::~LvrmSystem() {
@@ -474,31 +414,10 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
         make_balancer(config_.balancer,
                       config_.seed + 17 * static_cast<std::uint64_t>(vr->id) +
                           7919 * static_cast<std::uint64_t>(s)),
-        config_.granularity, sec(30), config_.flow_table_v2,
-        config_.flow_table_capacity));
+        config_.granularity));
     // Healthy-pool generation cache: the system owns the candidate set, so
     // it seeds a non-zero generation and bumps it on every health change.
     vr->dispatchers.back()->set_pool_generation(vr->pool_generation);
-    if (config_.flow_table_v2 && telemetry_) {
-      Dispatcher* d = vr->dispatchers.back().get();
-      d->set_probe_histogram(obs_->flow_probe_len);
-      // flowtable_resize audit events: one per classic rehash, one per v2
-      // migration start/finish — never per migration step, so a 16M-entry
-      // resize cannot flood the bounded trail.
-      const int vr_id = vr->id;
-      d->set_flow_resize_hook([this, vr_id, s](const net::FlowResizeEvent& ev) {
-        obs::AuditEvent e;
-        e.time = e.until = sim_.now();
-        e.kind = obs::AuditKind::kFlowTableResize;
-        e.vr = static_cast<std::int16_t>(vr_id);
-        e.shard = static_cast<std::int16_t>(s);
-        e.cause = static_cast<std::uint8_t>(ev.cause);
-        e.a = ev.buckets_before;
-        e.b = ev.buckets_after;
-        e.c = ev.migrated;
-        telemetry_->audit().record(e);
-      });
-    }
   }
 
   const int max_vris = std::max(config_.max_vris_per_vr, vr->cfg.initial_vris);
@@ -618,8 +537,6 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
             auto hand_off = [this, s, v, f] {
               if (!push_or_note(*s->data_out, f, DropCause::kQueueFull))
                 ++v->data_drops;
-              else
-                maybe_poke_tx_thieves(*s);
             };
             // The largest per-frame capture; Callback's inline buffer is
             // sized for it.
@@ -627,8 +544,6 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
             sim_.after(v->pipeline_latency, std::move(hand_off));
           } else if (!push_or_note(*s->data_out, f, DropCause::kQueueFull)) {
             ++v->data_drops;
-          } else {
-            maybe_poke_tx_thieves(*s);
           }
         },
         CostCategory::kUser);
@@ -665,7 +580,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
         },
         CostCategory::kUser);
 
-    s->data_out_input = home.server->add_input(
+    home.server->add_input(
         *s->data_out, /*priority=*/1,
         [this, s, &home](net::FrameMeta& f) {
           Nanos cost = costs::kDequeueCost + home.adapter->send_cost(f);
@@ -697,14 +612,8 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
         /*coalesce=*/config_.batched_hot_path);
 
     if (stealing_) {
-      // §17: while a TX-steal is in flight the victim's own drain is held
-      // closed, so the stolen (older) burst cannot be overtaken by newer
-      // frames from the same slot — TX order per slot stays exact. The gate
-      // intentionally leaves the nonempty hint intact; kick() reopens it.
-      home.server->set_input_gate(s->data_out_input,
-                                  [s] { return s->steal_inflight == 0; });
-      // Idle-VRI data-plane stealing: when this slot's own queues are dry
-      // its poll loop scans same-VR siblings for unpinned backlog.
+      // Idle-VRI data-plane stealing (§17): when this slot's own queues are
+      // dry its poll loop scans same-VR siblings for unpinned backlog.
       s->server->set_idle_hook(
           [this, v, s] { return try_vri_steal(*v, *s); });
     }
@@ -1527,16 +1436,6 @@ void LvrmSystem::bump_pool_generation(VrState& vr) {
 // §17 MPMC fabric + work stealing
 // ---------------------------------------------------------------------------
 
-LvrmSystem::VriSlot* LvrmSystem::steal_victim_slot(const net::FrameMeta& f) {
-  if (f.dispatch_vr < 0 || f.dispatch_vr >= static_cast<int>(vrs_.size()))
-    return nullptr;
-  VrState& vr = *vrs_[static_cast<std::size_t>(f.dispatch_vr)];
-  if (f.dispatch_vri < 0 ||
-      f.dispatch_vri >= static_cast<int>(vr.slots.size()))
-    return nullptr;
-  return vr.slots[static_cast<std::size_t>(f.dispatch_vri)].get();
-}
-
 bool LvrmSystem::spray_is_active(const VrState& vr,
                                  const net::FrameMeta& f) const {
   // Ingress frames have not run the stateful step yet, so the 5-tuple is
@@ -1544,89 +1443,6 @@ bool LvrmSystem::spray_is_active(const VrState& vr,
   const auto it = vr.sprays.find(net::FiveTuple::from_frame(f));
   return it != vr.sprays.end() &&
          it->second.phase == VrState::SprayState::Phase::kActive;
-}
-
-bool LvrmSystem::try_tx_steal(DispatchShard& thief) {
-  if (!stealing_ || !thief.tx_steal_q) return false;
-  // One victim burst at a time: the staging queue must fully egress (and
-  // reopen the victim's gate) before the next steal, or bursts from two
-  // victims would interleave in one FIFO.
-  if (!thief.tx_steal_q->empty() ||
-      thief.server->serving_input(thief.tx_steal_input))
-    return false;
-  for (auto& vrp : vrs_) {
-    for (auto& sp : vrp->slots) {
-      VriSlot& s = *sp;
-      if (s.home_shard == thief.id) continue;  // only foreign drains
-      if (s.steal_inflight > 0) continue;      // already being stolen from
-      if (s.data_out->size() < config_.steal_min_backlog) continue;
-      DispatchShard& home = shards_[static_cast<std::size_t>(s.home_shard)];
-      // Never steal under the home server's feet: mid-burst frames must
-      // egress before anything younger, and the stolen burst would race.
-      if (home.server->serving_input(s.data_out_input)) continue;
-      std::size_t moved = 0;
-      const std::size_t want =
-          std::min<std::size_t>(config_.poll_batch, s.data_out->size());
-      while (moved < want && !s.data_out->empty()) {
-        if (!thief.tx_steal_q->push(s.data_out->pop())) break;  // staging full
-        ++moved;
-      }
-      if (moved == 0) continue;
-      // Close the victim's own drain until the stolen (older) burst has
-      // egressed — newer same-slot frames cannot overtake it.
-      s.steal_inflight = moved;
-      home.server->repair_hint(s.data_out_input);
-      ++tx_steals_;
-      tx_steal_frames_ += moved;
-      if (obs_) {
-        obs_->tx_steals.inc();
-        obs_->tx_steal_frames.add(moved);
-      }
-      audit_steal(obs::AuditKind::kTxSteal, thief.id, s, moved);
-      return true;
-    }
-  }
-  // Nothing stealable right now. A foreign drain with backlog may become
-  // stealable once its home server moves off it — re-poll; with no backlog
-  // anywhere let the timer die so an idle sim can drain.
-  arm_tx_steal_timer(thief);
-  return false;
-}
-
-void LvrmSystem::maybe_poke_tx_thieves(VriSlot& s) {
-  if (!stealing_) return;
-  // Exactly at the threshold crossing: one poke per backlog build-up, not
-  // one per egress frame. Busy thieves find steals through their own idle
-  // transitions; this only wakes shards with nothing else to run.
-  if (s.data_out->size() != config_.steal_min_backlog) return;
-  for (auto& shard : shards_) {
-    if (shard.id == s.home_shard) continue;
-    if (!shard.server->busy()) shard.server->maybe_serve();
-  }
-}
-
-void LvrmSystem::arm_tx_steal_timer(DispatchShard& thief) {
-  if (thief.tx_steal_timer_armed) return;
-  bool backlog = false;
-  for (const auto& vrp : vrs_) {
-    for (const auto& sp : vrp->slots) {
-      if (sp->home_shard != thief.id &&
-          sp->data_out->size() >= config_.steal_min_backlog) {
-        backlog = true;
-        break;
-      }
-    }
-    if (backlog) break;
-  }
-  if (!backlog) return;
-  thief.tx_steal_timer_armed = true;
-  DispatchShard* t = &thief;
-  sim_.after(kStealPollPeriod, [this, t] {
-    t->tx_steal_timer_armed = false;
-    if (!stealing_ || t->server->busy()) return;
-    // Re-run the idle scan (which re-arms this timer while backlog holds).
-    t->server->maybe_serve();
-  });
 }
 
 bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
@@ -1637,7 +1453,7 @@ bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
     VriSlot& victim = *vr.slots[static_cast<std::size_t>(idx)];
     if (&victim == &thief) continue;
     if (victim.crashed || victim.hung || victim.draining) continue;
-    if (victim.data_in->size() < config_.steal_min_backlog) continue;
+    if (victim.data_in->size() < kStealMinBacklog) continue;
     std::size_t moved = 0;
     const std::size_t want =
         std::min<std::size_t>(config_.poll_batch, victim.data_in->size());
@@ -1653,8 +1469,8 @@ bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
       if (!unpinned) break;
       if (thief.data_in->size() >= thief.data_in->capacity()) break;
       net::FrameMeta f = victim.data_in->pop();
-      // Re-stamp the dispatch decision: service accounting, NUMA costing
-      // and TX-steal victim lookup all key off the executing VRI.
+      // Re-stamp the dispatch decision: service accounting and NUMA
+      // costing key off the executing VRI.
       f.dispatch_vri = static_cast<std::int16_t>(thief.index);
       thief.data_in->push(std::move(f));
       ++moved;
@@ -1667,7 +1483,7 @@ bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
       obs_->vri_steals.inc();
       obs_->vri_steal_frames.add(moved);
     }
-    audit_steal(obs::AuditKind::kVriSteal, thief.index, victim, moved);
+    audit_steal(thief.index, victim, moved);
     return true;
   }
   // Nothing stealable right now. If a live sibling still holds backlog the
@@ -1683,7 +1499,7 @@ void LvrmSystem::arm_steal_timer(VrState& vr, VriSlot& thief) {
   for (const int idx : vr.active_order) {
     const VriSlot& s = *vr.slots[static_cast<std::size_t>(idx)];
     if (&s == &thief || s.crashed || s.hung) continue;
-    if (s.data_in->size() >= config_.steal_min_backlog) {
+    if (s.data_in->size() >= kStealMinBacklog) {
       backlog = true;
       break;
     }
@@ -1700,32 +1516,23 @@ void LvrmSystem::arm_steal_timer(VrState& vr, VriSlot& thief) {
   });
 }
 
-void LvrmSystem::audit_steal(obs::AuditKind kind, int thief,
-                             const VriSlot& victim, std::size_t burst) {
+void LvrmSystem::audit_steal(int thief, const VriSlot& victim,
+                             std::size_t burst) {
   if (!telemetry_) return;
   const Nanos now = sim_.now();
-  // Rate-limited: at most one event per sim second per kind — the counters
-  // stay exact, the bounded trail stays unflooded.
-  Nanos& last = kind == obs::AuditKind::kTxSteal ? last_tx_steal_audit_
-                                                 : last_vri_steal_audit_;
-  if (last >= 0 && now - last < sec(1)) return;
-  last = now;
+  // Rate-limited: at most one event per sim second — the counters stay
+  // exact, the bounded trail stays unflooded.
+  if (last_steal_audit_ >= 0 && now - last_steal_audit_ < sec(1)) return;
+  last_steal_audit_ = now;
   obs::AuditEvent e;
   e.time = e.until = now;
-  e.kind = kind;
+  e.kind = obs::AuditKind::kVriSteal;
   e.vr = static_cast<std::int16_t>(victim.vr_id);
+  e.vri = static_cast<std::int16_t>(thief);
+  e.service = static_cast<double>(victim.index);
   e.a = burst;
-  if (kind == obs::AuditKind::kTxSteal) {
-    e.shard = static_cast<std::int16_t>(thief);
-    e.vri = static_cast<std::int16_t>(victim.index);
-    e.b = tx_steals_;
-    e.c = tx_steal_frames_;
-  } else {
-    e.vri = static_cast<std::int16_t>(thief);
-    e.service = static_cast<double>(victim.index);
-    e.b = vri_steals_;
-    e.c = vri_steal_frames_;
-  }
+  e.b = vri_steals_;
+  e.c = vri_steal_frames_;
   telemetry_->audit().record(e);
 }
 
@@ -2860,8 +2667,6 @@ void LvrmSystem::publish_gauges() {
   if (stealing_) {
     // Steal gauges exist only with work stealing on (same byte-identity
     // rule as the replication gauges above).
-    m.gauge("lvrm_tx_steals").set(static_cast<double>(tx_steals_));
-    m.gauge("lvrm_tx_steal_frames").set(static_cast<double>(tx_steal_frames_));
     m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
     m.gauge("lvrm_vri_steal_frames")
         .set(static_cast<double>(vri_steal_frames_));
@@ -2890,21 +2695,6 @@ void LvrmSystem::publish_gauges() {
     for (int idx : vr.active_order)
       depth += vr.slots[static_cast<std::size_t>(idx)]->data_in->size();
     m.gauge("lvrm_data_queue_depth", l).set(static_cast<double>(depth));
-    if (config_.flow_table_v2) {
-      // Flow-table gauges exist only with the v2 table on (same
-      // byte-identity rule as the ladder gauges below). Entries and slots
-      // are summed across the VR's per-shard dispatchers.
-      std::size_t entries = 0, slots = 0;
-      for (const auto& d : vr.dispatchers) {
-        entries += d->flow_entries();
-        slots += d->flow_slots();
-      }
-      m.gauge("lvrm_flowtable_entries", l).set(static_cast<double>(entries));
-      m.gauge("lvrm_flowtable_occupancy", l)
-          .set(slots == 0 ? 0.0
-                          : static_cast<double>(entries) /
-                                static_cast<double>(slots));
-    }
     if (config_.overload_control.enabled) {
       // Ladder gauges exist only with the ladder on, so defaults-off
       // exports stay byte-identical (same rule as the trace gauges).

@@ -315,11 +315,9 @@ class LvrmSystem {
   /// difference is the reclaimed-headroom gauge (satellite of §17).
   std::size_t mesh_ring_bytes() const;
   std::size_t fabric_ring_bytes() const;
-  /// Work-stealing counters (all zero unless `work_stealing`): TX bursts an
-  /// idle shard pulled from another shard's drain, ingress bursts an idle
-  /// VRI pulled from an overloaded sibling, and the frames they moved.
-  std::uint64_t tx_steals() const { return tx_steals_; }
-  std::uint64_t tx_steal_frames() const { return tx_steal_frames_; }
+  /// Work-stealing counters (both zero unless `work_stealing`): ingress
+  /// bursts an idle VRI pulled from an overloaded sibling, and the frames
+  /// they moved.
   std::uint64_t vri_steals() const { return vri_steals_; }
   std::uint64_t vri_steal_frames() const { return vri_steal_frames_; }
 
@@ -372,13 +370,8 @@ class LvrmSystem {
     std::unique_ptr<FrameServer> server;
     std::uint64_t rx_admitted = 0;  // frames accepted into this shard's ring
     // §17 fabric: this shard's shared TX drain segment (one MPMC link all
-    // homed VRIs produce into), and — with work stealing — the staging
-    // queue stolen TX bursts are parked in until this shard's loop drains
-    // them, plus its input index on the shard's server.
+    // homed VRIs produce into).
     queue::SegmentId tx_link_shm = queue::kInvalidSegment;
-    std::unique_ptr<FrameQueue> tx_steal_q;
-    std::size_t tx_steal_input = 0;
-    bool tx_steal_timer_armed = false;
   };
 
   /// Drops every queued frame; returns how many.
@@ -515,12 +508,7 @@ class LvrmSystem {
   /// Invalidates every shard dispatcher's cached healthy pool for this VR;
   /// called whenever a slot's health/membership could have changed.
   void bump_pool_generation(VrState& vr);
-  // §17 MPMC fabric & work stealing (no-ops unless `work_stealing`).
-  /// Idle-shard TX-drain steal: pull a head burst from another shard's
-  /// homed slot's drain into this shard's staging queue, gating the victim
-  /// until the burst has egressed so same-slot frames cannot overtake.
-  /// Returns true when a burst was staged (the idle scan then re-runs).
-  bool try_tx_steal(DispatchShard& thief);
+  // §17 idle-VRI work stealing (no-ops unless `work_stealing`).
   /// Idle-VRI ingress steal from an overloaded same-VR sibling. Only
   /// unpinned heads move: frame-granularity frames carry no per-flow FIFO
   /// promise, and Active-sprayed frames are re-sequenced at TX (§16) —
@@ -530,22 +518,11 @@ class LvrmSystem {
   /// Re-polls an idle thief while same-VR siblings still hold stealable
   /// backlog; the timer dies with the VR's queues so the sim can drain.
   void arm_steal_timer(VrState& vr, VriSlot& thief);
-  /// Re-polls an idle shard's TX-steal hook while any foreign slot's egress
-  /// drain holds a stealable backlog (the shard's own loop only re-scans on
-  /// events, and a fully idle thief gets none).
-  void arm_tx_steal_timer(DispatchShard& thief);
-  /// Wakes idle foreign shards when `s`'s egress drain crosses the steal
-  /// threshold — the event-driven bootstrap for the timer above.
-  void maybe_poke_tx_thieves(VriSlot& s);
   /// Whether the frame's spray entry is Active (replicated state on every
   /// sibling); Pending-sprayed frames stay pinned and must not be stolen.
   bool spray_is_active(const VrState& vr, const net::FrameMeta& f) const;
-  /// Rate-limited (1/sim-second per kind) §17 steal audit event.
-  void audit_steal(obs::AuditKind kind, int thief, const VriSlot& victim,
-                   std::size_t burst);
-  /// The slot whose TX drain a stolen frame came from (from its dispatch
-  /// stamps); null only if the stamps are out of range.
-  VriSlot* steal_victim_slot(const net::FrameMeta& f);
+  /// Rate-limited (1/sim-second) §17 steal audit event.
+  void audit_steal(int thief, const VriSlot& victim, std::size_t burst);
 
   sim::Simulator& sim_;
   sim::CpuTopology topo_;
@@ -624,12 +601,9 @@ class LvrmSystem {
   // §17 work stealing. `stealing_` caches the config gate so hot-path
   // checks stay one bool.
   bool stealing_ = false;
-  std::uint64_t tx_steals_ = 0;
-  std::uint64_t tx_steal_frames_ = 0;
   std::uint64_t vri_steals_ = 0;
   std::uint64_t vri_steal_frames_ = 0;
-  Nanos last_tx_steal_audit_ = -1;   // rate limit: one audit event per second
-  Nanos last_vri_steal_audit_ = -1;
+  Nanos last_steal_audit_ = -1;  // rate limit: one audit event per second
 
   bool started_ = false;
 };

@@ -8,11 +8,11 @@
 // stamps entries with a timestamp on each hit. FlowTable reproduces that:
 // open-addressing, linear probing, per-entry last-seen time, idle expiry.
 //
-// FlowTable is the paper-scale reference (thousands of flows). The
-// million-flow successor, FlowTableV2 (cache-line-bucketed tags, incremental
-// resize, idle-expiry GC wheel — DESIGN.md §14), lives in flow_v2.hpp and is
-// selected per dispatcher by LvrmConfig::flow_table_v2. Both share FiveTuple,
-// hash_tuple and the resize-event vocabulary below.
+// FlowTable is the paper-scale table every Dispatcher uses (thousands of
+// flows). The million-flow FlowTableV2 (cache-line-bucketed tags,
+// incremental resize, idle-expiry GC wheel — DESIGN.md §14) lives in
+// flow_v2.hpp and backs the firewall VR's connection tracker. Both share
+// FiveTuple, hash_tuple and the resize-event vocabulary below.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,7 @@ PackedTuple pack_tuple(const FiveTuple& t);
 std::uint64_t hash_packed(PackedTuple k);
 
 /// Why a flow table rebuilt (or, for the v2 table, ran its incremental
-/// migration). Carried on the `flowtable_resize` audit events so a trace
-/// answers "why did the table churn at t=4.2s?" without a re-run.
+/// migration), as reported to the table's resize hook.
 enum class FlowResizeCause : std::uint8_t {
   kLoadFactor = 0,      // live entries passed the load factor: capacity doubles
   kTombstonePurge = 1,  // v1 only: churned tombstones forced a same-size rebuild

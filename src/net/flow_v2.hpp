@@ -32,9 +32,8 @@
 //     list per VRI, turning `evict_vri` into an O(flows-on-that-VRI) walk.
 //
 // Observable semantics match FlowTable exactly (same strict-> expiry, same
-// hit/miss accounting, same insert-over-existing update-in-place), which is
-// what lets LvrmConfig::flow_table_v2 guarantee byte-identical experiment
-// outputs off-vs-on while changing the host-side cost class underneath.
+// hit/miss accounting, same insert-over-existing update-in-place), so either
+// table can stand in for the other while the host-side cost class differs.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +122,8 @@ class FlowTableV2 {
   std::uint64_t expired_total() const { return expired_total_; }
   std::uint64_t resizes_started() const { return resizes_started_; }
   std::uint64_t resizes_completed() const { return resizes_completed_; }
-  /// Buckets (plus stash, if consulted) touched by the most recent lookup —
-  /// the value the probe-length histogram records.
+  /// Buckets (plus stash, if consulted) touched by the most recent lookup;
+  /// the two-choice layout bounds a settled table's hit at 2.
   unsigned last_probe_len() const { return last_probe_len_; }
   int max_kicks_seen() const { return max_kicks_seen_; }
   /// Bytes of drained-generation arenas still awaiting incremental unmap

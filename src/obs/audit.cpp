@@ -12,11 +12,9 @@ const char* to_string(AuditKind k) {
     case AuditKind::kBalanceSummary: return "balance_summary";
     case AuditKind::kOverloadLevel: return "overload_level";
     case AuditKind::kVriDrain: return "vri_drain";
-    case AuditKind::kFlowTableResize: return "flowtable_resize";
     case AuditKind::kFlightDump: return "flight_dump";
     case AuditKind::kFlowSpray: return "flow_spray";
     case AuditKind::kFlowSprayEnd: return "flow_spray_end";
-    case AuditKind::kTxSteal: return "tx_steal";
     case AuditKind::kVriSteal: return "vri_steal";
   }
   return "unknown";

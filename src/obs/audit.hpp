@@ -29,11 +29,9 @@ enum class AuditKind : std::uint8_t {
   kBalanceSummary, // periodic balancer choice summary for one VR
   kOverloadLevel,  // a VR's degradation ladder changed level / sampling rate
   kVriDrain,       // reset-free VRI drain: live flows migrated to siblings
-  kFlowTableResize,  // a dispatcher's flow table rebuilt / finished migrating
   kFlightDump,     // §15 flight recorder snapshotted on an incident
   kFlowSpray,      // §16 an elephant flow began spraying across VRIs
   kFlowSprayEnd,   // §16 a sprayed flow went idle and left the spray set
-  kTxSteal,        // §17 an idle shard stole a TX burst from another's drain
   kVriSteal,       // §17 an idle VRI stole ingress frames from a sibling
 };
 
@@ -69,13 +67,6 @@ const char* to_string(AuditKind k);
 ///     b         = flow pins evicted for re-balancing
 ///     c         = frames dropped (survivors saturated)
 ///     cause     = DrainCause
-///   kFlowTableResize (DESIGN.md §14; start + completion, never per step):
-///     a         = slot capacity before, b = slot capacity after
-///     c         = entries migrated so far (0 on start; for the v2 table's
-///                 completion event, total live entries carried over)
-///     shard     = dispatcher shard owning the table
-///     cause     = net::FlowResizeCause (load-factor / tombstone-purge /
-///                 incremental-step)
 ///   kFlightDump (§15; one per flight-recorder dump trigger):
 ///     a         = records captured in the dump
 ///     b         = dump sequence number since start
@@ -94,11 +85,6 @@ const char* to_string(AuditKind k);
 ///     a         = frames sprayed over the flow's lifetime
 ///     b         = spray-flow id
 ///     shard     = dispatcher shard that steered the flow
-///   kTxSteal (§17; rate-limited to one event per sim second):
-///     a         = frames stolen in this burst
-///     b         = cumulative TX-steal bursts so far
-///     c         = cumulative TX frames stolen so far
-///     shard     = thief shard; vr/vri = victim slot whose drain was stolen
 ///   kVriSteal (§17; rate-limited to one event per sim second):
 ///     a         = frames stolen in this burst
 ///     b         = cumulative VRI-steal bursts so far

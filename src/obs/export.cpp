@@ -245,25 +245,6 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
         emit(buf);
         break;
       }
-      case AuditKind::kFlowTableResize: {
-        // net::FlowResizeCause names, indexed by the numeric cause code
-        // (same pattern as DrainCause above — obs stays independent of net).
-        static const char* const kResizeCause[] = {
-            "load_factor", "tombstone_purge", "incremental_step"};
-        const char* cause = e.cause < 3 ? kResizeCause[e.cause] : "unknown";
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
-            "\"name\":\"flowtable_resize\",\"args\":{\"shard\":%d,"
-            "\"cause\":\"%s\",\"slots_before\":%llu,\"slots_after\":%llu,"
-            "\"migrated\":%llu}}",
-            e.vr, ts, e.shard, esc(cause).c_str(),
-            static_cast<unsigned long long>(e.a),
-            static_cast<unsigned long long>(e.b),
-            static_cast<unsigned long long>(e.c));
-        emit(buf);
-        break;
-      }
       case AuditKind::kFlightDump: {
         std::snprintf(
             buf, sizeof(buf),
@@ -301,18 +282,6 @@ void write_chrome_trace(const std::vector<AuditEvent>& events,
             "\"frames_sprayed\":%llu,\"spray_flow\":%llu}}",
             e.vr, ts, e.shard, static_cast<unsigned long long>(e.a),
             static_cast<unsigned long long>(e.b));
-        emit(buf);
-        break;
-      }
-      case AuditKind::kTxSteal: {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
-            "\"name\":\"tx_steal\",\"args\":{\"shard\":%d,\"victim_vri\":%d,"
-            "\"frames\":%llu,\"steals_total\":%llu,\"frames_total\":%llu}}",
-            e.vr, ts, e.shard, e.vri, static_cast<unsigned long long>(e.a),
-            static_cast<unsigned long long>(e.b),
-            static_cast<unsigned long long>(e.c));
         emit(buf);
         break;
       }

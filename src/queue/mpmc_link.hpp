@@ -3,8 +3,8 @@
 // The IPC fabric's virtual link (DESIGN.md §17): where the SPSC mesh needs
 // O(shards × VRIs) rings, one MpmcLink per VRI (ingress) or per home shard
 // (TX drain) carries 32-bit FrameHandles from *all* producers to *any*
-// consumer, which is what makes TX-drain stealing and idle-VRI stealing
-// possible at all. The design follows the Virtual-Link / rte_ring family:
+// consumer, which is what makes idle-VRI stealing possible at all. The
+// design follows the Virtual-Link / rte_ring family:
 //
 //   * Two counters per side, each on its own cache line: a CLAIM counter
 //     producers (consumers) race on with CAS, and a PUBLISH counter that

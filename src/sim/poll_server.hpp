@@ -47,11 +47,6 @@ class PollServer {
   /// mutably, like CostFn; may be cheaper than the sum of per-item costs
   /// (amortized lookups, one syscall for the burst).
   using BatchCostFn = std::function<Nanos(std::span<T>)>;
-  /// Gate predicate: an input whose gate returns false is skipped by the
-  /// scheduler as if empty, but its non-empty hint is NOT cleared — the
-  /// work is still there, just temporarily owned by someone else (a steal
-  /// in flight, DESIGN.md §17). Call kick() after the gate reopens.
-  using GateFn = std::function<bool()>;
   /// Idle hook: invoked when the scan finds no serviceable input. Return
   /// true ONLY if the hook produced new work (e.g. stole a burst into one
   /// of this server's queues) — the scan then runs again. Returning true
@@ -90,8 +85,7 @@ class PollServer {
     inputs_.push_back(Input{&q, priority, std::move(cost), std::move(sink),
                             category, batch < 1 ? 1 : batch, coalesce,
                             std::move(batch_cost),
-                            /*nonempty=*/!q.empty(), /*class_idx=*/0,
-                            /*gate=*/{}});
+                            /*nonempty=*/!q.empty(), /*class_idx=*/0});
     rebuild_classes();
     const std::size_t idx = inputs_.size() - 1;
     q.set_observer([this, idx] {
@@ -172,35 +166,12 @@ class PollServer {
   /// Installs the idle hook (see IdleHook). One per server; replaceable.
   void set_idle_hook(IdleHook hook) { idle_hook_ = std::move(hook); }
 
-  /// Installs a gate predicate on input `idx` (see GateFn).
-  void set_input_gate(std::size_t idx, GateFn gate) {
-    inputs_[idx].gate = std::move(gate);
-  }
-
-  /// True while input `idx` is the one in service (classic item, coalesced
-  /// batch, or an unexhausted batch continuation). Stealing from a queue
-  /// its own server is mid-burst on would let the thief's frames overtake
-  /// the victim's in-service ones.
-  bool serving_input(std::size_t idx) const {
-    return (serving_ && in_service_idx_ == idx) ||
-           (batch_remaining_ > 0 && current_input_ == idx);
-  }
-
-  /// Re-arms the scheduler for input `idx` after its gate reopened (or
-  /// after external pushes that bypassed the queue observer): refreshes
-  /// the hint from the queue's actual state and kicks the serve loop.
-  void kick(std::size_t idx) {
-    if (!inputs_[idx].queue->empty()) note_nonempty(idx);
-    maybe_serve();
-  }
-
   /// Kicks the serve loop; harmless to call at any time.
   void maybe_serve() {
     if (!running_ || serving_) return;
     std::size_t idx = kNoInput;
     if (batch_remaining_ > 0 && current_input_ != kNoInput &&
-        !inputs_[current_input_].queue->empty() &&
-        gate_open(inputs_[current_input_])) {
+        !inputs_[current_input_].queue->empty()) {
       idx = current_input_;
       --batch_remaining_;
     } else {
@@ -235,7 +206,6 @@ class PollServer {
     serving_ = true;
     ++serve_events_;
     in_service_input_ = &in;
-    in_service_idx_ = idx;
     core_->run(cost, in.category, owner_, [this] { complete_one(); });
   }
 
@@ -257,11 +227,7 @@ class PollServer {
     // cleared hint is always safe to skip.
     bool nonempty = false;
     std::size_t class_idx = 0;
-    // Optional gate (see GateFn): false = skip without clearing the hint.
-    GateFn gate;
   };
-
-  static bool gate_open(const Input& in) { return !in.gate || in.gate(); }
 
   struct PrioClass {
     int priority;
@@ -319,9 +285,6 @@ class PollServer {
       for (std::size_t i : cls.members) {
         Input& in = inputs_[i];
         if (!in.nonempty) continue;
-        // Gated input (steal in flight, §17): invisible to the scan, hint
-        // intact — the work exists, it is just temporarily owned elsewhere.
-        if (!gate_open(in)) continue;
         if (in.queue->empty()) {  // stale-high hint: repair and skip
           in.nonempty = false;
           --cls.nonempty_count;
@@ -375,7 +338,6 @@ class PollServer {
     ++batches_;
     batch_items_ += batch_buf_.size();
     in_service_input_ = &in;
-    in_service_idx_ = current_input_;
     core_->run(cost, in.category, owner_, [this] { complete_batch(); });
   }
 
@@ -425,7 +387,6 @@ class PollServer {
   // capacity across batches. No per-item heap allocation after warm-up.
   std::optional<T> in_service_;
   Input* in_service_input_ = nullptr;
-  std::size_t in_service_idx_ = kNoInput;
   IdleHook idle_hook_;
   bool in_idle_hook_ = false;
   std::function<void()> on_quiesced_;

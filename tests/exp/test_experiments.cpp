@@ -236,7 +236,7 @@ TEST(FabricTrial, SkewedFrameWorkloadStealsUnderStealing) {
   opt.measure = msec(30);
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
-  EXPECT_GT(r.vri_steals + r.tx_steals, 0u);
+  EXPECT_GT(r.vri_steals, 0u);
 }
 
 TEST(FabricTrial, ElephantWorkloadKeepsOrderingUnderStealing) {

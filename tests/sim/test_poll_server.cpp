@@ -186,7 +186,7 @@ TEST(PollServer, ServedCountAndOneshotCost) {
   EXPECT_EQ(first_done, 100);  // 90 one-shot + 10; second item only 10
 }
 
-// --- §17 stealing support: hint repair, gates, idle hook ------------------
+// --- §17 stealing support: hint repair, idle hook -------------------------
 
 TEST(PollServer, RepairHintAfterExternalPopClearsStaleHint) {
   // Regression (ISSUE §17 satellite): a steal pops a queue behind the
@@ -228,53 +228,6 @@ TEST(PollServer, RepairHintKeepsHintWhenItemsRemain) {
   EXPECT_EQ(served, 1);  // remaining item still found and served
 }
 
-TEST(PollServer, GatedInputSkippedWithoutClearingHint) {
-  Rig rig;
-  BoundedQueue<int> q(16);
-  bool open = false;
-  std::vector<int> served;
-  const std::size_t idx = rig.server.add_input(
-      q, 0, [](int&) { return Nanos{10}; },
-      [&](int&& v) { served.push_back(v); });
-  rig.server.set_input_gate(idx, [&open] { return open; });
-  rig.server.start();
-  q.push(1);
-  rig.sim.run_all();
-  EXPECT_TRUE(served.empty());  // gate closed: skipped, items in place
-  EXPECT_EQ(q.size(), 1u);
-  open = true;
-  rig.server.kick(idx);  // gate reopened: kick refreshes hint + serves
-  rig.sim.run_all();
-  EXPECT_EQ(served, (std::vector<int>{1}));
-}
-
-TEST(PollServer, GateHoldsBatchContinuationMidBurst) {
-  // A steal can close the gate between two items of a classic batch burst;
-  // the continuation must re-check the gate, not plough on.
-  Rig rig;
-  BoundedQueue<int> q(16);
-  bool open = true;
-  std::vector<int> served;
-  const std::size_t idx = rig.server.add_input(
-      q, 0, [](int&) { return Nanos{10}; },
-      [&](int&& v) {
-        served.push_back(v);
-        open = false;  // close after the first item egresses
-      },
-      CostCategory::kUser, /*batch=*/4);
-  rig.server.set_input_gate(idx, [&open] { return open; });
-  q.push(1);
-  q.push(2);
-  rig.server.start();
-  rig.sim.run_all();
-  EXPECT_EQ(served, (std::vector<int>{1}));
-  EXPECT_EQ(q.size(), 1u);
-  open = true;
-  rig.server.kick(idx);
-  rig.sim.run_all();
-  EXPECT_EQ(served, (std::vector<int>{1, 2}));
-}
-
 TEST(PollServer, IdleHookRunsWhenNothingServiceable) {
   Rig rig;
   BoundedQueue<int> q(16);
@@ -313,50 +266,6 @@ TEST(PollServer, IdleHookNotInvokedWhileWorkPending) {
   // Invoked only when the scan came up empty (after the drain), never
   // between back-to-back serves of real work.
   EXPECT_EQ(hook_calls, 1);
-}
-
-TEST(PollServer, ServingInputCoversInServiceAndBatchContinuation) {
-  Rig rig;
-  BoundedQueue<int> q(16);
-  std::vector<bool> observed;
-  const std::size_t idx = rig.server.add_input(
-      q, 0,
-      [&](int&) {
-        return Nanos{10};
-      },
-      [&](int&&) { observed.push_back(rig.server.serving_input(0)); },
-      CostCategory::kUser, /*batch=*/2);
-  ASSERT_EQ(idx, 0u);
-  EXPECT_FALSE(rig.server.serving_input(0));  // idle: nothing in service
-  q.push(1);
-  q.push(2);
-  rig.server.start();
-  rig.sim.run_all();
-  // At each sink the input was still the one in service (item 1: batch
-  // continuation pending; item 2: completing its own serve).
-  ASSERT_EQ(observed.size(), 2u);
-  EXPECT_TRUE(observed[0]);
-  EXPECT_FALSE(rig.server.serving_input(0));  // drained: idle again
-}
-
-TEST(PollServer, KickRecoversFromExternalPushWithoutObserver) {
-  // kick() refreshes the hint from the queue's true state — the re-arm path
-  // a thief uses after returning stolen work or reopening a gate.
-  Rig rig;
-  BoundedQueue<int> q(16);
-  int served = 0;
-  const std::size_t idx = rig.server.add_input(
-      q, 0, [](int&) { return Nanos{10}; }, [&](int&&) { ++served; });
-  rig.server.start();
-  rig.sim.run_all();
-  EXPECT_EQ(served, 0);
-  q.push(1);  // observer fires normally here, but kick must also be safe
-  rig.server.kick(idx);
-  rig.sim.run_all();
-  EXPECT_EQ(served, 1);
-  rig.server.kick(idx);  // empty-queue kick is a no-op
-  rig.sim.run_all();
-  EXPECT_EQ(served, 1);
 }
 
 }  // namespace
