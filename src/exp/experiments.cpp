@@ -567,9 +567,12 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   LvrmConfig cfg;
   cfg.adapter = AdapterKind::kMemory;
   cfg.allocator = AllocatorKind::kFixed;
-  cfg.granularity = opt.workload == Workload::kSkewFrame
-                        ? BalancerGranularity::kFrame
-                        : BalancerGranularity::kFlow;
+  if (opt.workload == Workload::kSkewFrame) {
+    cfg.granularity = BalancerGranularity::kFrame;
+    cfg.balancer = BalancerKind::kRoundRobin;
+  } else {
+    cfg.granularity = BalancerGranularity::kFlow;
+  }
   cfg.dispatch_shards = opt.shards;
   cfg.batched_hot_path = opt.batched;
   cfg.work_stealing = opt.stealing;
@@ -615,9 +618,10 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   });
 
   FaultInjector faults(simulator, sys);
-  if (opt.stealing && opt.workload == Workload::kSkewFrame) {
-    // One sick VRI at 6x service cost: its queue backlogs while siblings
-    // go idle — the §17 idle-VRI steal pressure case.
+  if (opt.workload == Workload::kSkewFrame) {
+    // One sick VRI at 6x service cost, in both the stealing-off and -on
+    // rows: its queue backlogs while siblings go idle — the §17 idle-VRI
+    // steal pressure case.
     faults.schedule({.kind = FaultKind::kSlowdown,
                      .vri = 0,
                      .at = opt.warmup / 2,

@@ -312,14 +312,16 @@ struct FabricTrialOptions {
   int shards = 4;         // LvrmConfig::dispatch_shards
   int vris = 8;           // initial VRIs of the single C++ VR
   bool stealing = false;  // LvrmConfig::work_stealing
-  bool batched = true;
+  bool batched = false;
   /// Workload shape. kPinned replays `flows` pinned 5-tuples — per-flow
   /// ordering must stay exact, steals must refuse every pinned head.
   /// kElephant adds a §16 sprayed elephant over the pinned mice, so
   /// idle-VRI steals CAN fire and the TX sequencer must keep ordering
   /// exact anyway — the §17 × §16 composition claim. kSkewFrame uses frame
-  /// granularity with one degraded VRI: maximum steal pressure, no
-  /// per-flow ordering promise (ordering_violations not meaningful).
+  /// granularity and round-robin dispatch with one VRI slowed 6x whether
+  /// stealing is on or off: round-robin ignores queue depth, so the slowed
+  /// VRI backlogs and idle siblings have something to steal. No per-flow
+  /// ordering promise (ordering_violations not meaningful).
   enum class Workload { kPinned, kElephant, kSkewFrame };
   Workload workload = Workload::kPinned;
   int flows = 256;   // pinned 5-tuples (mice for kElephant)

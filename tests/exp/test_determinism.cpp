@@ -106,8 +106,9 @@ TEST(Determinism, OverloadedUdpTrialMatchesPinnedResults) {
 
 TEST(Determinism, FabricSkewStealTrialMatchesPinnedResults) {
   // Exp 9's skewed-frame trial at --scale=0.3: 2 shards x 4 VRIs, frame
-  // granularity, one VRI slowed 6x, work stealing on. Idle VRIs steal from
-  // the slowed one, which moves both throughput and latency.
+  // granularity, round-robin dispatch, per-frame serving, one VRI slowed
+  // 6x, work stealing on. Round-robin keeps feeding the slowed VRI, so idle
+  // siblings steal its backlog, which moves both throughput and latency.
   FabricTrialOptions opt;
   opt.shards = 2;
   opt.vris = 4;
@@ -116,10 +117,10 @@ TEST(Determinism, FabricSkewStealTrialMatchesPinnedResults) {
   opt.warmup = msec(3);
   opt.measure = msec(15);
   const auto r = run_fabric_trial(opt);
-  EXPECT_EQ(r.delivered_fps, 5178933.333333334);
-  EXPECT_EQ(r.avg_latency_us, 15603.672882774985);
-  EXPECT_EQ(r.vri_steals, 10005u);
-  EXPECT_EQ(r.vri_steal_frames, 60030u);
+  EXPECT_EQ(r.delivered_fps, 5390600.0);
+  EXPECT_EQ(r.avg_latency_us, 15013.082230508777);
+  EXPECT_EQ(r.vri_steals, 1955u);
+  EXPECT_EQ(r.vri_steal_frames, 11730u);
   EXPECT_EQ(r.ordering_violations, 0u);
 }
 
