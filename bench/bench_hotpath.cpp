@@ -1,5 +1,5 @@
-// bench_hotpath — host-side microbench of the batched, allocation-free frame
-// hot path (PR 2's perf trajectory point).
+// bench_hotpath — host-side microbench of the allocation-free frame hot
+// path.
 //
 // Unlike the exp* benches, which measure *simulated* time, this one measures
 // REAL host nanoseconds spent per frame of simulation work — the overhead the
@@ -12,10 +12,10 @@
 //              timer cancelled and pushed again per event (a cancel-and-push
 //              re-arm, the pattern sim::Timer avoids).
 //   poll     : a PollServer inside a Simulator driving frames through a
-//              cost+sink input, classic per-item serving vs coalesced batch
-//              serving; host ns per simulated frame.
-//   dispatch : Dispatcher in flow mode, per-frame dispatch() vs
-//              dispatch_batch() over 16-frame bursts of 4 hot flows.
+//              cost+sink input drained in bursts of 16; host ns per
+//              simulated frame.
+//   dispatch : Dispatcher in flow mode, per-frame dispatch() over 16-frame
+//              bursts of 4 hot flows.
 //
 // Emits BENCH_hotpath.json (flat key:number). With --baseline=FILE the run
 // compares its per-frame host overhead (normalized by a calibration spin
@@ -272,7 +272,7 @@ class KernelBench {
 
 // --- poll: PollServer host overhead per simulated frame -------------------------
 
-double poll_host_ns(std::uint64_t frames, bool coalesce) {
+double poll_host_ns(std::uint64_t frames) {
   sim::Simulator sim;
   sim::Core core(sim, 0, 0);
   sim::BoundedQueue<net::FrameMeta> q(frames + 1, "bench-q");
@@ -281,7 +281,7 @@ double poll_host_ns(std::uint64_t frames, bool coalesce) {
   server.add_input(
       q, /*priority=*/1, [](net::FrameMeta&) { return Nanos{100}; },
       [&sunk](net::FrameMeta&& f) { sunk += f.id; },
-      sim::CostCategory::kUser, /*batch=*/16, coalesce);
+      sim::CostCategory::kUser, /*batch=*/16);
   server.start();
   const double t0 = now_ns();
   for (std::uint64_t i = 0; i < frames; ++i) {
@@ -305,10 +305,10 @@ struct TelemetryHooks {
   obs::LogHistogram wait_ns, svc_ns, e2e_ns;
 };
 
-/// Same workload as poll_host_ns(frames, /*coalesce=*/false), with the
-/// telemetry touches LvrmSystem's RX cost fn and TX sink make. `hooks` null
-/// reproduces the telemetry-off configuration: the branch is still there
-/// (LvrmSystem always pays one null check) but nothing else is.
+/// Same workload as poll_host_ns(frames), with the telemetry touches
+/// LvrmSystem's RX cost fn and TX sink make. `hooks` null reproduces the
+/// telemetry-off configuration: the branch is still there (LvrmSystem
+/// always pays one null check) but nothing else is.
 double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
                               TelemetryHooks* hooks) {
   sim::Simulator sim;
@@ -336,7 +336,7 @@ double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
         }
         sunk += f.id;
       },
-      sim::CostCategory::kUser, /*batch=*/16, /*coalesce=*/false);
+      sim::CostCategory::kUser, /*batch=*/16);
   server.start();
   const double t0 = now_ns();
   for (std::uint64_t i = 0; i < frames; ++i) {
@@ -398,7 +398,7 @@ double poll_host_ns_tracing(std::uint64_t frames, obs::Tracer* tracer) {
         }
         sunk += f.id;
       },
-      sim::CostCategory::kUser, /*batch=*/16, /*coalesce=*/false);
+      sim::CostCategory::kUser, /*batch=*/16);
   server.start();
   const double t0 = now_ns();
   for (std::uint64_t i = 0; i < frames; ++i) {
@@ -412,7 +412,7 @@ double poll_host_ns_tracing(std::uint64_t frames, obs::Tracer* tracer) {
   return elapsed / static_cast<double>(frames);
 }
 
-// --- dispatch: per-frame vs batch ------------------------------------------------
+// --- dispatch: per-frame flow-mode decisions -------------------------------------
 
 net::FrameMeta make_flow_frame(std::uint32_t flow, std::uint64_t id) {
   net::FrameMeta f;
@@ -425,7 +425,7 @@ net::FrameMeta make_flow_frame(std::uint32_t flow, std::uint64_t id) {
   return f;
 }
 
-double dispatch_ns(std::uint64_t frames, bool batched) {
+double dispatch_ns(std::uint64_t frames) {
   Dispatcher d(make_balancer(BalancerKind::kJoinShortestQueue, 1),
                BalancerGranularity::kFlow);
   const std::vector<VriView> views = {
@@ -433,22 +433,15 @@ double dispatch_ns(std::uint64_t frames, bool batched) {
   constexpr std::size_t kBurst = 16;
   constexpr std::uint32_t kFlows = 4;  // hot flows per burst
   std::vector<net::FrameMeta> burst(kBurst);
-  std::vector<net::FrameMeta*> ptrs(kBurst);
   std::uint64_t acc = 0;
   const double t0 = now_ns();
   for (std::uint64_t done = 0; done < frames; done += kBurst) {
-    for (std::size_t i = 0; i < kBurst; ++i) {
+    for (std::size_t i = 0; i < kBurst; ++i)
       burst[i] = make_flow_frame(static_cast<std::uint32_t>(i) % kFlows,
                                  done + i);
-      ptrs[i] = &burst[i];
-    }
     const Nanos now = static_cast<Nanos>(done);
-    if (batched) {
-      acc += static_cast<std::uint64_t>(d.dispatch_batch(ptrs, views, now));
-    } else {
-      for (auto& f : burst)
-        acc += static_cast<std::uint64_t>(d.dispatch(f, views, now));
-    }
+    for (auto& f : burst)
+      acc += static_cast<std::uint64_t>(d.dispatch(f, views, now));
   }
   const double elapsed = now_ns() - t0;
   g_guard.fetch_add(acc, std::memory_order_relaxed);
@@ -612,8 +605,8 @@ double descriptor_chain_handle_mops(std::uint64_t frames) {
   const double t0 = now_ns();
   for (std::uint64_t done = 0; done < frames; done += 16) {
     // Pop + prefetch the completed burst first, then run the other hops
-    // while those loads are in flight — the same pop-prefetch-process-later
-    // shape as the batched hot path (DESIGN.md §9); a handle burst can be
+    // while those loads are in flight — the pop-prefetch-process-later
+    // shape of a burst-draining poll loop; a handle burst can be
     // prefetched long before it is touched, a copy arrives only when the
     // pop itself pays for the transfer.
     tx.try_pop_batch(done_buf, 16);
@@ -842,10 +835,10 @@ int main(int argc, char** argv) {
   // ratio is what the regression check compares.
   std::vector<double> calib_samples, poll_samples, ratio_samples;
   calibration_ns(kCalibIters);        // warm-up
-  poll_host_ns(kPollFrames, false);   // warm-up
+  poll_host_ns(kPollFrames);          // warm-up
   for (int r = 0; r < reps; ++r) {
     const double c = calibration_ns(kCalibIters);
-    const double p = poll_host_ns(kPollFrames, false);
+    const double p = poll_host_ns(kPollFrames);
     calib_samples.push_back(c);
     poll_samples.push_back(p);
     ratio_samples.push_back(p / c);
@@ -854,18 +847,13 @@ int main(int argc, char** argv) {
   const double poll_item = median_of(poll_samples);
   const double host_ratio = median_of(ratio_samples);
 
-  const double poll_coalesced =
-      median_ns(reps, [&] { return poll_host_ns(kPollFrames, true); });
-
   const double kernel_event = median_ns(
       reps, [&] { return KernelBench{}.run(kKernelEvents, /*rearm=*/false); });
   const double kernel_rearm = median_ns(
       reps, [&] { return KernelBench{}.run(kKernelEvents, /*rearm=*/true); });
 
   const double disp_frame =
-      median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, false); });
-  const double disp_batch =
-      median_ns(reps, [&] { return dispatch_ns(kDispatchFrames, true); });
+      median_ns(reps, [&] { return dispatch_ns(kDispatchFrames); });
 
   // Descriptor-passing data path (DESIGN.md §12): per-hop and end-to-end
   // chain comparisons, copy vs handle representation. Best-of sampling:
@@ -1198,12 +1186,7 @@ int main(int argc, char** argv) {
       << "  \"ring_mc_batch16_mops\": " << mc_batch << ",\n"
       << "  \"ring_mc_batch_speedup\": " << mc_batch / mc_single << ",\n"
       << "  \"poll_per_item_host_ns\": " << poll_item << ",\n"
-      << "  \"poll_coalesced_host_ns\": " << poll_coalesced << ",\n"
-      << "  \"poll_coalesced_speedup\": " << poll_item / poll_coalesced
-      << ",\n"
       << "  \"dispatch_per_frame_ns\": " << disp_frame << ",\n"
-      << "  \"dispatch_batch_ns\": " << disp_batch << ",\n"
-      << "  \"dispatch_batch_speedup\": " << disp_frame / disp_batch << ",\n"
       << "  \"descriptor_hop_copy_ns\": " << desc_hop_copy << ",\n"
       << "  \"descriptor_hop_handle_ns\": " << desc_hop_handle << ",\n"
       << "  \"descriptor_hop_speedup\": " << desc_hop_copy / desc_hop_handle
@@ -1295,12 +1278,10 @@ int main(int argc, char** argv) {
               spsc_single, spsc_batch, spsc_batch / spsc_single);
   std::printf("  McRing   batch 1/16   : %.1f / %.1f Mops (%.2fx)\n",
               mc_single, mc_batch, mc_batch / mc_single);
-  std::printf("  poll item/coalesced   : %.1f / %.1f host ns/frame (%.2fx)\n",
-              poll_item, poll_coalesced, poll_item / poll_coalesced);
+  std::printf("  poll per item         : %.1f host ns/frame\n", poll_item);
   std::printf("  kernel event / rearm  : %.1f / %.1f host ns/event\n",
               kernel_event, kernel_rearm);
-  std::printf("  dispatch frame/batch  : %.1f / %.1f ns (%.2fx)\n", disp_frame,
-              disp_batch, disp_frame / disp_batch);
+  std::printf("  dispatch per frame    : %.1f ns\n", disp_frame);
   std::printf("  desc hop copy/handle  : %.1f / %.1f ns (%.2fx)\n",
               desc_hop_copy, desc_hop_handle, desc_hop_copy / desc_hop_handle);
   std::printf("  desc chain copy/handle: %.1f / %.1f Mops (%.2fx)\n",

@@ -460,7 +460,6 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   cfg.allocator = AllocatorKind::kFixed;
   cfg.granularity = BalancerGranularity::kFlow;
   cfg.dispatch_shards = opt.shards;
-  cfg.batched_hot_path = opt.batched;
   cfg.state_replication.enabled = opt.replication;
   cfg.seed = opt.seed;
   LvrmSystem sys(simulator, topo, cfg);
@@ -574,7 +573,6 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
     cfg.granularity = BalancerGranularity::kFlow;
   }
   cfg.dispatch_shards = opt.shards;
-  cfg.batched_hot_path = opt.batched;
   cfg.work_stealing = opt.stealing;
   cfg.state_replication.enabled = opt.workload == Workload::kElephant;
   cfg.seed = opt.seed;

@@ -279,7 +279,6 @@ struct ElephantTrialOptions {
   /// Aggregate mouse load as a fraction of one VRI's capacity.
   double mice_load = 0.1;
   int shards = 1;
-  bool batched = false;
   int frame_bytes = 84;
   Nanos warmup = msec(20);
   Nanos measure = msec(100);
@@ -312,7 +311,6 @@ struct FabricTrialOptions {
   int shards = 4;         // LvrmConfig::dispatch_shards
   int vris = 8;           // initial VRIs of the single C++ VR
   bool stealing = false;  // LvrmConfig::work_stealing
-  bool batched = false;
   /// Workload shape. kPinned replays `flows` pinned 5-tuples — per-flow
   /// ordering must stay exact, steals must refuse every pinned head.
   /// kElephant adds a §16 sprayed elephant over the pinned mice, so

@@ -45,10 +45,9 @@ struct HealthConfig {
 /// controller that escalates normal -> adaptive per-flow sampling shed ->
 /// RX-side admission control, plus the reset-free VRI drain path. Disabled
 /// by default: with `enabled = false` no controller state is touched, no
-/// metric is registered and every output is byte-identical to the seed —
-/// the same rollout discipline as `batched_hot_path`. The controller's
-/// watermark, cadence, pressure pair, rate floor and admission streak are
-/// fixed constants (DESIGN.md §13), not knobs.
+/// metric is registered and every output is byte-identical to the seed.
+/// The controller's watermark, cadence, pressure pair, rate floor and
+/// admission streak are fixed constants (DESIGN.md §13), not knobs.
 struct OverloadConfig {
   bool enabled = false;
 };
@@ -62,9 +61,9 @@ struct OverloadConfig {
 /// output is never reordered. Disabled by default: no detector state, no
 /// metric is registered, every frame field stays 0 and outputs are
 /// byte-identical to the seed (same rollout discipline as
-/// `batched_hot_path` / `overload_control` / `tracing`). The detector's
-/// threshold and window and the sequencer's reorder window are fixed
-/// constants (DESIGN.md §16), not knobs.
+/// `overload_control` / `tracing`). The detector's threshold and window and
+/// the sequencer's reorder window are fixed constants (DESIGN.md §16), not
+/// knobs.
 struct StateReplicationConfig {
   bool enabled = false;
 };
@@ -110,14 +109,6 @@ struct LvrmConfig {
   /// dispatch ablation bench.
   std::size_t poll_batch = sim::costs::kPollBatch;
 
-  /// Batched hot path (DESIGN.md §9): LVRM's RX and TX inputs drain their
-  /// poll_batch burst as ONE coalesced core event — batch dispatch collapses
-  /// repeated flow-table probes within the burst, and all frames of a burst
-  /// complete together at its summed-cost completion time. Off by default:
-  /// the classic per-frame serve order is the reference behavior every
-  /// experiment is calibrated against (bit-identical results).
-  bool batched_hot_path = false;
-
   /// Idle-VRI work stealing over the MPMC link fabric (DESIGN.md §17): a
   /// VRI with nothing to serve steals ingress frames from an overloaded
   /// same-VR sibling — only unpinned (frame-granularity or sprayed) frames,
@@ -146,8 +137,7 @@ struct LvrmConfig {
   /// Frame-level path tracing, flight recorder and load-adaptive sampling
   /// (DESIGN.md §15). Off by default: no Tracer is created, the hot path
   /// pays one pointer null check, and every output is byte-identical to
-  /// the seed (same rollout discipline as `batched_hot_path` /
-  /// `overload_control`).
+  /// the seed (same rollout discipline as `overload_control`).
   obs::TracingConfig tracing;
 
   /// State-compute replication for stateful VRs (DESIGN.md §16).

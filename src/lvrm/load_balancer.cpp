@@ -1,8 +1,5 @@
 #include "lvrm/load_balancer.hpp"
 
-#include <algorithm>
-#include <tuple>
-
 #include "common/log.hpp"
 #include "sim/costs.hpp"
 
@@ -128,81 +125,6 @@ int Dispatcher::dispatch(const net::FrameMeta& frame,
     return chosen;
   }
   return inner_->pick(healthy_pool(vris));
-}
-
-Nanos Dispatcher::dispatch_batch(std::span<net::FrameMeta* const> frames,
-                                 std::span<const VriView> vris, Nanos now) {
-  last_flow_hit_ = false;
-  if (frames.empty()) return 0;
-  decisions_ += frames.size();
-
-  if (granularity_ != BalancerGranularity::kFlow) {
-    // Frame mode has no per-flow state to amortize: one inner pick each,
-    // exactly as the per-frame path would do.
-    const std::span<const VriView> pool = healthy_pool(vris);
-    Nanos cost = 0;
-    for (net::FrameMeta* f : frames) {
-      f->dispatch_vri = static_cast<std::int16_t>(inner_->pick(pool));
-      cost += inner_->decision_cost(vris.size());
-    }
-    return cost;
-  }
-  // Flow mode computes the pool lazily: a burst that is all pinned hits —
-  // the steady state of a flow-heavy workload — never filters at all.
-
-  // Flow mode: order the burst by 5-tuple (stable via the original index)
-  // so frames of one flow form a contiguous run, then probe the flow table
-  // once per run. The frames themselves are not reordered — only the
-  // decision pass walks in sorted order — so queue order is preserved.
-  order_scratch_.clear();
-  for (std::uint32_t i = 0; i < frames.size(); ++i) order_scratch_.push_back(i);
-  auto key = [&frames](std::uint32_t i) {
-    const net::FrameMeta& f = *frames[i];
-    return std::make_tuple(f.src_ip, f.dst_ip, f.src_port, f.dst_port,
-                           f.protocol);
-  };
-  std::sort(order_scratch_.begin(), order_scratch_.end(),
-            [&key](std::uint32_t a, std::uint32_t b) {
-              const auto ka = key(a), kb = key(b);
-              return ka != kb ? ka < kb : a < b;
-            });
-
-  Nanos cost = 0;
-  std::size_t i = 0;
-  while (i < order_scratch_.size()) {
-    const auto tuple =
-        net::FiveTuple::from_frame(*frames[order_scratch_[i]]);
-    std::size_t j = i + 1;
-    while (j < order_scratch_.size() &&
-           net::FiveTuple::from_frame(*frames[order_scratch_[j]]) == tuple)
-      ++j;
-    // One probe + times() refresh for the whole run.
-    cost += costs::kFlowTableLookup + costs::kFlowTimestampSyscall;
-    ++flow_probes_;
-    int chosen = -1;
-    if (const auto pinned = flows_.lookup(tuple, now)) {
-      // Full set, not the healthy pool: see dispatch() — suspect VRIs keep
-      // their pinned flows to preserve per-flow FIFO order.
-      for (const VriView& v : vris) {
-        if (v.index == *pinned) {
-          chosen = *pinned;
-          last_flow_hit_ = true;
-          ++flow_hits_;
-          break;
-        }
-      }
-    }
-    if (chosen < 0) {
-      chosen = inner_->pick(healthy_pool(vris));
-      flows_.insert(tuple, chosen, now);
-      cost += inner_->decision_cost(vris.size());
-    }
-    for (std::size_t k = i; k < j; ++k)
-      frames[order_scratch_[k]]->dispatch_vri =
-          static_cast<std::int16_t>(chosen);
-    i = j;
-  }
-  return cost;
 }
 
 Nanos Dispatcher::decision_cost(std::size_t n_vris, bool flow_hit) const {

@@ -108,19 +108,6 @@ class Dispatcher {
   int dispatch(const net::FrameMeta& frame, std::span<const VriView> vris,
                Nanos now);
 
-  /// Batch variant: decides for every frame of a drained burst in one pass,
-  /// writing each frame's `dispatch_vri`, and returns the summed decision
-  /// cost. Takes pointers so a mixed burst can be regrouped per VR without
-  /// moving frames. In flow mode the burst is sorted (by index, frames stay
-  /// in place) so frames of the same 5-tuple are adjacent and collapse to
-  /// ONE flow-table probe + timestamp refresh — at line rate a burst is
-  /// usually dominated by a handful of hot flows. Inner picks still happen
-  /// once per distinct flow (or per frame in frame mode), so RR/random
-  /// distributions and JSQ tie-breaking are unchanged; only redundant
-  /// probes are elided.
-  Nanos dispatch_batch(std::span<net::FrameMeta* const> frames,
-                       std::span<const VriView> vris, Nanos now);
-
   /// CPU cost of the decision just taken (includes flow-table work when in
   /// flow mode; the thesis charges a times() timestamp update per lookup).
   Nanos decision_cost(std::size_t n_vris, bool flow_hit) const;
@@ -150,10 +137,10 @@ class Dispatcher {
   std::size_t flow_entries() const { return flows_.size(); }
 
   // Telemetry accessors (plain counters; read at snapshot time only).
-  /// Frames dispatched through either path.
+  /// Frames dispatched.
   std::uint64_t decisions() const { return decisions_; }
-  /// Flow-table probes (flow mode; one per frame classic, one per run in a
-  /// batch) and the subset that hit a still-valid pinned VRI.
+  /// Flow-table probes (flow mode; one per frame) and the subset that hit a
+  /// still-valid pinned VRI.
   std::uint64_t flow_probes() const { return flow_probes_; }
   std::uint64_t flow_hits() const { return flow_hits_; }
   DispatchStats stats() const {
@@ -161,8 +148,7 @@ class Dispatcher {
   }
 
  private:
-  /// Suspect-aware candidate filtering shared by both dispatch paths: while
-  /// any VRI is under fail-slow suspicion, steer to healthy siblings (fall
+  /// Suspect-aware candidate filtering: while any VRI is under fail-slow suspicion, steer to healthy siblings (fall
   /// back to the full set if none remain).
   std::span<const VriView> healthy_pool(std::span<const VriView> vris);
 
@@ -177,9 +163,9 @@ class Dispatcher {
   std::uint64_t pool_cached_gen_ = 0;   // generation of the last scan
   bool pool_cached_suspect_ = false;    // last scan's verdict
   std::uint64_t pool_scans_ = 0;
-  // Reused across bursts so batch dispatch allocates nothing after warm-up.
+  // Reused across calls so the suspect filter allocates nothing after
+  // warm-up.
   std::vector<VriView> pool_scratch_;
-  std::vector<std::uint32_t> order_scratch_;
 };
 
 }  // namespace lvrm

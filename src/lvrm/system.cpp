@@ -360,23 +360,15 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
 
   // The RX ring and each VRI's outgoing queue are drained in bursts of
   // poll_batch (PF_RING-style batched polls); control queues are serviced
-  // per item at higher priority. With the batched hot path the burst is
-  // coalesced into one core event and dispatched through
-  // Dispatcher::dispatch_batch (DESIGN.md §9). `shards_` is never resized
-  // after construction, so the captured shard pointers stay valid.
+  // per item at higher priority. `shards_` is never resized after
+  // construction, so the captured shard pointers stay valid.
   for (DispatchShard& shard : shards_) {
     DispatchShard* sh = &shard;
     shard.server->add_input(
         *shard.rx_ring, /*priority=*/1,
         [this, sh](net::FrameMeta& f) { return rx_cost(f, *sh); },
         [this](net::FrameMeta&& f) { rx_sink(std::move(f)); },
-        shard.adapter->recv_category(), config_.poll_batch,
-        /*coalesce=*/config_.batched_hot_path,
-        config_.batched_hot_path
-            ? FrameServer::BatchCostFn([this, sh](std::span<net::FrameMeta> fs) {
-                return rx_cost_batch(fs, *sh);
-              })
-            : FrameServer::BatchCostFn{});
+        shard.adapter->recv_category(), config_.poll_batch);
   }
 
   // §17 MPMC fabric: TX is ONE per-home-shard MPMC link all of that shard's
@@ -606,10 +598,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           }
           finish_tx(*v, std::move(f));
         },
-        home.adapter->send_category(), config_.poll_batch,
-        // Batched hot path: the TX burst is one coalesced core event; the
-        // per-item cost fn above is summed over the drained frames.
-        /*coalesce=*/config_.batched_hot_path);
+        home.adapter->send_category(), config_.poll_batch);
 
     if (stealing_) {
       // Idle-VRI data-plane stealing (§17): when this slot's own queues are
@@ -735,91 +724,6 @@ Nanos LvrmSystem::rx_cost(net::FrameMeta& frame, DispatchShard& shard) {
 
   // The whole task is charged to the adapter's recv category; move the
   // dispatch work to user time for the Fig 4.3 breakdown.
-  if (shard.adapter->recv_category() != CostCategory::kUser)
-    core(shard.core_id)
-        .reclassify(shard.adapter->recv_category(), CostCategory::kUser,
-                    user_part);
-  return cost;
-}
-
-Nanos LvrmSystem::rx_cost_batch(std::span<net::FrameMeta> frames,
-                                DispatchShard& shard) {
-  // Batched-hot-path equivalent of rx_cost over a whole drained burst
-  // (DESIGN.md §9): classification and adapter receive stay per-frame, the
-  // load-estimator observation and VriView construction happen once per VR
-  // per burst (the burst is served at one instant), and the dispatch
-  // decisions go through Dispatcher::dispatch_batch so same-flow frames
-  // share one flow-table probe.
-  const Nanos now = sim_.now();
-  Nanos cost = 0;
-  Nanos user_part = 0;
-
-  if (rx_groups_.size() < vrs_.size()) rx_groups_.resize(vrs_.size());
-  for (auto& g : rx_groups_) g.clear();
-
-  for (net::FrameMeta& f : frames) {
-    if (tracer_) f.obs_rx_at = now;
-    VrState& vr = classify(f);
-    if (vr.last_arrival >= 0) {
-      const Nanos gap = now - vr.last_arrival;
-      if (gap > 0) vr.arrival_gap.update(static_cast<double>(gap));
-    }
-    vr.last_arrival = now;
-    ++vr.frames_in;
-    cost += shard.adapter->recv_cost(f) + costs::kClassifyCost +
-            costs::kDispatchFixed;
-    user_part += costs::kClassifyCost + costs::kDispatchFixed;
-    rx_groups_[static_cast<std::size_t>(f.dispatch_vr)].push_back(&f);
-  }
-
-  for (std::size_t vid = 0; vid < vrs_.size(); ++vid) {
-    auto& group = rx_groups_[vid];
-    if (group.empty()) continue;
-    VrState& vr = *vrs_[vid];
-
-    views_scratch_.clear();
-    for (int idx : vr.active_order) {
-      VriSlot& s = *vr.slots[static_cast<std::size_t>(idx)];
-      s.estimator->on_packet_observed(s.data_in->size(), now);
-      views_scratch_.push_back(
-          VriView{idx, s.estimator->load_at(now), s.suspect});
-    }
-    if (views_scratch_.empty()) {
-      for (net::FrameMeta* f : group) f->dispatch_vri = -1;
-      continue;
-    }
-
-    const Nanos decision =
-        vr.dispatchers[static_cast<std::size_t>(shard.id)]->dispatch_batch(
-            group, views_scratch_, now);
-    cost += decision;
-    user_part += decision;
-
-    // §16: spray overrides run after the batch decision, before the
-    // enqueue-cost pass reads each frame's final target.
-    if (replication_) {
-      for (net::FrameMeta* f : group)
-        if (f->dispatch_vri >= 0)
-          f->dispatch_vri = static_cast<std::int16_t>(
-              maybe_spray(vr, shard, *f, views_scratch_, f->dispatch_vri, now));
-    }
-
-    for (const net::FrameMeta* f : group) {
-      cost += costs::kEnqueueCost;
-      user_part += costs::kEnqueueCost;
-      const VriSlot& target =
-          *vr.slots[static_cast<std::size_t>(f->dispatch_vri)];
-      if (cross_socket(target.core_id, shard.core_id)) {
-        cost += costs::kCrossSocketQueueOp;
-        user_part += costs::kCrossSocketQueueOp;
-      }
-      if (now < target.cold_until) {
-        cost += costs::kColdCacheSurcharge;
-        user_part += costs::kColdCacheSurcharge;
-      }
-    }
-  }
-
   if (shard.adapter->recv_category() != CostCategory::kUser)
     core(shard.core_id)
         .reclassify(shard.adapter->recv_category(), CostCategory::kUser,
@@ -1298,7 +1202,7 @@ void LvrmSystem::finish_tx(VrState& vr, net::FrameMeta&& f) {
       obs_->shard_tx[static_cast<std::size_t>(f.dispatch_shard)].inc();
     if (f.obs_sampled) {
       // The three stages of the latency pipeline, recorded for the sampled
-      // subset only (identical in classic and batched mode).
+      // subset only.
       obs_->queue_wait_ns.record(static_cast<std::uint64_t>(
           std::max<Nanos>(0, f.obs_svc_at - f.obs_enq_at)));
       obs_->vri_service_ns.record(static_cast<std::uint64_t>(
@@ -2600,19 +2504,15 @@ void LvrmSystem::publish_gauges() {
   // pays nothing for these series.
   auto& m = telemetry_->metrics();
   std::uint64_t ring_depth = 0, ring_drops = 0;
-  std::uint64_t serve_events = 0, batches = 0, batch_items = 0;
+  std::uint64_t serve_events = 0;
   for (const auto& sh : shards_) {
     ring_depth += sh.rx_ring->size();
     ring_drops += sh.rx_ring->drops();
     serve_events += sh.server->serve_events();
-    batches += sh.server->batches();
-    batch_items += sh.server->batch_items();
   }
   m.gauge("lvrm_rx_ring_depth").set(static_cast<double>(ring_depth));
   m.gauge("lvrm_rx_ring_drops").set(static_cast<double>(ring_drops));
   m.gauge("lvrm_poll_serve_events").set(static_cast<double>(serve_events));
-  m.gauge("lvrm_poll_batches").set(static_cast<double>(batches));
-  m.gauge("lvrm_poll_batch_items").set(static_cast<double>(batch_items));
   if (shards_.size() > 1) {
     // Per-shard breakdowns exist only on a sharded plane so single-shard
     // exports match the unsharded build byte for byte.

@@ -405,7 +405,6 @@ class LvrmSystem {
 
   VrState& classify(net::FrameMeta& frame);
   Nanos rx_cost(net::FrameMeta& frame, DispatchShard& shard);
-  Nanos rx_cost_batch(std::span<net::FrameMeta> frames, DispatchShard& shard);
   void rx_sink(net::FrameMeta&& frame);
   void maybe_allocate();
   void reap_crashed();
@@ -560,10 +559,8 @@ class LvrmSystem {
   int admission_active_ = 0;
   std::uint64_t burst_seq_ = 0;  // synthetic overload-burst frame ids
 
-  // RX scratch (reused per frame or burst; no allocation after warm-up):
-  // per-VR pointer groups of the current batched RX burst, and the VriView
-  // set that rx_cost and rx_cost_batch hand to the dispatcher.
-  std::vector<std::vector<net::FrameMeta*>> rx_groups_;
+  // RX scratch (reused per frame; no allocation after warm-up): the VriView
+  // set that rx_cost hands to the dispatcher.
   std::vector<VriView> views_scratch_;
 
   // Telemetry layer. `obs_` carries the pre-registered hot-path handles and

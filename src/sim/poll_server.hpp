@@ -22,7 +22,6 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,10 +42,6 @@ class PollServer {
   using CostFn = std::function<Nanos(T&)>;
   /// Invoked when service of an item completes (at the completion time).
   using Sink = std::function<void(T&&)>;
-  /// Cost of serving a whole coalesced batch in one pass. Receives the batch
-  /// mutably, like CostFn; may be cheaper than the sum of per-item costs
-  /// (amortized lookups, one syscall for the burst).
-  using BatchCostFn = std::function<Nanos(std::span<T>)>;
   /// Idle hook: invoked when the scan finds no serviceable input. Return
   /// true ONLY if the hook produced new work (e.g. stole a burst into one
   /// of this server's queues) — the scan then runs again. Returning true
@@ -70,21 +65,14 @@ class PollServer {
   /// Registers an input queue. Lower `priority` is served first. The queue's
   /// observer is captured by this server. `batch` > 1 lets the server drain
   /// up to that many consecutive items from this input once selected (poll
-  /// loops read NIC rings in bursts) before re-scanning priorities.
-  ///
-  /// With `coalesce` set, the burst is instead drained up-front and served
-  /// as ONE core event: the costs of all drained items (or `batch_cost` of
-  /// the whole span, when provided) are summed and charged once, and every
-  /// sink fires at the batch completion time in FIFO order. Items that
-  /// arrive after the drain wait for the next batch — a coalesced burst is
-  /// fixed at pick time. Returns the input index.
+  /// loops read NIC rings in bursts) before re-scanning priorities; each
+  /// item is its own core event, charged and delivered in turn. Returns
+  /// the input index.
   std::size_t add_input(BoundedQueue<T>& q, int priority, CostFn cost,
                         Sink sink, CostCategory category = CostCategory::kUser,
-                        std::size_t batch = 1, bool coalesce = false,
-                        BatchCostFn batch_cost = {}) {
+                        std::size_t batch = 1) {
     inputs_.push_back(Input{&q, priority, std::move(cost), std::move(sink),
-                            category, batch < 1 ? 1 : batch, coalesce,
-                            std::move(batch_cost),
+                            category, batch < 1 ? 1 : batch,
                             /*nonempty=*/!q.empty(), /*class_idx=*/0});
     rebuild_classes();
     const std::size_t idx = inputs_.size() - 1;
@@ -107,9 +95,9 @@ class PollServer {
   void stop() { running_ = false; }
   bool running() const { return running_; }
 
-  /// Stops the loop and invokes `done` once the item (or batch) currently in
-  /// service has completed and been delivered — immediately when already
-  /// idle. Queued items stay in place, exactly as with stop(). Used by the
+  /// Stops the loop and invokes `done` once the item currently in service
+  /// has completed and been delivered — immediately when already idle.
+  /// Queued items stay in place, exactly as with stop(). Used by the
   /// reset-free drain: the backlog may only be migrated after the last
   /// in-flight item has egressed, or a same-flow frame redispatched to an
   /// idle sibling could overtake it.
@@ -137,12 +125,8 @@ class PollServer {
   bool busy() const { return serving_; }
 
   // Telemetry accessors (plain counters; read at snapshot time only).
-  /// Core events started — classic serves plus coalesced batch serves.
+  /// Core events started, one per served item.
   std::uint64_t serve_events() const { return serve_events_; }
-  /// Coalesced batch serves, and items moved by them. batch_items() /
-  /// batches() is the realized coalescing factor.
-  std::uint64_t batches() const { return batches_; }
-  std::uint64_t batch_items() const { return batch_items_; }
 
   /// One-shot extra cost added to the next served item (used for e.g. a core
   /// allocation pass that preempts the LVRM loop).
@@ -177,11 +161,7 @@ class PollServer {
     } else {
       idx = pick_input();
       current_input_ = idx;
-      // Coalesced inputs consume their whole burst in one serve; the
-      // item-by-item continuation applies only to the classic mode.
-      batch_remaining_ = (idx == kNoInput || inputs_[idx].coalesce)
-                             ? 0
-                             : inputs_[idx].batch - 1;
+      batch_remaining_ = idx == kNoInput ? 0 : inputs_[idx].batch - 1;
     }
     if (idx == kNoInput) {
       // Nothing serviceable: give the idle hook (work stealing, §17) one
@@ -195,10 +175,6 @@ class PollServer {
       return;
     }
     Input& in = inputs_[idx];
-    if (in.coalesce) {
-      serve_batch(in);
-      return;
-    }
     in_service_ = in.queue->pop();
     Nanos cost = in.cost ? in.cost(*in_service_) : 0;
     cost += oneshot_cost_;
@@ -217,8 +193,6 @@ class PollServer {
     Sink sink;
     CostCategory category;
     std::size_t batch = 1;
-    bool coalesce = false;
-    BatchCostFn batch_cost;
     // Non-empty hint: set by the queue observer (which fires on every
     // empty->non-empty transition), cleared only when a scan observes the
     // queue actually empty. The hint can therefore be stale-HIGH (external
@@ -304,9 +278,9 @@ class PollServer {
     return kNoInput;
   }
 
-  /// Classic completion: move the item out of the in-service slot before
-  /// invoking the sink, so a reentrant maybe_serve() from inside the sink
-  /// can safely refill the slot.
+  /// Completion: move the item out of the in-service slot before invoking
+  /// the sink, so a reentrant maybe_serve() from inside the sink can safely
+  /// refill the slot.
   void complete_one() {
     serving_ = false;
     ++served_;
@@ -314,44 +288,6 @@ class PollServer {
     T item = std::move(*in_service_);
     in_service_.reset();
     if (in->sink) in->sink(std::move(item));
-    maybe_serve();
-    notify_quiesced();
-  }
-
-  /// Coalesced serving: drain up to `in.batch` items now, charge their
-  /// summed (or batch-fn) cost as ONE core event — N event-queue insertions
-  /// collapse into 1 — and deliver every item at the completion time.
-  void serve_batch(Input& in) {
-    batch_buf_.clear();
-    while (batch_buf_.size() < in.batch && !in.queue->empty())
-      batch_buf_.push_back(in.queue->pop());
-    Nanos cost = 0;
-    if (in.batch_cost) {
-      cost = in.batch_cost(std::span<T>(batch_buf_));
-    } else if (in.cost) {
-      for (T& item : batch_buf_) cost += in.cost(item);
-    }
-    cost += oneshot_cost_;
-    oneshot_cost_ = 0;
-    serving_ = true;
-    ++serve_events_;
-    ++batches_;
-    batch_items_ += batch_buf_.size();
-    in_service_input_ = &in;
-    core_->run(cost, in.category, owner_, [this] { complete_batch(); });
-  }
-
-  void complete_batch() {
-    serving_ = false;
-    Input* in = in_service_input_;
-    // Swap into the drain buffer first: a sink may push into one of our own
-    // inputs and reentrantly start the next batch, which refills batch_buf_.
-    sink_buf_.clear();
-    std::swap(sink_buf_, batch_buf_);
-    served_ += sink_buf_.size();
-    if (in->sink)
-      for (T& item : sink_buf_) in->sink(std::move(item));
-    sink_buf_.clear();
     maybe_serve();
     notify_quiesced();
   }
@@ -380,18 +316,13 @@ class PollServer {
   Nanos oneshot_cost_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t serve_events_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t batch_items_ = 0;
-  // Zero-alloc serving state: the classic path parks the in-service item in
-  // `in_service_`; the coalesced path reuses `batch_buf_`/`sink_buf_`
-  // capacity across batches. No per-item heap allocation after warm-up.
+  // Zero-alloc serving state: the in-service item is parked in
+  // `in_service_`, so serving performs no heap allocation.
   std::optional<T> in_service_;
   Input* in_service_input_ = nullptr;
   IdleHook idle_hook_;
   bool in_idle_hook_ = false;
   std::function<void()> on_quiesced_;
-  std::vector<T> batch_buf_;
-  std::vector<T> sink_buf_;
 };
 
 }  // namespace lvrm::sim

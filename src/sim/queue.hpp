@@ -36,8 +36,8 @@ class BoundedQueue {
   /// Items per segment, and so the ring slots the first push allocates.
   /// Four keeps a FrameMeta segment at 576 B, a size the allocator
   /// recycles cheaply: 16-item (2.3 KB) segments cost ~40 host ns more per
-  /// frame in bench_hotpath's coalesced poll section, which preloads 50k
-  /// frames into one queue.
+  /// frame in a bench_hotpath poll section that preloaded 50k frames into
+  /// one queue.
   static constexpr std::size_t kSegmentSlots = 4;
 
   explicit BoundedQueue(std::size_t capacity, std::string name = {})

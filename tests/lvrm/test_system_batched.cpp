@@ -1,10 +1,10 @@
-// End-to-end tests of the batched hot path (LvrmConfig::batched_hot_path):
-// coalesced RX serving plus burst dispatch must conserve frames, keep flow
-// affinity, stay deterministic, and forward the same frames as the classic
-// per-item path at low rate.
+// End-to-end tests of LVRM under bursty arrivals: frames land back to back
+// in the RX ring and the poll loop drains them poll_batch at a time, each
+// frame served, dispatched and charged on its own. The system must conserve
+// frames in flow and frame mode, keep flow affinity and per-flow order, and
+// stay deterministic.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -21,12 +21,11 @@ struct BatchRig {
   std::unique_ptr<LvrmSystem> sys;
   std::vector<net::FrameMeta> out;
 
-  explicit BatchRig(bool batched, BalancerGranularity gran, int vris = 4) {
+  explicit BatchRig(BalancerGranularity gran, int vris = 4) {
     LvrmConfig cfg;
     cfg.allocator = AllocatorKind::kFixed;
     cfg.granularity = gran;
     cfg.balancer = BalancerKind::kRoundRobin;
-    cfg.batched_hot_path = batched;
     sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
     VrConfig vr;
     vr.initial_vris = vris;
@@ -47,7 +46,7 @@ struct BatchRig {
   }
 
   // Sends `n` frames, `burst` back-to-back per arrival event (back-to-back
-  // arrivals are what exercise the coalesced drain).
+  // arrivals are what fill the RX ring past one poll_batch).
   void send(int n, std::uint16_t ports, Nanos gap, int burst,
             std::uint64_t seed) {
     Rng rng(seed);
@@ -70,7 +69,7 @@ struct BatchRig {
 };
 
 TEST(SystemBatched, ConservesFramesUnderBurstyLoad) {
-  BatchRig rig(/*batched=*/true, BalancerGranularity::kFlow);
+  BatchRig rig(BalancerGranularity::kFlow);
   rig.send(3000, 16, usec(30), /*burst=*/16, /*seed=*/7);
   rig.sim.run_all();
   // Every sent frame is forwarded or sits in a documented drop counter.
@@ -79,7 +78,7 @@ TEST(SystemBatched, ConservesFramesUnderBurstyLoad) {
 }
 
 TEST(SystemBatched, FlowAffinityHoldsThroughBurstDispatch) {
-  BatchRig rig(/*batched=*/true, BalancerGranularity::kFlow);
+  BatchRig rig(BalancerGranularity::kFlow);
   rig.send(2000, 16, usec(40), /*burst=*/16, /*seed=*/5);
   rig.sim.run_all();
   std::map<std::uint16_t, int> assignment;
@@ -98,7 +97,7 @@ TEST(SystemBatched, FlowAffinityHoldsThroughBurstDispatch) {
 }
 
 TEST(SystemBatched, SameFlowKeepsArrivalOrder) {
-  BatchRig rig(/*batched=*/true, BalancerGranularity::kFlow);
+  BatchRig rig(BalancerGranularity::kFlow);
   rig.send(2000, 8, usec(30), /*burst=*/16, /*seed=*/3);
   rig.sim.run_all();
   std::map<std::uint16_t, std::uint64_t> last_id;
@@ -112,7 +111,7 @@ TEST(SystemBatched, SameFlowKeepsArrivalOrder) {
 
 TEST(SystemBatched, DeterministicAcrossRuns) {
   auto run = [] {
-    BatchRig rig(/*batched=*/true, BalancerGranularity::kFlow);
+    BatchRig rig(BalancerGranularity::kFlow);
     rig.send(1500, 12, usec(35), /*burst=*/16, /*seed=*/11);
     rig.sim.run_all();
     std::vector<std::pair<std::uint64_t, int>> trace;
@@ -122,47 +121,8 @@ TEST(SystemBatched, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(SystemBatched, MatchesClassicPathForIsolatedArrivals) {
-  // When every coalesced burst holds a single frame (isolated arrivals at
-  // low rate), the batched path degenerates to the classic one and must
-  // make identical routing decisions. Bursts >1 may legitimately differ in
-  // flow mode: the burst is sorted by flow key, so first-seen flows hit the
-  // round-robin picker in a different order.
-  auto run = [](bool batched) {
-    BatchRig rig(batched, BalancerGranularity::kFlow);
-    rig.send(800, 12, usec(100), /*burst=*/1, /*seed=*/13);
-    rig.sim.run_all();
-    std::vector<std::pair<std::uint64_t, int>> trace;
-    for (const auto& f : rig.out) trace.emplace_back(f.id, f.dispatch_vri);
-    return trace;
-  };
-  const auto classic = run(false);
-  const auto batched = run(true);
-  EXPECT_EQ(classic.size(), 800u);
-  EXPECT_EQ(classic, batched);
-}
-
-TEST(SystemBatched, ForwardsSameFrameSetAsClassicUnderBursts) {
-  // With real bursts the per-flow VRI choice may differ from classic, but
-  // at a drop-free rate both paths must still forward every frame exactly
-  // once.
-  auto run = [](bool batched) {
-    BatchRig rig(batched, BalancerGranularity::kFlow);
-    rig.send(800, 12, usec(400), /*burst=*/8, /*seed=*/13);
-    rig.sim.run_all();
-    std::vector<std::uint64_t> ids;
-    for (const auto& f : rig.out) ids.push_back(f.id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  const auto classic = run(false);
-  const auto batched = run(true);
-  EXPECT_EQ(classic.size(), 800u);
-  EXPECT_EQ(classic, batched);
-}
-
 TEST(SystemBatched, FrameModeConservesFrames) {
-  BatchRig rig(/*batched=*/true, BalancerGranularity::kFrame);
+  BatchRig rig(BalancerGranularity::kFrame);
   rig.send(2000, 16, usec(30), /*burst=*/16, /*seed=*/17);
   rig.sim.run_all();
   EXPECT_EQ(rig.accounted(), 2000u);

@@ -199,12 +199,11 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
 }
 
 TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
-  // Frame conservation with stealing under the §9 batched hot path x §11
-  // sharding, through a slowdown and a crash: every sent frame is delivered
-  // or counted in a drop bucket, no matter which server ran it.
-  for (const bool batched : {false, true}) {
-    LvrmConfig c = FabricRig::cfg(2, true);
-    c.batched_hot_path = batched;
+  // Frame conservation with stealing across §11 shard counts, through a
+  // slowdown and a crash: every sent frame is delivered or counted in a
+  // drop bucket, no matter which server ran it.
+  for (const int shards : {1, 2}) {
+    LvrmConfig c = FabricRig::cfg(shards, true);
     c.health.enabled = true;
     FabricRig rig(c, 4);
     rig.offer(300'000.0, sec(2));
@@ -217,8 +216,8 @@ TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
         {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
     rig.sim.run_all();
 
-    EXPECT_GT(rig.delivered, 0u) << "batched=" << batched;
-    EXPECT_EQ(rig.accounted(), rig.sent) << "batched=" << batched;
+    EXPECT_GT(rig.delivered, 0u) << "shards=" << shards;
+    EXPECT_EQ(rig.accounted(), rig.sent) << "shards=" << shards;
   }
 }
 

@@ -220,52 +220,46 @@ TEST(SystemOverload, DeliveredFramesRecordTheirSamplingRate) {
 }
 
 TEST(SystemOverload, ConservationHoldsPerFlowClassAcrossConfigs) {
-  // The satellite matrix: shed/admission composed with the batched hot
-  // path and the sharded dispatch plane. For every flow class: offered ==
-  // delivered + every attributed drop, exactly.
-  for (const bool batched : {false, true}) {
-    for (const int shards : {1, 2}) {
-      LvrmConfig c = OverloadRig::cfg(true);
-      c.batched_hot_path = batched;
-      c.dispatch_shards = shards;
-      sim::Simulator sim;
-      sim::CpuTopology topo;
-      LvrmSystem sys(sim, topo, c);
-      VrConfig vr;
-      vr.initial_vris = 3;
-      vr.dummy_load = sim::costs::kDummyLoad;
-      sys.add_vr(vr);
-      sys.start();
+  // Shed/admission composed with the sharded dispatch plane. For every flow
+  // class: offered == delivered + every attributed drop, exactly.
+  for (const int shards : {1, 2}) {
+    LvrmConfig c = OverloadRig::cfg(true);
+    c.dispatch_shards = shards;
+    sim::Simulator sim;
+    sim::CpuTopology topo;
+    LvrmSystem sys(sim, topo, c);
+    VrConfig vr;
+    vr.initial_vris = 3;
+    vr.dummy_load = sim::costs::kDummyLoad;
+    sys.add_vr(vr);
+    sys.start();
 
-      traffic::WorkloadGenerator::Config wl;
-      wl.base_rate = 3.0 * 60'000.0 * 3;  // 3x aggregate capacity
-      wl.flash_at = msec(10);
-      wl.attack_fraction = 0.2;
-      wl.stop_at = msec(40);
-      wl.min_gap = 1;
-      traffic::WorkloadGenerator gen(
-          sim, wl, [&sys](net::FrameMeta&& f) { sys.ingress(std::move(f)); });
+    traffic::WorkloadGenerator::Config wl;
+    wl.base_rate = 3.0 * 60'000.0 * 3;  // 3x aggregate capacity
+    wl.flash_at = msec(10);
+    wl.attack_fraction = 0.2;
+    wl.stop_at = msec(40);
+    wl.min_gap = 1;
+    traffic::WorkloadGenerator gen(
+        sim, wl, [&sys](net::FrameMeta&& f) { sys.ingress(std::move(f)); });
 
-      std::uint64_t delivered[traffic::kFlowClassCount] = {0, 0, 0};
-      std::uint64_t dropped[traffic::kFlowClassCount] = {0, 0, 0};
-      sys.set_egress([&](net::FrameMeta&& f) {
-        ++delivered[static_cast<std::size_t>(gen.class_of(f))];
-      });
-      sys.set_drop_hook([&](const net::FrameMeta& f, DropCause) {
-        ++dropped[static_cast<std::size_t>(gen.class_of(f))];
-      });
-      gen.start();
-      sim.run_all();
+    std::uint64_t delivered[traffic::kFlowClassCount] = {0, 0, 0};
+    std::uint64_t dropped[traffic::kFlowClassCount] = {0, 0, 0};
+    sys.set_egress([&](net::FrameMeta&& f) {
+      ++delivered[static_cast<std::size_t>(gen.class_of(f))];
+    });
+    sys.set_drop_hook([&](const net::FrameMeta& f, DropCause) {
+      ++dropped[static_cast<std::size_t>(gen.class_of(f))];
+    });
+    gen.start();
+    sim.run_all();
 
-      for (int cls = 0; cls < traffic::kFlowClassCount; ++cls) {
-        EXPECT_EQ(gen.sent(static_cast<traffic::FlowClass>(cls)),
-                  delivered[cls] + dropped[cls])
-            << "class=" << cls << " batched=" << batched
-            << " shards=" << shards;
-      }
-      EXPECT_GT(sys.sampled_shed_drops() + sys.admission_rejected_drops(),
-                0u);
+    for (int cls = 0; cls < traffic::kFlowClassCount; ++cls) {
+      EXPECT_EQ(gen.sent(static_cast<traffic::FlowClass>(cls)),
+                delivered[cls] + dropped[cls])
+          << "class=" << cls << " shards=" << shards;
     }
+    EXPECT_GT(sys.sampled_shed_drops() + sys.admission_rejected_drops(), 0u);
   }
 }
 

@@ -152,23 +152,6 @@ TEST(SystemTelemetry, LatencyHistogramsFillFromSampledFrames) {
   EXPECT_TRUE(saw_e2e);
 }
 
-TEST(SystemTelemetry, BatchedHotPathSamplesIdentically) {
-  LvrmConfig cfg = TelRig::dynamic_cfg();
-  cfg.batched_hot_path = true;
-  TelRig rig(cfg);
-  rig.offer(100'000.0, 0, sec(2));
-  rig.sim.run_all();
-  rig.sys->snapshot_telemetry();
-  const obs::Snapshot& snap = rig.sys->telemetry()->series().back();
-  for (const auto& c : snap.counters)
-    if (c.name == "lvrm_tx_frames_total")
-      EXPECT_EQ(c.value, rig.sys->forwarded());
-  bool saw = false;
-  for (const auto& h : snap.histograms)
-    if (h.name == "lvrm_e2e_latency_ns" && h.count() > 0) saw = true;
-  EXPECT_TRUE(saw);
-}
-
 TEST(SystemTelemetry, ResultsBitIdenticalTelemetryOnOff) {
   auto run = [](bool telemetry_on) {
     LvrmConfig cfg = TelRig::dynamic_cfg();

@@ -265,22 +265,6 @@ TEST(SystemTracing, DropsTerminateSpansWithTheExitCause) {
   EXPECT_TRUE(dropped_span);
 }
 
-TEST(SystemTracing, BatchedHotPathTracesIdentically) {
-  // The §9 batched path stamps the same hop timeline: spans still complete
-  // and the result tuple still matches the per-frame path's tracing run.
-  LvrmConfig c = TraceRig::cfg(true);
-  c.batched_hot_path = true;
-  TraceRig rig(c, /*initial_vris=*/2);
-  rig.offer(100'000.0, 0, msec(200));
-  rig.sim.run_all();
-  ASSERT_GT(rig.sys->tracer()->spans().size(), 0u);
-  bool complete = false;
-  for (const auto& s : rig.sys->tracer()->spans())
-    if (s.terminal == 0 && s.gw_out > 0 && s.svc_start > 0) complete = true;
-  EXPECT_TRUE(complete);
-  EXPECT_GT(rig.sys->tracer()->records_total(), 0u);
-}
-
 TEST(SystemTracing, Exp1aAndExp3aTrialsAreByteIdenticalTracingOnOff) {
   // The figure-level contract: the exact trials the exp1a (fixed-rate UDP
   // forwarding) and exp3a (JSQ over six VRIs) CSV rows are built from must

@@ -91,90 +91,6 @@ TEST(PollServerBatch, RefillDuringBatchExtendsIt) {
   EXPECT_EQ(times[2], 30);  // served back-to-back as part of the same batch
 }
 
-// --- coalesced batches: the burst is served as ONE core event -------------
-
-TEST(PollServerCoalesced, SummedCostChargedAsOneEvent) {
-  Rig rig;
-  BoundedQueue<int> q(32);
-  std::vector<int> order;
-  std::vector<Nanos> times;
-  rig.server.add_input(q, 0, [](int&) { return Nanos{10}; },
-                       [&](int&& v) {
-                         order.push_back(v);
-                         times.push_back(rig.sim.now());
-                       },
-                       CostCategory::kUser, /*batch=*/8, /*coalesce=*/true);
-  for (int i = 0; i < 4; ++i) q.push(i);
-  rig.server.start();
-  rig.sim.run_all();
-  // All four sinks fire together at the summed completion time (4 x 10ns),
-  // in FIFO order.
-  ASSERT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  ASSERT_EQ(times.size(), 4u);
-  for (const Nanos t : times) EXPECT_EQ(t, 40);
-  EXPECT_EQ(rig.server.served(), 4u);
-}
-
-TEST(PollServerCoalesced, BatchCostFnOverridesPerItemSum) {
-  Rig rig;
-  BoundedQueue<int> q(32);
-  std::vector<Nanos> times;
-  rig.server.add_input(
-      q, 0, [](int&) { return Nanos{10}; },
-      [&](int&&) { times.push_back(rig.sim.now()); }, CostCategory::kUser,
-      /*batch=*/8, /*coalesce=*/true,
-      [](std::span<int> items) { return Nanos{5} * Nanos(items.size()); });
-  for (int i = 0; i < 4; ++i) q.push(i);
-  rig.server.start();
-  rig.sim.run_all();
-  // 4 items x 5ns batch-amortized, not 4 x 10ns per-item.
-  ASSERT_EQ(times.size(), 4u);
-  for (const Nanos t : times) EXPECT_EQ(t, 20);
-}
-
-TEST(PollServerCoalesced, ControlJumpsInAfterBatchCompletes) {
-  Rig rig;
-  BoundedQueue<int> data(32);
-  BoundedQueue<int> control(32);
-  std::vector<int> order;
-  rig.server.add_input(data, 1, [](int&) { return Nanos{10}; },
-                       [&](int&& v) { order.push_back(v); },
-                       CostCategory::kUser, /*batch=*/4, /*coalesce=*/true);
-  rig.server.add_input(control, 0, [](int&) { return Nanos{10}; },
-                       [&](int&& v) { order.push_back(100 + v); });
-  for (int i = 0; i < 8; ++i) data.push(i);
-  rig.server.start();
-  rig.sim.at(5, [&control] { control.push(1); });
-  rig.sim.run_all();
-  // The control item waits for the in-flight coalesced batch (0..3), then
-  // preempts the second data batch.
-  ASSERT_EQ(order.size(), 9u);
-  EXPECT_EQ(order[3], 3);
-  EXPECT_EQ(order[4], 101);
-  EXPECT_EQ(order[5], 4);
-}
-
-TEST(PollServerCoalesced, RefillDoesNotExtendInFlightBatch) {
-  Rig rig;
-  BoundedQueue<int> q(32);
-  std::vector<Nanos> times;
-  rig.server.add_input(q, 0, [](int&) { return Nanos{10}; },
-                       [&](int&&) { times.push_back(rig.sim.now()); },
-                       CostCategory::kUser, /*batch=*/4, /*coalesce=*/true);
-  q.push(0);
-  q.push(1);
-  rig.server.start();
-  rig.sim.at(5, [&q] { q.push(2); });  // lands while the batch is in flight
-  rig.sim.run_all();
-  // A coalesced burst is fixed at pick time: items 0,1 complete at 20, item
-  // 2 is a separate batch completing at 30 (contrast with the classic-mode
-  // RefillDuringBatchExtendsIt above).
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_EQ(times[0], 20);
-  EXPECT_EQ(times[1], 20);
-  EXPECT_EQ(times[2], 30);
-}
-
 TEST(PollServerBatch, StaleNonemptyHintIsRepairedAfterExternalClear) {
   // External actors (recovery, shedding) may drain a queue without going
   // through the server. The non-empty hint is then stale-HIGH; the next scan
