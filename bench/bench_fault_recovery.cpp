@@ -14,7 +14,9 @@
 // detector — the stock supervisor has nothing for waitpid() to reap, so a
 // hung VRI silently blackholes whatever JSQ still steers at it forever.
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/exp_common.hpp"
@@ -170,13 +172,17 @@ int main(int argc, char** argv) {
   TablePrinter table({"fault", "supervision", "detected", "detect ms",
                       "recover ms", "pre Kfps", "tail Kfps", "redispatched"},
                      args.csv);
-  double crash_detect_base = -1.0;
-  double crash_detect_hb = -1.0;
-  bool hang_base_recovered = true;
-  bool hang_hb_recovered = false;
-  double hang_base_tail = 0.0;
+  // What each headline needs of a scenario, from its trials.
+  struct Outcome {
+    int detected_in = 0;
+    int recovered_in = 0;
+    double detect_ms = 0.0;
+    double tail_kfps = 0.0;
+  };
+  Outcome outcomes[4];
 
-  for (const Scenario& sc : scenarios) {
+  for (std::size_t s = 0; s < std::size(scenarios); ++s) {
+    const Scenario& sc = scenarios[s];
     // Per-seed accumulators folded with the parallel-variance merge; each
     // trial is deterministic given its seed.
     RunningStats detect, recover, pre, tail, redispatched;
@@ -207,32 +213,39 @@ int main(int argc, char** argv) {
          recovered_in ? TablePrinter::num(recover.mean(), 1) : "never",
          TablePrinter::num(pre.mean(), 1), TablePrinter::num(tail.mean(), 1),
          TablePrinter::num(redispatched.mean(), 0)});
-
-    if (sc.kind == FaultKind::kCrash) {
-      (sc.heartbeat ? crash_detect_hb : crash_detect_base) = detect.mean();
-    } else if (sc.heartbeat) {
-      hang_hb_recovered = recovered_in == trials;
-    } else {
-      hang_base_recovered = recovered_in > 0;
-      hang_base_tail = tail.mean();
-    }
+    outcomes[s] = {detected_in, recovered_in, detect.mean(), tail.mean()};
   }
   table.print(std::cout);
 
+  // Every verdict follows from the detection counts: a supervisor that
+  // detected nothing has no latency to compare, and a run that ends before
+  // the heartbeat could fire says nothing about recovery.
+  const Outcome& crash_base = outcomes[0];
+  const Outcome& crash_hb = outcomes[1];
+  const Outcome& hang_base = outcomes[2];
+  const Outcome& hang_hb = outcomes[3];
+  auto detection = [](const Outcome& o) {
+    return o.detected_in > 0 ? TablePrinter::num(o.detect_ms, 1) + " ms"
+                             : std::string("not detected within the window");
+  };
+  const bool crash_faster = crash_hb.detected_in > 0 &&
+                            (crash_base.detected_in == 0 ||
+                             crash_hb.detect_ms < crash_base.detect_ms);
+  std::string hang_hb_verdict = "recovers in every trial";
+  if (hang_hb.detected_in == 0)
+    hang_hb_verdict = "not detected within the window";
+  else if (hang_hb.recovered_in < trials)
+    hang_hb_verdict = "FAILED to recover";
   std::cout << "\nheadlines:\n"
-            << "  crash detection: heartbeat "
-            << TablePrinter::num(crash_detect_hb, 1) << " ms vs stock pass "
-            << TablePrinter::num(crash_detect_base, 1) << " ms ("
-            << (crash_detect_hb < crash_detect_base ? "faster" : "NOT faster")
-            << ")\n"
+            << "  crash detection: heartbeat " << detection(crash_hb)
+            << " vs stock pass " << detection(crash_base) << " ("
+            << (crash_faster ? "faster" : "NOT faster") << ")\n"
             << "  hang under JSQ:  stock supervisor "
-            << (hang_base_recovered ? "recovered (unexpected)"
-                                    : "never recovers (tail " +
-                                          TablePrinter::num(hang_base_tail, 1) +
-                                          " Kfps, blackholed)")
-            << "; heartbeat "
-            << (hang_hb_recovered ? "recovers in every trial"
-                                  : "FAILED to recover")
-            << "\n";
+            << (hang_base.recovered_in > 0
+                    ? "recovered (unexpected)"
+                    : "never recovers (tail " +
+                          TablePrinter::num(hang_base.tail_kfps, 1) +
+                          " Kfps, blackholed)")
+            << "; heartbeat " << hang_hb_verdict << "\n";
   return 0;
 }

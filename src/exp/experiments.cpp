@@ -6,11 +6,11 @@
 #include <cmath>
 #include <ctime>
 #include <memory>
-#include <unordered_map>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "lvrm/fault_injector.hpp"
+#include "lvrm/invariants.hpp"
 #include "net/flow.hpp"
 #include "net/flow_v2.hpp"
 #include "net/headers.hpp"
@@ -391,20 +391,13 @@ ShardScalingResult run_shard_scaling_trial(const ShardScalingOptions& opt) {
   out.shards = sys.shard_count();
 
   const auto flows = static_cast<std::size_t>(opt.flows);
-  std::vector<std::int16_t> flow_shard(flows, -1);
-  std::vector<std::int64_t> flow_last_id(flows, -1);
   std::uint64_t delivered = 0;
   RunningStats latency_us;
+  InvariantChecker check;
   sys.set_egress([&](net::FrameMeta&& f) {
     ++delivered;
     latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    const std::size_t flow = f.id % flows;
-    if (flow_shard[flow] >= 0 && flow_shard[flow] != f.dispatch_shard)
-      ++out.affinity_violations;
-    flow_shard[flow] = f.dispatch_shard;
-    const auto id = static_cast<std::int64_t>(f.id);
-    if (id < flow_last_id[flow]) ++out.ordering_violations;
-    flow_last_id[flow] = id;
+    check.on_egress(f);
   });
 
   // RAM-trace refill as in Exp 1c, but cycling `flows` distinct 5-tuples so
@@ -447,6 +440,8 @@ ShardScalingResult run_shard_scaling_trial(const ShardScalingOptions& opt) {
   out.per_shard_rx.resize(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s)
     out.per_shard_rx[s] = sys.shard_rx_admitted(static_cast<int>(s)) - rx_mark[s];
+  out.affinity_violations = check.affinity_violations();
+  out.ordering_violations = check.fifo_violations();
   return out;
 }
 
@@ -481,16 +476,13 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   ElephantTrialResult out;
   constexpr std::uint16_t kElephantPort = 7000;
   std::uint64_t delivered = 0, elephant_delivered = 0;
-  // Per-flow (by src_port) last egressed frame id; ids are per-flow
-  // sequence numbers, so a regression is an external reordering.
-  std::unordered_map<std::uint16_t, std::int64_t> last_id;
+  // Ids are per-flow sequence numbers, so a regression is an external
+  // reordering.
+  InvariantChecker check;
   sys.set_egress([&](net::FrameMeta&& f) {
     ++delivered;
     if (f.src_port == kElephantPort) ++elephant_delivered;
-    auto [it, fresh] = last_id.try_emplace(f.src_port, -1);
-    if (static_cast<std::int64_t>(f.id) < it->second)
-      ++out.ordering_violations;
-    it->second = static_cast<std::int64_t>(f.id);
+    check.on_egress(f);
   });
 
   const double elephant_rate =
@@ -554,6 +546,7 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   out.deltas_sent = sys.deltas_sent();
   out.deltas_applied = sys.deltas_applied();
   out.seq_window_overflows = sys.seq_window_overflows();
+  out.ordering_violations = check.fifo_violations();
   return out;
 }
 
@@ -603,16 +596,13 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
 
   std::uint64_t delivered = 0;
   RunningStats latency_us;
-  // Per-flow (by src_port) last egressed frame id; ids are per-flow
-  // sequence numbers, so any regression is an external reordering.
-  std::unordered_map<std::uint16_t, std::int64_t> last_id;
+  // Ids are per-flow sequence numbers, so any regression is an external
+  // reordering.
+  InvariantChecker check;
   sys.set_egress([&](net::FrameMeta&& f) {
     ++delivered;
     latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    auto [it, fresh] = last_id.try_emplace(f.src_port, -1);
-    if (static_cast<std::int64_t>(f.id) < it->second)
-      ++out.ordering_violations;
-    it->second = static_cast<std::int64_t>(f.id);
+    check.on_egress(f);
   });
 
   FaultInjector faults(simulator, sys);
@@ -698,6 +688,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   out.avg_latency_us = latency_us.mean();
   out.vri_steals = sys.vri_steals();
   out.vri_steal_frames = sys.vri_steal_frames();
+  out.ordering_violations = check.fifo_violations();
   return out;
 }
 
@@ -741,23 +732,16 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
 
   OverloadTrialResult out;
   RunningStats latency_us;
-  std::vector<std::int64_t> flow_last_id(static_cast<std::size_t>(wl.flows),
-                                         -1);
+  // Generator ids are globally monotonic, so a per-flow regression at
+  // egress means the data path reordered frames within the flow.
+  InvariantChecker check;
   sys.set_egress([&](net::FrameMeta&& f) {
     ++out.delivered;
     const auto cls = static_cast<std::size_t>(gen.class_of(f));
     ++out.delivered_by_class[cls];
     out.corrected_by_class[cls] += 1.0 / f.admit_rate;
     latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    if (f.flow_index >= 0 &&
-        f.flow_index < static_cast<std::int32_t>(flow_last_id.size())) {
-      const auto id = static_cast<std::int64_t>(f.id);
-      auto& last = flow_last_id[static_cast<std::size_t>(f.flow_index)];
-      // Generator ids are globally monotonic, so a per-flow regression at
-      // egress means the data path reordered frames within the flow.
-      if (id < last) ++out.ordering_violations;
-      last = id;
-    }
+    check.on_egress(f);
   });
 
   // Sample the ladder level on a fine grid (it relaxes again once the flash
@@ -785,6 +769,7 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   out.sampled_shed = sys.sampled_shed_drops();
   out.admission_rejected = sys.admission_rejected_drops();
   out.queue_drops = sys.data_queue_drops();
+  out.ordering_violations = check.fifo_violations();
   out.offered_estimate = sys.vr_offered_estimate(0);
   const double truth = static_cast<double>(sys.vr_frames_in(0)) +
                        static_cast<double>(sys.vr_admission_rejected(0));

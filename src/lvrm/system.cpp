@@ -202,11 +202,6 @@ struct LvrmSystem::VrState {
   std::vector<route::RouteUpdate> route_log;
 
   // §16 state replication (touched only when state_replication.enabled).
-  struct TupleHash {
-    std::size_t operator()(const net::FiveTuple& t) const {
-      return static_cast<std::size_t>(net::hash_tuple(t));
-    }
-  };
   /// One sprayed (or spray-pending) flow. Pending frames are stamped with
   /// spray metadata but stay pinned to the owner — every unstamped frame of
   /// the flow is already FIFO-ahead of them in the owner's queue, so the
@@ -222,7 +217,7 @@ struct LvrmSystem::VrState {
     Nanos last_frame = 0;         // idle-expiry clock
     double rate_fps = 0.0;        // detected rate at promotion
   };
-  std::unordered_map<net::FiveTuple, SprayState, TupleHash> sprays;
+  std::unordered_map<net::FiveTuple, SprayState, net::TupleHash> sprays;
   /// TX sequencers, keyed by spray-flow id — NOT the 5-tuple: a NAT VR
   /// rewrites the tuple in flight, so the dispatch-side tuple no longer
   /// matches the frame at TX. The stamped id survives translation.
@@ -1640,18 +1635,8 @@ void LvrmSystem::finish_drain(
   // route state (broadcast_route_update also updates inactive slots), so a
   // later activation skips the fork and the route-log replay entirely.
 
-  if (!live.empty()) {
-    if (vr.active_order.empty()) {
-      ev.dropped = live.size();
-      vr.data_drops += live.size();
-      for (const net::FrameMeta& f : live)
-        note_drop(f, DropCause::kVriDestroyed);
-    } else {
-      ev.migrated = redispatch(vr, live);
-      ev.dropped = live.size() - ev.migrated;
-      redispatched_ += ev.migrated;
-    }
-  }
+  ev.migrated = settle_backlog(vr, live, /*rescue=*/true);
+  ev.dropped = live.size() - ev.migrated;
   LVRM_CLOG(kAlloc, kInfo) << "vr=" << vr.id << " vri=" << slot.index
                            << " drained (" << to_string(cause)
                            << "): migrated=" << ev.migrated
@@ -1704,14 +1689,10 @@ void LvrmSystem::reap_crashed() {
       if (tracer_)
         trace_flight_dump(obs::FlightDumpCause::kVriCrash, slot.home_shard,
                           vr.id, slot.index);
-      // waitpid()-style reaping: free the core, rescue (health layer) or
-      // discard the dead process' queued frames, drop its flow pins.
-      if (health_) {
-        while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
-      } else {
-        vr.data_drops += drain_and_drop(*slot.data_in,
-                                        DropCause::kVriDestroyed);
-      }
+      // waitpid()-style reaping: free the core, take the dead process'
+      // queued frames (rescued below with the health layer on, else
+      // dropped), drop its flow pins.
+      while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
       discard_stale_control(slot);
       slot.active = false;
       slot.crashed = false;
@@ -1738,13 +1719,7 @@ void LvrmSystem::reap_crashed() {
              std::max(1, vr.cfg.initial_vris))
         activate_vri(vr, /*from_recovery=*/true);
     }
-    if (!stranded.empty()) {
-      if (vr.active_order.empty()) {
-        vr.data_drops += stranded.size();
-      } else {
-        redispatched_ += redispatch(vr, stranded);
-      }
-    }
+    settle_backlog(vr, stranded, /*rescue=*/health_ != nullptr);
   }
 }
 
@@ -1760,8 +1735,16 @@ void LvrmSystem::discard_stale_control(VriSlot& slot) {
   }
 }
 
-std::size_t LvrmSystem::redispatch(VrState& vr,
-                                   std::vector<net::FrameMeta>& frames) {
+std::size_t LvrmSystem::settle_backlog(VrState& vr,
+                                       std::vector<net::FrameMeta>& frames,
+                                       bool rescue) {
+  if (frames.empty()) return 0;
+  if (!rescue || vr.active_order.empty()) {
+    vr.data_drops += frames.size();
+    for (const net::FrameMeta& f : frames)
+      note_drop(f, DropCause::kVriDestroyed);
+    return 0;
+  }
   const Nanos now = sim_.now();
   std::vector<VriView> views;
   views.reserve(vr.active_order.size());
@@ -1788,6 +1771,7 @@ std::size_t LvrmSystem::redispatch(VrState& vr,
   lvrm_core().charge(
       static_cast<Nanos>(frames.size()) * costs::kRedispatchPerFrame,
       CostCategory::kSystem);
+  redispatched_ += admitted;
   return admitted;
 }
 
@@ -2009,14 +1993,7 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
   }
 
   // Re-dispatch rescued frames across the (possibly regrown) active set.
-  if (!stranded.empty()) {
-    if (vr.active_order.empty()) {
-      vr.data_drops += stranded.size();
-    } else {
-      ev.redispatched = redispatch(vr, stranded);
-      redispatched_ += ev.redispatched;
-    }
-  }
+  ev.redispatched = settle_backlog(vr, stranded, /*rescue=*/true);
   recovery_log_.push_back(ev);
 
   if (telemetry_) {
@@ -2127,7 +2104,9 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
   bump_pool_generation(vr);
   slot.server->stop();
   // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost.
-  vr.data_drops += drain_and_drop(*slot.data_in, DropCause::kVriDestroyed);
+  std::vector<net::FrameMeta> lost;
+  while (!slot.data_in->empty()) lost.push_back(slot.data_in->pop());
+  settle_backlog(vr, lost, /*rescue=*/false);
   if (slot.migration_event != sim::kInvalidEvent) {
     sim_.cancel(slot.migration_event);
     slot.migration_event = sim::kInvalidEvent;
@@ -2504,15 +2483,15 @@ void LvrmSystem::publish_gauges() {
   // pays nothing for these series.
   auto& m = telemetry_->metrics();
   std::uint64_t ring_depth = 0, ring_drops = 0;
-  std::uint64_t serve_events = 0;
+  std::uint64_t served = 0;
   for (const auto& sh : shards_) {
     ring_depth += sh.rx_ring->size();
     ring_drops += sh.rx_ring->drops();
-    serve_events += sh.server->serve_events();
+    served += sh.server->served();
   }
   m.gauge("lvrm_rx_ring_depth").set(static_cast<double>(ring_depth));
   m.gauge("lvrm_rx_ring_drops").set(static_cast<double>(ring_drops));
-  m.gauge("lvrm_poll_serve_events").set(static_cast<double>(serve_events));
+  m.gauge("lvrm_poll_serve_events").set(static_cast<double>(served));
   if (shards_.size() > 1) {
     // Per-shard breakdowns exist only on a sharded plane so single-shard
     // exports match the unsharded build byte for byte.
@@ -2523,7 +2502,7 @@ void LvrmSystem::publish_gauges() {
       m.gauge("lvrm_rx_ring_drops", l)
           .set(static_cast<double>(sh.rx_ring->drops()));
       m.gauge("lvrm_poll_serve_events", l)
-          .set(static_cast<double>(sh.server->serve_events()));
+          .set(static_cast<double>(sh.server->served()));
       m.gauge("lvrm_shard_rx_admitted", l)
           .set(static_cast<double>(sh.rx_admitted));
       m.gauge("lvrm_shard_core", l).set(static_cast<double>(sh.core_id));

@@ -158,6 +158,8 @@ class LvrmSystem {
   /// the VR's first subnet, so it competes with real traffic for the same
   /// rings and queues the ladder protects.
   void inject_overload_burst(int vr, double fps, Nanos duration);
+  /// Synthetic frames the overload bursts have offered to ingress() so far.
+  std::uint64_t burst_frames() const { return burst_seq_; }
 
   /// Reset-free decommission (DESIGN.md §13): stops the VRI, migrates its
   /// queued frames and flow pins to the surviving siblings through the
@@ -374,15 +376,6 @@ class LvrmSystem {
     queue::SegmentId tx_link_shm = queue::kInvalidSegment;
   };
 
-  /// Drops every queued frame; returns how many.
-  std::size_t drain_and_drop(FrameQueue& q, DropCause cause) {
-    std::size_t n = 0;
-    while (!q.empty()) {
-      note_drop(q.pop(), cause);
-      ++n;
-    }
-    return n;
-  }
   /// Reports a drop to the installed hook and (tracing on) the §15 flight
   /// recorder + span collector. Every drop/shed/quarantine exit point in
   /// the system funnels through here, which is what makes one tracer hook
@@ -432,7 +425,13 @@ class LvrmSystem {
   /// Allocates the slot's §17 arena segments (ingress link, control rings).
   void create_slot_segments(VriSlot& slot);
   void discard_stale_control(VriSlot& slot);
-  std::size_t redispatch(VrState& vr, std::vector<net::FrameMeta>& frames);
+  /// The one backlog step for a VRI leaving the dispatch set (drain,
+  /// destroy, reap, quarantine): with `rescue` and a surviving VRI, the
+  /// frames are re-dispatched in order (overflow tail-drops as kQueueFull);
+  /// otherwise each is dropped through note_drop as kVriDestroyed. Returns
+  /// the frames rescued.
+  std::size_t settle_backlog(VrState& vr, std::vector<net::FrameMeta>& frames,
+                             bool rescue);
   // Overload ladder (DESIGN.md §13; all no-ops unless
   // config.overload_control.enabled).
   /// Whether the frame's flow falls in the sampling subset at this rate.

@@ -43,6 +43,13 @@ struct FiveTuple {
 /// 64-bit mix hash over the tuple fields (xxhash-style avalanche).
 std::uint64_t hash_tuple(const FiveTuple& t);
 
+/// hash_tuple as the hasher of an unordered container keyed by FiveTuple.
+struct TupleHash {
+  std::size_t operator()(const FiveTuple& t) const {
+    return static_cast<std::size_t>(hash_tuple(t));
+  }
+};
+
 /// The tuple packed into two words — the exact representation FlowTableV2
 /// stores per slot, so a stored key can be re-hashed (cuckoo displacement,
 /// incremental migration) without unpacking back to a FiveTuple.

@@ -121,12 +121,9 @@ class PollServer {
   Core& core() const { return *core_; }
   OwnerId owner() const { return owner_; }
   const std::string& name() const { return name_; }
+  /// Items whose service has completed.
   std::uint64_t served() const { return served_; }
   bool busy() const { return serving_; }
-
-  // Telemetry accessors (plain counters; read at snapshot time only).
-  /// Core events started, one per served item.
-  std::uint64_t serve_events() const { return serve_events_; }
 
   /// One-shot extra cost added to the next served item (used for e.g. a core
   /// allocation pass that preempts the LVRM loop).
@@ -180,7 +177,6 @@ class PollServer {
     cost += oneshot_cost_;
     oneshot_cost_ = 0;
     serving_ = true;
-    ++serve_events_;
     in_service_input_ = &in;
     core_->run(cost, in.category, owner_, [this] { complete_one(); });
   }
@@ -315,7 +311,6 @@ class PollServer {
   bool serving_ = false;
   Nanos oneshot_cost_ = 0;
   std::uint64_t served_ = 0;
-  std::uint64_t serve_events_ = 0;
   // Zero-alloc serving state: the in-service item is parked in
   // `in_service_`, so serving performs no heap allocation.
   std::optional<T> in_service_;

@@ -54,11 +54,6 @@ class NatVr final : public StatefulVrBase {
   Nanos state_cost(const net::FrameMeta& frame) const override;
 
  private:
-  struct TupleHash {
-    std::size_t operator()(const net::FiveTuple& t) const {
-      return static_cast<std::size_t>(net::hash_tuple(t));
-    }
-  };
   // What the reverse path restores: the original source the flow had
   // before translation, plus the peer it talks to (for validation).
   struct ReverseEntry {
@@ -72,7 +67,7 @@ class NatVr final : public StatefulVrBase {
   bool install(const net::FiveTuple& original, std::uint16_t ext_port);
 
   Config cfg_;
-  std::unordered_map<net::FiveTuple, std::uint16_t, TupleHash> map_;
+  std::unordered_map<net::FiveTuple, std::uint16_t, net::TupleHash> map_;
   std::vector<ReverseEntry> reverse_;  // indexed by port - port_base
   std::uint64_t port_collisions_ = 0;
   std::uint64_t pool_exhausted_ = 0;

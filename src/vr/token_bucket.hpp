@@ -48,11 +48,6 @@ class TokenBucketVr final : public StatefulVrBase {
   Nanos state_cost(const net::FrameMeta& frame) const override;
 
  private:
-  struct TupleHash {
-    std::size_t operator()(const net::FiveTuple& t) const {
-      return static_cast<std::size_t>(net::hash_tuple(t));
-    }
-  };
   struct Bucket {
     double tokens = 0;
     Nanos last_refill = 0;
@@ -63,7 +58,7 @@ class TokenBucketVr final : public StatefulVrBase {
 
   double rate_fps_;
   double burst_;
-  std::unordered_map<net::FiveTuple, Bucket, TupleHash> buckets_;
+  std::unordered_map<net::FiveTuple, Bucket, net::TupleHash> buckets_;
   std::uint64_t throttled_ = 0;
 };
 

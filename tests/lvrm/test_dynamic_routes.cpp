@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 
-#include "lvrm/system.hpp"
 #include "lvrm/vri.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
@@ -69,27 +68,17 @@ TEST(DynamicRoutes, ClickVrRejectsUnknownOutputPort) {
   EXPECT_FALSE(vr.process(f));
 }
 
-struct BroadcastRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::vector<net::FrameMeta> out;
-
-  explicit BroadcastRig(int vris) {
-    LvrmConfig cfg;
-    cfg.allocator = AllocatorKind::kFixed;
-    cfg.balancer = BalancerKind::kRoundRobin;  // deterministically touch all
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = vris;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&& f) { out.push_back(f); });
-  }
-};
+/// Fixed allocation and round-robin balancing: every VRI deterministically
+/// sees traffic.
+LvrmConfig round_robin_cfg() {
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kFixed;
+  cfg.balancer = BalancerKind::kRoundRobin;
+  return cfg;
+}
 
 TEST(DynamicRoutes, BroadcastSynchronizesAllVris) {
-  BroadcastRig rig(4);
+  LvrmRig rig(round_robin_cfg(), 4, 0);
   Nanos worst = -1;
   rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1),
                                   [&](Nanos w) { worst = w; });
@@ -101,27 +90,27 @@ TEST(DynamicRoutes, BroadcastSynchronizesAllVris) {
   // round-robin touches all four.
   for (int i = 0; i < 40; ++i) {
     rig.sim.at(usec(10) * i, [&rig] {
-      rig.sys->ingress(frame(net::ipv4(10, 9, 0, 7)));
+      rig.ingress(frame(net::ipv4(10, 9, 0, 7)));
     });
   }
   rig.sim.run_all();
-  EXPECT_EQ(rig.out.size(), 40u);
+  EXPECT_EQ(rig.delivered(), 40u);
   EXPECT_EQ(rig.sys->no_route_drops(), 0u);
 }
 
 TEST(DynamicRoutes, WithoutBroadcastOnlyOriginatorForwards) {
-  BroadcastRig rig(2);
+  LvrmRig rig(round_robin_cfg(), 2, 0);
   // Apply only at VRI 0 via a broadcast from a single-VRI view: use the
   // public API with src == only recipient by broadcasting from VRI 1 and
   // checking the pre-sync window instead. Simplest honest check: frames to
   // an unknown prefix are dropped before any update is issued.
   for (int i = 0; i < 10; ++i) {
     rig.sim.at(usec(10) * i, [&rig] {
-      rig.sys->ingress(frame(net::ipv4(10, 9, 0, 7)));
+      rig.ingress(frame(net::ipv4(10, 9, 0, 7)));
     });
   }
   rig.sim.run_all();
-  EXPECT_TRUE(rig.out.empty());
+  EXPECT_EQ(rig.delivered(), 0u);
   EXPECT_EQ(rig.sys->no_route_drops(), 10u);
 }
 
@@ -161,18 +150,18 @@ TEST(DynamicRoutes, LateActivatedVriInheritsUpdates) {
 }
 
 TEST(DynamicRoutes, WithdrawPropagates) {
-  BroadcastRig rig(3);
+  LvrmRig rig(round_robin_cfg(), 3, 0);
   rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
   rig.sim.run_all();
   rig.sys->broadcast_route_update(0, 0, withdraw("10.9.0.0/16"));
   rig.sim.run_all();
   for (int i = 0; i < 12; ++i) {
     rig.sim.at(usec(10) * i, [&rig] {
-      rig.sys->ingress(frame(net::ipv4(10, 9, 0, 7)));
+      rig.ingress(frame(net::ipv4(10, 9, 0, 7)));
     });
   }
   rig.sim.run_all();
-  EXPECT_TRUE(rig.out.empty());
+  EXPECT_EQ(rig.delivered(), 0u);
   EXPECT_EQ(rig.sys->no_route_drops(), 12u);
 }
 

@@ -2,58 +2,21 @@
 // reaps it and restores capacity.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
-#include <memory>
+#include <vector>
 
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
-struct CrashRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::uint64_t delivered = 0;
-  std::uint64_t next_id = 0;
-
-  explicit CrashRig(AllocatorKind allocator, int initial_vris) {
-    LvrmConfig cfg;
-    cfg.allocator = allocator;
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = initial_vris;
-    vr.dummy_load = sim::costs::kDummyLoad;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-  }
-
-  void offer(double fps, Nanos until) {
-    // Rig-owned emitter recursing through a reference to its own slot, so
-    // no shared_ptr cycle is leaked.
-    std::function<void()>& emit = emitters.emplace_back();
-    const Nanos gap = interval_for_rate(fps);
-    emit = [this, gap, until, &emit] {
-      if (sim.now() >= until) return;
-      net::FrameMeta f;
-      f.id = next_id++;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + next_id % 32);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(0, emit);
-  }
-
-  std::deque<std::function<void()>> emitters;
-};
+LvrmConfig with_allocator(AllocatorKind allocator) {
+  LvrmConfig cfg;
+  cfg.allocator = allocator;
+  return cfg;
+}
 
 TEST(FailureInjection, FixedAllocatorRespawnsCrashedVri) {
-  CrashRig rig(AllocatorKind::kFixed, 3);
+  LvrmRig rig(with_allocator(AllocatorKind::kFixed), 3);
   rig.offer(150'000.0, sec(6));
   rig.sim.at(sec(2), [&rig] { rig.sys->inject_vri_crash(0, 1); });
   rig.sim.run_until(sec(2) + msec(10));
@@ -64,7 +27,7 @@ TEST(FailureInjection, FixedAllocatorRespawnsCrashedVri) {
 }
 
 TEST(FailureInjection, DynamicAllocatorRegrowsCapacity) {
-  CrashRig rig(AllocatorKind::kDynamicFixedThreshold, 1);
+  LvrmRig rig(with_allocator(AllocatorKind::kDynamicFixedThreshold), 1);
   rig.offer(150'000.0, sec(10));
   rig.sim.run_until(sec(4));
   ASSERT_EQ(rig.sys->active_vris(0), 3);  // 150 Kfps -> 3 cores
@@ -76,37 +39,37 @@ TEST(FailureInjection, DynamicAllocatorRegrowsCapacity) {
 }
 
 TEST(FailureInjection, ThroughputRecoversAfterCrash) {
-  CrashRig rig(AllocatorKind::kDynamicFixedThreshold, 1);
+  LvrmRig rig(with_allocator(AllocatorKind::kDynamicFixedThreshold), 1);
   rig.offer(150'000.0, sec(12));
   rig.sim.run_until(sec(4));
-  const std::uint64_t before_crash = rig.delivered;
+  const std::uint64_t before_crash = rig.delivered();
   rig.sys->inject_vri_crash(0, 0);
   rig.sim.run_until(sec(11));
   // Measure the final second: capacity restored to ~150 Kfps.
-  const std::uint64_t at_11s = rig.delivered;
+  const std::uint64_t at_11s = rig.delivered();
   rig.sim.run_until(sec(12));
-  const auto last_second = static_cast<double>(rig.delivered - at_11s);
+  const auto last_second = static_cast<double>(rig.delivered() - at_11s);
   EXPECT_GT(last_second, 140'000.0);
-  EXPECT_GT(rig.delivered, before_crash);
+  EXPECT_GT(rig.delivered(), before_crash);
 }
 
 TEST(FailureInjection, JsqRoutesAroundDeadVriBeforeReaping) {
   // Between the crash and the next monitor pass, the dead VRI's queue fills;
   // JSQ's queue-length estimate steers new frames to the live VRIs, so most
   // traffic survives even the detection window.
-  CrashRig rig(AllocatorKind::kFixed, 3);
+  LvrmRig rig(with_allocator(AllocatorKind::kFixed), 3);
   rig.offer(150'000.0, sec(4));
   rig.sim.run_until(sec(2));
   rig.sys->inject_vri_crash(0, 0);
-  const std::uint64_t at_crash = rig.delivered;
+  const std::uint64_t at_crash = rig.delivered();
   rig.sim.run_until(sec(3));  // detection window (~1 s pass period)
-  const auto during = static_cast<double>(rig.delivered - at_crash);
+  const auto during = static_cast<double>(rig.delivered() - at_crash);
   // Two healthy 60 Kfps VRIs remain -> at least ~their capacity flows.
   EXPECT_GT(during, 100'000.0);
 }
 
 TEST(FailureInjection, CrashingInactiveSlotIsNoop) {
-  CrashRig rig(AllocatorKind::kFixed, 2);
+  LvrmRig rig(with_allocator(AllocatorKind::kFixed), 2);
   rig.sys->inject_vri_crash(0, 5);  // slot exists but is inactive
   rig.offer(50'000.0, msec(100));
   rig.sim.run_all();

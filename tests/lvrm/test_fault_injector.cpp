@@ -3,66 +3,22 @@
 // establishing the failure modes the recovery tests then close.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
-#include <memory>
-
-#include "lvrm/fault_injector.hpp"
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
-struct FaultRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::unique_ptr<FaultInjector> faults;
-  std::uint64_t delivered = 0;
-  std::uint64_t sent = 0;
-
-  explicit FaultRig(int initial_vris, HealthConfig health = {}) {
-    LvrmConfig cfg;
-    cfg.allocator = AllocatorKind::kFixed;
-    cfg.health = health;
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = initial_vris;
-    vr.dummy_load = sim::costs::kDummyLoad;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-    faults = std::make_unique<FaultInjector>(sim, *sys);
-  }
-
-  void offer(double fps, Nanos until) {
-    // The emitter lives in the rig (not in a self-referencing shared_ptr,
-    // which LeakSanitizer rightly flags as a cycle) and recurses through a
-    // reference to its own slot.
-    std::function<void()>& emit = emitters.emplace_back();
-    const Nanos gap = interval_for_rate(fps);
-    emit = [this, gap, until, &emit] {
-      if (sim.now() >= until) return;
-      net::FrameMeta f;
-      f.id = sent++;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + sent % 32);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(0, emit);
-  }
-
-  std::deque<std::function<void()>> emitters;
-};
+LvrmConfig fixed_cfg() {
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kFixed;
+  return cfg;
+}
 
 TEST(FaultInjector, HangIsInvisibleToStockSupervision) {
   // A hung process has nothing for waitpid() to reap: the stock 1 s pass
   // never notices, the slot stays "active" forever, and only JSQ steering
   // around the growing queue keeps part of the traffic alive.
-  FaultRig rig(3);
+  LvrmRig rig(fixed_cfg(), 3);
   rig.offer(150'000.0, sec(6));
   rig.faults->schedule({.kind = FaultKind::kHang, .vri = 1, .at = sec(2)});
   rig.sim.run_all();
@@ -71,11 +27,11 @@ TEST(FaultInjector, HangIsInvisibleToStockSupervision) {
   EXPECT_TRUE(rig.sys->recovery_log().empty());
   // The hung VRI's queue backed up to capacity and stayed there.
   EXPECT_GT(rig.sys->data_queue_drops(), 0u);
-  EXPECT_LT(rig.delivered, rig.sent);
+  EXPECT_LT(rig.delivered(), rig.sent());
 }
 
 TEST(FaultInjector, TransientHangResumesByItself) {
-  FaultRig rig(1);
+  LvrmRig rig(fixed_cfg(), 1);
   rig.offer(30'000.0, sec(4));
   rig.faults->schedule({.kind = FaultKind::kHang,
                         .vri = 0,
@@ -83,28 +39,28 @@ TEST(FaultInjector, TransientHangResumesByItself) {
                         .duration = msec(300)});
   std::uint64_t at_hang = 0;
   std::uint64_t stall_end = 0;
-  rig.sim.at(sec(1) + msec(50), [&] { at_hang = rig.delivered; });
-  rig.sim.at(sec(1) + msec(295), [&] { stall_end = rig.delivered; });
+  rig.sim.at(sec(1) + msec(50), [&] { at_hang = rig.delivered(); });
+  rig.sim.at(sec(1) + msec(295), [&] { stall_end = rig.delivered(); });
   rig.sim.run_all();
   // Frozen through the stall window (at most the in-flight frame completes),
   // then serving again — including the backlog — once the stall clears.
   EXPECT_LE(stall_end - at_hang, 2u);
-  EXPECT_GT(rig.delivered, stall_end + 10'000u);
+  EXPECT_GT(rig.delivered(), stall_end + 10'000u);
 }
 
 TEST(FaultInjector, SlowdownCutsDeliveryRate) {
   // One VRI at ~50 Kfps offered, 60 Kfps capacity. A 4x slowdown drops its
   // capacity to 15 Kfps: deliveries in equal windows collapse accordingly.
-  FaultRig rig(1);
+  LvrmRig rig(fixed_cfg(), 1);
   rig.offer(50'000.0, sec(4));
   rig.faults->schedule(
       {.kind = FaultKind::kSlowdown, .vri = 0, .at = sec(2), .magnitude = 4.0});
   std::uint64_t at_1s = 0;
   std::uint64_t at_2s = 0;
   std::uint64_t at_3s = 0;
-  rig.sim.at(sec(1), [&] { at_1s = rig.delivered; });
-  rig.sim.at(sec(2), [&] { at_2s = rig.delivered; });
-  rig.sim.at(sec(3), [&] { at_3s = rig.delivered; });
+  rig.sim.at(sec(1), [&] { at_1s = rig.delivered(); });
+  rig.sim.at(sec(2), [&] { at_2s = rig.delivered(); });
+  rig.sim.at(sec(3), [&] { at_3s = rig.delivered(); });
   rig.sim.run_all();
   const auto before = static_cast<double>(at_2s - at_1s);
   const auto after = static_cast<double>(at_3s - at_2s);
@@ -113,7 +69,7 @@ TEST(FaultInjector, SlowdownCutsDeliveryRate) {
 }
 
 TEST(FaultInjector, TransientSlowdownRecoversFullRate) {
-  FaultRig rig(1);
+  LvrmRig rig(fixed_cfg(), 1);
   rig.offer(50'000.0, sec(5));
   rig.faults->schedule({.kind = FaultKind::kSlowdown,
                         .vri = 0,
@@ -122,15 +78,15 @@ TEST(FaultInjector, TransientSlowdownRecoversFullRate) {
                         .magnitude = 4.0});
   std::uint64_t at_3s = 0;
   std::uint64_t at_4s = 0;
-  rig.sim.at(sec(3), [&] { at_3s = rig.delivered; });
-  rig.sim.at(sec(4), [&] { at_4s = rig.delivered; });
+  rig.sim.at(sec(3), [&] { at_3s = rig.delivered(); });
+  rig.sim.at(sec(4), [&] { at_4s = rig.delivered(); });
   rig.sim.run_all();
   // Well after the fault cleared (and the backlog drained): full rate again.
   EXPECT_GT(static_cast<double>(at_4s - at_3s), 45'000.0);
 }
 
 TEST(FaultInjector, ControlLossDropsRelayedEvents) {
-  FaultRig rig(2);
+  LvrmRig rig(fixed_cfg(), 2);
   rig.faults->inject({.kind = FaultKind::kControlLoss,
                       .vri = 1,
                       .magnitude = 1.0});  // every event to VRI 1 is lost
@@ -151,7 +107,7 @@ TEST(FaultInjector, ControlLossDropsRelayedEvents) {
 }
 
 TEST(FaultInjector, ScheduleFiresAtTheGivenTime) {
-  FaultRig rig(3);
+  LvrmRig rig(fixed_cfg(), 3);
   rig.offer(150'000.0, sec(4));
   rig.faults->schedule({.kind = FaultKind::kCrash, .vri = 0, .at = sec(2)});
   rig.sim.run_until(sec(2) - msec(1));
@@ -163,7 +119,7 @@ TEST(FaultInjector, ScheduleFiresAtTheGivenTime) {
 }
 
 TEST(FaultInjector, LogRecordsInjectionOrder) {
-  FaultRig rig(3);
+  LvrmRig rig(fixed_cfg(), 3);
   rig.faults->inject({.kind = FaultKind::kSlowdown, .vri = 0});
   rig.faults->inject({.kind = FaultKind::kHang, .vri = 1});
   ASSERT_EQ(rig.faults->log().size(), 2u);

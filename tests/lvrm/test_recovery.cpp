@@ -4,14 +4,10 @@
 // which shows the same faults UNdetected on the stock system.
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <functional>
-#include <memory>
 
 #include "common/log.hpp"
-#include "lvrm/fault_injector.hpp"
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
@@ -30,61 +26,15 @@ route::RouteUpdate add_route(const char* prefix, int out) {
   return u;
 }
 
-struct RecoveryRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::unique_ptr<FaultInjector> faults;
-  std::uint64_t delivered = 0;
-  std::uint64_t sent = 0;
-
-  explicit RecoveryRig(LvrmConfig cfg, int initial_vris) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = initial_vris;
-    vr.dummy_load = sim::costs::kDummyLoad;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-    faults = std::make_unique<FaultInjector>(sim, *sys);
-  }
-
-  static LvrmConfig fixed_with_health() {
-    LvrmConfig cfg;
-    cfg.allocator = AllocatorKind::kFixed;
-    cfg.health = enabled_health();
-    return cfg;
-  }
-
-  void offer(double fps, Nanos until) {
-    // Rig-owned emitter recursing through a reference to its own slot, so
-    // no shared_ptr cycle is leaked.
-    std::function<void()>& emit = emitters.emplace_back();
-    const Nanos gap = interval_for_rate(fps);
-    emit = [this, gap, until, &emit] {
-      if (sim.now() >= until) return;
-      net::FrameMeta f;
-      f.id = sent++;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + sent % 32);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(0, emit);
-  }
-
-  std::deque<std::function<void()>> emitters;
-
-  /// Every frame is accounted for: forwarded or counted in a drop bucket.
-  std::uint64_t accounted() const {
-    return delivered + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->no_route_drops();
-  }
-};
+LvrmConfig fixed_with_health() {
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kFixed;
+  cfg.health = enabled_health();
+  return cfg;
+}
 
 TEST(Recovery, HeartbeatDetectsCrashInsideTheAllocationPeriod) {
-  RecoveryRig rig(RecoveryRig::fixed_with_health(), 3);
+  LvrmRig rig(fixed_with_health(), 3);
   rig.offer(150'000.0, sec(5));
   const Nanos inject_at = sec(2) + msec(350);  // mid allocation period
   rig.faults->schedule({.kind = FaultKind::kCrash, .vri = 1, .at = inject_at});
@@ -106,11 +56,11 @@ TEST(Recovery, HungVriIsQuarantinedRespawnedAndConserved) {
   // Captured via the log sink (no stderr scraping): the quarantine decision
   // must be announced on the [health] channel, not just visible in counters.
   CapturingLogSink sink;
-  RecoveryRig rig(RecoveryRig::fixed_with_health(), 3);
+  LvrmRig rig(fixed_with_health(), 3);
   rig.offer(150'000.0, sec(6));
   rig.faults->schedule({.kind = FaultKind::kHang, .vri = 1, .at = sec(2)});
   std::uint64_t at_5s = 0;
-  rig.sim.at(sec(5), [&] { at_5s = rig.delivered; });
+  rig.sim.at(sec(5), [&] { at_5s = rig.delivered(); });
   rig.sim.run_all();
 
   EXPECT_TRUE(sink.contains("vri=1 quarantined (hung)"));
@@ -133,21 +83,21 @@ TEST(Recovery, HungVriIsQuarantinedRespawnedAndConserved) {
   EXPECT_EQ(rig.sys->redispatched_frames(), ev.redispatched);
 
   // Full capacity again in the final second (hang no longer blackholes).
-  EXPECT_GT(static_cast<double>(rig.delivered - at_5s), 140'000.0);
+  EXPECT_GT(static_cast<double>(rig.delivered() - at_5s), 140'000.0);
 
   // Frame conservation: every sent frame is delivered or in a drop counter.
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(Recovery, FailSlowVriIsDetectedByTheWatchdog) {
-  RecoveryRig rig(RecoveryRig::fixed_with_health(), 3);
+  LvrmRig rig(fixed_with_health(), 3);
   rig.offer(150'000.0, sec(6));
   // An 8x slowdown: the VRI still makes progress (never "hung") but serves
   // ~7.5 Kfps against its siblings' 60 Kfps — only the rate watchdog sees it.
   rig.faults->schedule(
       {.kind = FaultKind::kSlowdown, .vri = 2, .at = sec(2), .magnitude = 8.0});
   std::uint64_t at_5s = 0;
-  rig.sim.at(sec(5), [&] { at_5s = rig.delivered; });
+  rig.sim.at(sec(5), [&] { at_5s = rig.delivered(); });
   rig.sim.run_all();
 
   ASSERT_GE(rig.sys->recovery_log().size(), 1u);
@@ -158,12 +108,12 @@ TEST(Recovery, FailSlowVriIsDetectedByTheWatchdog) {
   ASSERT_NE(rig.sys->health(), nullptr);
   EXPECT_GE(rig.sys->health()->fail_slow_detected(), 1u);
   // The respawn shed the slowdown (a sick process dies with its sickness).
-  EXPECT_GT(static_cast<double>(rig.delivered - at_5s), 140'000.0);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_GT(static_cast<double>(rig.delivered() - at_5s), 140'000.0);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(Recovery, CrashStrandedFramesAreRedispatched) {
-  RecoveryRig rig(RecoveryRig::fixed_with_health(), 3);
+  LvrmRig rig(fixed_with_health(), 3);
   rig.offer(150'000.0, sec(4));
   // Mid-period, so the heartbeat (not the 1 s reap pass) finds the corpse.
   rig.faults->schedule(
@@ -175,16 +125,34 @@ TEST(Recovery, CrashStrandedFramesAreRedispatched) {
   EXPECT_GT(ev.stranded, 0u);
   EXPECT_EQ(ev.redispatched, ev.stranded);  // survivors had queue headroom
   EXPECT_EQ(rig.sys->redispatched_frames(), ev.redispatched);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_TRUE(rig.conserved());
+}
+
+TEST(Recovery, LastVriReapedBeforeTheHeartbeatDropsThroughTheHook) {
+  // The allocation pass reaps the only VRI of a dynamic-allocator VR before
+  // the heartbeat sees the corpse. With no survivor to rescue onto, the
+  // stranded frames are dropped, and each must reach the drop hook.
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  cfg.health = enabled_health();
+  LvrmRig rig(cfg, 1);
+  rig.offer(30'000.0, sec(2));
+  // After the 900 ms heartbeat probe, before the 1 s allocation pass.
+  rig.faults->schedule({.kind = FaultKind::kCrash, .vri = 0, .at = msec(970)});
+  rig.sim.run_all();
+
+  EXPECT_EQ(rig.sys->crashed_vris_reaped(), 1u);
+  EXPECT_GT(rig.check.drops(DropCause::kVriDestroyed), 0u);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   // Satellite regression: a dynamic route broadcast BEFORE the crash must be
   // present in the respawned (fresh-process) incarnation. Round-robin makes
   // every VRI — including the respawn — carry traffic.
-  LvrmConfig cfg = RecoveryRig::fixed_with_health();
+  LvrmConfig cfg = fixed_with_health();
   cfg.balancer = BalancerKind::kRoundRobin;
-  RecoveryRig rig(cfg, 2);
+  LvrmRig rig(cfg, 2);
   rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
   rig.sim.run_all();
 
@@ -193,10 +161,10 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   emit = [&rig, &emit] {
     if (rig.sim.now() >= sec(3)) return;
     net::FrameMeta f;
-    f.id = rig.sent++;
+    f.id = rig.next_id++;
     f.src_ip = net::ipv4(10, 1, 0, 1);
     f.dst_ip = net::ipv4(10, 9, 0, 7);  // only routable via the update
-    rig.sys->ingress(f);
+    rig.ingress(f);
     rig.sim.after(interval_for_rate(50'000.0), emit);
   };
   rig.sim.at(0, emit);
@@ -208,7 +176,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   EXPECT_TRUE(rig.sys->recovery_log()[0].respawned);
   // A fresh fork without the replay would no-route half the stream.
   EXPECT_EQ(rig.sys->no_route_drops(), 0u);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
@@ -217,7 +185,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.balancer = BalancerKind::kRoundRobin;
-  RecoveryRig rig(cfg, 2);
+  LvrmRig rig(cfg, 2);
   rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
   rig.sim.run_all();
 
@@ -225,10 +193,10 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
   emit = [&rig, &emit] {
     if (rig.sim.now() >= sec(4)) return;
     net::FrameMeta f;
-    f.id = rig.sent++;
+    f.id = rig.next_id++;
     f.src_ip = net::ipv4(10, 1, 0, 1);
     f.dst_ip = net::ipv4(10, 9, 0, 7);
-    rig.sys->ingress(f);
+    rig.ingress(f);
     rig.sim.after(interval_for_rate(50'000.0), emit);
   };
   rig.sim.at(0, emit);
@@ -246,15 +214,15 @@ TEST(Recovery, OverloadWithoutTheLadderTailDropsAndConserves) {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.max_vris_per_vr = 1;
-  RecoveryRig rig(cfg, 1);
+  LvrmRig rig(cfg, 1);
   rig.offer(120'000.0, sec(2));  // 2x the 60 Kfps capacity
   rig.sim.run_all();
   EXPECT_GT(rig.sys->data_queue_drops(), 0u);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(Recovery, CapacityEstimateTracksActiveVris) {
-  RecoveryRig rig(RecoveryRig::fixed_with_health(), 3);
+  LvrmRig rig(fixed_with_health(), 3);
   rig.offer(150'000.0, sec(3));
   rig.sim.run_all();
   // Three VRIs under the 1/60 ms dummy load: ~180 Kfps aggregate.

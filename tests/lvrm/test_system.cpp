@@ -1,51 +1,36 @@
 // End-to-end tests of the assembled LvrmSystem (static configurations).
-#include "lvrm/system.hpp"
-
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
-namespace costs = sim::costs;
+/// The rig's next frame from `src` to `dst`: 50 flows on source ports from
+/// 1000, destination port 9.
+net::FrameMeta frame(LvrmRig& rig, net::Ipv4Addr src, net::Ipv4Addr dst,
+                     int bytes = 84) {
+  net::FrameMeta f;
+  f.id = rig.next_id++;
+  f.wire_bytes = bytes;
+  f.src_ip = src;
+  f.dst_ip = dst;
+  f.src_port = static_cast<std::uint16_t>(1000 + rig.next_id % 50);
+  f.dst_port = 9;
+  f.created_at = rig.sim.now();
+  return f;
+}
 
-struct Rig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::vector<net::FrameMeta> out;
-
-  explicit Rig(LvrmConfig cfg = {}, std::vector<VrConfig> vrs = {}) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    if (vrs.empty()) vrs.push_back(VrConfig{});
-    for (auto& vr : vrs) sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&& f) { out.push_back(f); });
-  }
-
-  net::FrameMeta frame(net::Ipv4Addr src, net::Ipv4Addr dst, int bytes = 84) {
-    net::FrameMeta f;
-    f.id = next_id++;
-    f.wire_bytes = bytes;
-    f.src_ip = src;
-    f.dst_ip = dst;
-    f.src_port = static_cast<std::uint16_t>(1000 + next_id % 50);
-    f.dst_port = 9;
-    f.created_at = sim.now();
-    return f;
-  }
-
-  std::uint64_t next_id = 0;
-};
+/// One VR of one VRI with no dummy load.
+const std::vector<VrConfig> kPlainVr = {VrConfig{}};
 
 TEST(LvrmSystem, ForwardsASingleFrame) {
-  Rig rig;
-  ASSERT_TRUE(rig.sys->ingress(
-      rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1))));
+  LvrmRig rig({}, kPlainVr);
+  rig.keep_egress = true;
+  ASSERT_TRUE(rig.ingress(
+      frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1))));
   rig.sim.run_all();
   ASSERT_EQ(rig.out.size(), 1u);
   EXPECT_EQ(rig.out[0].output_if, 1);
@@ -54,8 +39,9 @@ TEST(LvrmSystem, ForwardsASingleFrame) {
 }
 
 TEST(LvrmSystem, DispatchRecordsVrAndVri) {
-  Rig rig;
-  rig.sys->ingress(rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
+  LvrmRig rig({}, kPlainVr);
+  rig.keep_egress = true;
+  rig.ingress(frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
   rig.sim.run_all();
   ASSERT_EQ(rig.out.size(), 1u);
   EXPECT_EQ(rig.out[0].dispatch_vr, 0);
@@ -70,28 +56,28 @@ TEST(LvrmSystem, ClassifiesBySourceSubnet) {
   VrConfig vr_b;
   vr_b.name = "vrB";
   vr_b.subnets = {net::Prefix{net::ipv4(10, 3, 0, 0), 16}};
-  Rig rig(cfg, {vr_a, vr_b});
+  LvrmRig rig(cfg, {vr_a, vr_b});
 
-  rig.sys->ingress(rig.frame(net::ipv4(10, 1, 0, 5), net::ipv4(10, 2, 0, 1)));
-  rig.sys->ingress(rig.frame(net::ipv4(10, 3, 0, 5), net::ipv4(10, 2, 0, 1)));
-  rig.sys->ingress(rig.frame(net::ipv4(10, 3, 1, 5), net::ipv4(10, 2, 0, 1)));
+  rig.ingress(frame(rig, net::ipv4(10, 1, 0, 5), net::ipv4(10, 2, 0, 1)));
+  rig.ingress(frame(rig, net::ipv4(10, 3, 0, 5), net::ipv4(10, 2, 0, 1)));
+  rig.ingress(frame(rig, net::ipv4(10, 3, 1, 5), net::ipv4(10, 2, 0, 1)));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->vr_forwarded(0), 1u);
   EXPECT_EQ(rig.sys->vr_forwarded(1), 2u);
 }
 
 TEST(LvrmSystem, UnmatchedSourceFallsBackToVrZero) {
-  Rig rig;
-  rig.sys->ingress(rig.frame(net::ipv4(192, 168, 0, 1), net::ipv4(10, 2, 0, 1)));
+  LvrmRig rig({}, kPlainVr);
+  rig.ingress(frame(rig, net::ipv4(192, 168, 0, 1), net::ipv4(10, 2, 0, 1)));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->vr_forwarded(0), 1u);
 }
 
 TEST(LvrmSystem, NoRouteFramesDropped) {
-  Rig rig;
-  rig.sys->ingress(rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(99, 9, 9, 9)));
+  LvrmRig rig({}, kPlainVr);
+  rig.ingress(frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(99, 9, 9, 9)));
   rig.sim.run_all();
-  EXPECT_TRUE(rig.out.empty());
+  EXPECT_EQ(rig.delivered(), 0u);
   EXPECT_EQ(rig.sys->no_route_drops(), 1u);
 }
 
@@ -100,7 +86,7 @@ TEST(LvrmSystem, FixedAllocatorActivatesRequestedVris) {
   cfg.allocator = AllocatorKind::kFixed;
   VrConfig vr;
   vr.initial_vris = 3;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   EXPECT_EQ(rig.sys->active_vris(0), 3);
   const auto cores = rig.sys->vri_cores(0);
   ASSERT_EQ(cores.size(), 3u);
@@ -118,7 +104,7 @@ TEST(LvrmSystem, SiblingAffinityPrefersLvrmSocket) {
   cfg.affinity = AffinityPolicy::kSibling;
   VrConfig vr;
   vr.initial_vris = 3;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   const sim::CpuTopology topo;
   for (const auto core : rig.sys->vri_cores(0))
     EXPECT_TRUE(topo.siblings(core, cfg.lvrm_core)) << core;
@@ -130,7 +116,7 @@ TEST(LvrmSystem, NonSiblingAffinityUsesOtherSocket) {
   cfg.affinity = AffinityPolicy::kNonSibling;
   VrConfig vr;
   vr.initial_vris = 3;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   const sim::CpuTopology topo;
   for (const auto core : rig.sys->vri_cores(0))
     EXPECT_FALSE(topo.siblings(core, cfg.lvrm_core)) << core;
@@ -140,7 +126,7 @@ TEST(LvrmSystem, SameAffinityDoublesUpOnLvrmCore) {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.affinity = AffinityPolicy::kSame;
-  Rig rig(cfg);
+  LvrmRig rig(cfg, kPlainVr);
   ASSERT_EQ(rig.sys->vri_cores(0).size(), 1u);
   EXPECT_EQ(rig.sys->vri_cores(0)[0], cfg.lvrm_core);
 }
@@ -152,7 +138,7 @@ TEST(LvrmSystem, SiblingOverflowSpillsToOtherSocketThenLvrmCore) {
   cfg.max_vris_per_vr = 8;
   VrConfig vr;
   vr.initial_vris = 8;  // one more than the 7 free cores
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   const auto cores = rig.sys->vri_cores(0);
   ASSERT_EQ(cores.size(), 8u);
   // First three on LVRM's socket, next four on the other, the 8th lands on
@@ -170,16 +156,16 @@ TEST(LvrmSystem, BalancesAcrossVrisRoughlyEvenly) {
   cfg.balancer = BalancerKind::kRoundRobin;
   VrConfig vr;
   vr.initial_vris = 4;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   const int n = 4000;
   for (int i = 0; i < n; ++i) {
     rig.sim.at(usec(5) * i, [&rig] {
-      rig.sys->ingress(
-          rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
+      rig.ingress(
+          frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
     });
   }
   rig.sim.run_all();
-  EXPECT_EQ(rig.out.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(rig.delivered(), static_cast<std::uint64_t>(n));
   for (int vri = 0; vri < 4; ++vri) {
     EXPECT_NEAR(static_cast<double>(rig.sys->vri_forwarded(0, vri)), n / 4.0,
                 n * 0.05)
@@ -190,16 +176,16 @@ TEST(LvrmSystem, BalancesAcrossVrisRoughlyEvenly) {
 TEST(LvrmSystem, RxRingOverflowDropsAndCounts) {
   LvrmConfig cfg;
   cfg.adapter = AdapterKind::kRawSocket;  // small 256-slot ring
-  Rig rig(cfg);
+  LvrmRig rig(cfg, kPlainVr);
   int accepted = 0;
   for (int i = 0; i < 1000; ++i)
-    if (rig.sys->ingress(
-            rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1))))
+    if (rig.ingress(
+            frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1))))
       ++accepted;
   EXPECT_LE(accepted, 258);
   EXPECT_GT(rig.sys->rx_ring_drops(), 0u);
   rig.sim.run_all();
-  EXPECT_EQ(rig.out.size(), static_cast<std::size_t>(accepted));
+  EXPECT_EQ(rig.delivered(), static_cast<std::uint64_t>(accepted));
 }
 
 TEST(LvrmSystem, ControlEventDeliveredWithLatency) {
@@ -207,7 +193,7 @@ TEST(LvrmSystem, ControlEventDeliveredWithLatency) {
   cfg.allocator = AllocatorKind::kFixed;
   VrConfig vr;
   vr.initial_vris = 2;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   Nanos latency = -1;
   rig.sys->send_control(0, 0, 1, 256, [&](Nanos ns) { latency = ns; });
   rig.sim.run_all();
@@ -222,7 +208,7 @@ TEST(LvrmSystem, ControlEventLatencyGrowsWithSize) {
   cfg.allocator = AllocatorKind::kFixed;
   VrConfig vr;
   vr.initial_vris = 2;
-  Rig rig(cfg, {vr});
+  LvrmRig rig(cfg, {vr});
   Nanos small = -1;
   Nanos large = -1;
   rig.sys->send_control(0, 0, 1, 64, [&](Nanos ns) { small = ns; });
@@ -233,7 +219,7 @@ TEST(LvrmSystem, ControlEventLatencyGrowsWithSize) {
 }
 
 TEST(LvrmSystem, ShmSegmentsAllocatedPerQueue) {
-  Rig rig;
+  LvrmRig rig({}, kPlainVr);
   // §17 fabric layout for the single default VR: 7 slots x (ingress link +
   // two control rings), plus the one shard's shared TX link.
   EXPECT_EQ(rig.sys->shm().segment_count(),
@@ -246,8 +232,9 @@ TEST(LvrmSystem, ClickVrForwardsThroughGraph) {
   cfg.allocator = AllocatorKind::kFixed;
   VrConfig vr;
   vr.kind = VrKind::kClick;
-  Rig rig(cfg, {vr});
-  rig.sys->ingress(rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
+  LvrmRig rig(cfg, {vr});
+  rig.keep_egress = true;
+  rig.ingress(frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
   rig.sim.run_all();
   ASSERT_EQ(rig.out.size(), 1u);
   EXPECT_EQ(rig.out[0].output_if, 1);
@@ -260,9 +247,10 @@ TEST(LvrmSystem, ClickLatencyExceedsCpp) {
     cfg.allocator = AllocatorKind::kFixed;
     VrConfig vr;
     vr.kind = kind;
-    Rig rig(cfg, {vr});
-    rig.sys->ingress(
-        rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
+    LvrmRig rig(cfg, {vr});
+    rig.keep_egress = true;
+    rig.ingress(
+        frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
     rig.sim.run_all();
     return rig.out.at(0).gw_out_at - rig.out.at(0).gw_in_at;
   };
@@ -273,11 +261,12 @@ TEST(LvrmSystem, ClickLatencyExceedsCpp) {
 
 TEST(LvrmSystem, DeterministicAcrossRuns) {
   auto run_once = [] {
-    Rig rig;
+    LvrmRig rig({}, kPlainVr);
+    rig.keep_egress = true;
     for (int i = 0; i < 500; ++i) {
       rig.sim.at(usec(3) * i, [&rig] {
-        rig.sys->ingress(
-            rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
+        rig.ingress(
+            frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1)));
       });
     }
     rig.sim.run_all();
@@ -289,13 +278,14 @@ TEST(LvrmSystem, DeterministicAcrossRuns) {
 }
 
 TEST(LvrmSystem, PerByteCostsMakeLargeFramesSlower) {
-  Rig rig;
-  rig.sys->ingress(rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1), 84));
+  LvrmRig rig({}, kPlainVr);
+  rig.keep_egress = true;
+  rig.ingress(frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1), 84));
   rig.sim.run_all();
   const Nanos small = rig.out.at(0).gw_out_at - rig.out.at(0).gw_in_at;
   rig.out.clear();
-  rig.sys->ingress(
-      rig.frame(net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1), 1538));
+  rig.ingress(
+      frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(10, 2, 0, 1), 1538));
   rig.sim.run_all();
   const Nanos large = rig.out.at(0).gw_out_at - rig.out.at(0).gw_in_at;
   EXPECT_GT(large, small);

@@ -2,91 +2,42 @@
 // the thesis) driven with synthetic arrival processes.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
-#include <memory>
-
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
 namespace costs = sim::costs;
 
-struct DynRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::uint64_t delivered = 0;
-  std::uint64_t next_id = 0;
-
-  explicit DynRig(LvrmConfig cfg = make_default_cfg(),
-                  std::vector<VrConfig> vrs = {}) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    if (vrs.empty()) {
-      VrConfig vr;
-      vr.dummy_load = costs::kDummyLoad;  // 1/60 ms as in Exps 2b-3b
-      vrs.push_back(vr);
-    }
-    for (auto& vr : vrs) sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-  }
-
-  static LvrmConfig make_default_cfg() {
-    LvrmConfig cfg;
-    cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-    cfg.per_vri_capacity_fps = 60'000.0;
-    return cfg;
-  }
-
-  /// Injects constant-rate traffic for [from, to) via a self-rescheduling
-  /// emitter (pre-scheduling millions of events would bloat the heap).
-  void offer(double fps, Nanos from, Nanos to,
-             net::Ipv4Addr src = net::ipv4(10, 1, 0, 1)) {
-    const Nanos gap = interval_for_rate(fps);
-    // Rig-owned emitter recursing through a reference to its own slot, so
-    // no shared_ptr cycle is leaked.
-    std::function<void()>& emit = emitters.emplace_back();
-    emit = [this, gap, to, src, &emit] {
-      if (sim.now() >= to) return;
-      net::FrameMeta f;
-      f.id = next_id++;
-      f.wire_bytes = 84;
-      f.src_ip = src;
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(from, emit);
-  }
-
-  std::deque<std::function<void()>> emitters;
-};
+LvrmConfig dynamic_cfg() {
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  cfg.per_vri_capacity_fps = 60'000.0;
+  return cfg;
+}
 
 TEST(DynamicAllocation, GrowsUnderLoad) {
-  DynRig rig;
+  LvrmRig rig(dynamic_cfg());
   EXPECT_EQ(rig.sys->active_vris(0), 1);
   // 150 Kfps needs 3 VRIs at 60 Kfps per core; growth is one VRI per
   // 1-second pass.
-  rig.offer(150'000.0, 0, sec(5));
+  rig.offer(150'000.0, sec(5), host_flow());
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->active_vris(0), 3);
 }
 
 TEST(DynamicAllocation, ShrinksWhenLoadFalls) {
-  DynRig rig;
-  rig.offer(150'000.0, 0, sec(5));
-  rig.offer(30'000.0, sec(5), sec(12));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(150'000.0, sec(5), host_flow());
+  rig.offer(30'000.0, sec(12), host_flow(), sec(5));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->active_vris(0), 1);
 }
 
 TEST(DynamicAllocation, LogRecordsCreatesAndDestroys) {
-  DynRig rig;
-  rig.offer(150'000.0, 0, sec(5));
-  rig.offer(30'000.0, sec(5), sec(12));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(150'000.0, sec(5), host_flow());
+  rig.offer(30'000.0, sec(12), host_flow(), sec(5));
   rig.sim.run_all();
   const auto& log = rig.sys->allocation_log();
   ASSERT_GE(log.size(), 4u);  // 2 creates + 2 destroys
@@ -98,9 +49,9 @@ TEST(DynamicAllocation, LogRecordsCreatesAndDestroys) {
 }
 
 TEST(DynamicAllocation, ReactionTimesMatchFig411) {
-  DynRig rig;
-  rig.offer(360'000.0, 0, sec(10));
-  rig.offer(30'000.0, sec(10), sec(18));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(360'000.0, sec(10), host_flow());
+  rig.offer(30'000.0, sec(18), host_flow(), sec(10));
   rig.sim.run_all();
   bool saw_create = false;
   bool saw_destroy = false;
@@ -121,9 +72,9 @@ TEST(DynamicAllocation, ReactionTimesMatchFig411) {
 
 TEST(DynamicAllocation, AllocationsCostMoreThanDeallocations) {
   // Fig 4.11: creations (vfork) are heavier than teardowns.
-  DynRig rig;
-  rig.offer(200'000.0, 0, sec(6));
-  rig.offer(20'000.0, sec(6), sec(14));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(200'000.0, sec(6), host_flow());
+  rig.offer(20'000.0, sec(14), host_flow(), sec(6));
   rig.sim.run_all();
   double create_avg = 0.0;
   double destroy_avg = 0.0;
@@ -144,19 +95,19 @@ TEST(DynamicAllocation, AllocationsCostMoreThanDeallocations) {
 }
 
 TEST(DynamicAllocation, RespectsMaxVris) {
-  LvrmConfig cfg = DynRig::make_default_cfg();
+  LvrmConfig cfg = dynamic_cfg();
   cfg.max_vris_per_vr = 4;
   VrConfig vr;
   vr.dummy_load = costs::kDummyLoad;
-  DynRig rig(cfg, {vr});
-  rig.offer(400'000.0, 0, sec(10));
+  LvrmRig rig(cfg, {vr});
+  rig.offer(400'000.0, sec(10), host_flow());
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->active_vris(0), 4);
 }
 
 TEST(DynamicAllocation, AtMostOneActionPerPeriod) {
-  DynRig rig;
-  rig.offer(360'000.0, 0, sec(4));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(360'000.0, sec(4), host_flow());
   rig.sim.run_all();
   const auto& log = rig.sys->allocation_log();
   for (std::size_t i = 1; i < log.size(); ++i)
@@ -165,7 +116,7 @@ TEST(DynamicAllocation, AtMostOneActionPerPeriod) {
 
 TEST(DynamicAllocation, TwoVrsAllocatedIndependently) {
   // Exp 2d: two VRs with staggered loads each get their expected cores.
-  LvrmConfig cfg = DynRig::make_default_cfg();
+  LvrmConfig cfg = dynamic_cfg();
   VrConfig vr_a;
   vr_a.name = "vr1";
   vr_a.subnets = {net::Prefix{net::ipv4(10, 1, 0, 0), 16}};
@@ -174,10 +125,10 @@ TEST(DynamicAllocation, TwoVrsAllocatedIndependently) {
   vr_b.name = "vr2";
   vr_b.subnets = {net::Prefix{net::ipv4(10, 3, 0, 0), 16}};
   vr_b.dummy_load = costs::kDummyLoad;
-  DynRig rig(cfg, {vr_a, vr_b});
+  LvrmRig rig(cfg, {vr_a, vr_b});
 
-  rig.offer(100'000.0, 0, sec(8), net::ipv4(10, 1, 0, 1));
-  rig.offer(150'000.0, sec(2), sec(8), net::ipv4(10, 3, 0, 1));
+  rig.offer(100'000.0, sec(8), host_flow(net::ipv4(10, 1, 0, 1)));
+  rig.offer(150'000.0, sec(8), host_flow(net::ipv4(10, 3, 0, 1)), sec(2));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->active_vris(0), 2);  // 100K -> 2 cores
   EXPECT_EQ(rig.sys->active_vris(1), 3);  // 150K -> 3 cores
@@ -197,10 +148,10 @@ TEST(DynamicAllocation, DynamicThresholdsUseServiceRates) {
   fast.name = "fast";
   fast.subnets = {net::Prefix{net::ipv4(10, 3, 0, 0), 16}};
   fast.dummy_load = costs::kDummyLoad;  // 60 Kfps per core
-  DynRig rig(cfg, {slow, fast});
+  LvrmRig rig(cfg, {slow, fast});
 
-  rig.offer(100'000.0, 0, sec(10), net::ipv4(10, 1, 0, 1));
-  rig.offer(100'000.0, 0, sec(10), net::ipv4(10, 3, 0, 1));
+  rig.offer(100'000.0, sec(10), host_flow(net::ipv4(10, 1, 0, 1)));
+  rig.offer(100'000.0, sec(10), host_flow(net::ipv4(10, 3, 0, 1)));
   rig.sim.run_all();
   const int slow_vris = rig.sys->active_vris(0);
   const int fast_vris = rig.sys->active_vris(1);
@@ -209,15 +160,15 @@ TEST(DynamicAllocation, DynamicThresholdsUseServiceRates) {
 }
 
 TEST(DynamicAllocation, ArrivalEstimateTracksOfferedRate) {
-  DynRig rig;
-  rig.offer(120'000.0, 0, sec(3));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(120'000.0, sec(3), host_flow());
   rig.sim.run_all();
   EXPECT_NEAR(rig.sys->arrival_rate_estimate(0), 120'000.0, 10'000.0);
 }
 
 TEST(DynamicAllocation, ServiceRateEstimateNearDummyCapacity) {
-  DynRig rig;
-  rig.offer(100'000.0, 0, sec(3));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(100'000.0, sec(3), host_flow());
   rig.sim.run_all();
   // 1/60 ms dummy load -> ~60 Kfps per VRI (minus small queue-op overhead).
   EXPECT_NEAR(rig.sys->service_rate_estimate(0), 58'000.0, 4'000.0);
@@ -226,19 +177,19 @@ TEST(DynamicAllocation, ServiceRateEstimateNearDummyCapacity) {
 TEST(DynamicAllocation, ThroughputScalesWithAllocatedCores) {
   // Sanity on the Exp 2c mechanism: with dynamic allocation the system
   // eventually sustains 150 Kfps that a single 60 Kfps VRI could not.
-  DynRig rig;
-  rig.offer(150'000.0, 0, sec(8));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(150'000.0, sec(8), host_flow());
   rig.sim.run_all();
   // Measure deliveries over the last 3 simulated seconds.
   const double delivered_fps =
-      static_cast<double>(rig.delivered) / to_seconds(rig.sim.now());
+      static_cast<double>(rig.delivered()) / to_seconds(rig.sim.now());
   EXPECT_GT(delivered_fps, 100'000.0);
 }
 
 TEST(DynamicAllocation, DestroyedVriQueueFramesAreDropped) {
-  DynRig rig;
-  rig.offer(200'000.0, 0, sec(4));
-  rig.offer(10'000.0, sec(4), sec(10));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(200'000.0, sec(4), host_flow());
+  rig.offer(10'000.0, sec(10), host_flow(), sec(4));
   rig.sim.run_all();
   // Shrinking under backlog discards queued frames (Fig 3.2 "destroy all
   // queues"), surfacing as data-queue drops.

@@ -5,96 +5,30 @@
 // exactly when stealing is on.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "lvrm/core_allocator.hpp"
-#include "lvrm/fault_injector.hpp"
-#include "lvrm/system.hpp"
 #include "obs/audit.hpp"
-#include "sim/costs.hpp"
-#include "sim/topology.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
-namespace costs = sim::costs;
-
-struct FabricRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::unique_ptr<FaultInjector> faults;
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  static constexpr std::uint64_t kFlows = 64;
-  std::map<std::uint64_t, std::uint64_t> flow_last_id;
-  std::uint64_t ordering_violations = 0;
-  std::deque<std::function<void()>> emitters;
-
-  FabricRig(LvrmConfig cfg, int initial_vris, int flows = kFlows,
-            Nanos dummy_load = costs::kDummyLoad) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = initial_vris;
-    vr.dummy_load = dummy_load;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this, flows](net::FrameMeta&& f) {
-      ++delivered;
-      const std::uint64_t flow = f.id % static_cast<std::uint64_t>(flows);
-      const auto last = flow_last_id.find(flow);
-      if (last != flow_last_id.end() && f.id < last->second)
-        ++ordering_violations;
-      flow_last_id[flow] = f.id;
-    });
-    faults = std::make_unique<FaultInjector>(sim, *sys);
-  }
-
-  static LvrmConfig cfg(int shards, bool stealing) {
-    LvrmConfig c;
-    c.allocator = AllocatorKind::kFixed;
-    c.dispatch_shards = shards;
-    c.work_stealing = stealing;
-    return c;
-  }
-
-  void offer(double fps, Nanos until, int flows = kFlows) {
-    std::function<void()>& emit = emitters.emplace_back();
-    const Nanos gap = interval_for_rate(fps);
-    emit = [this, gap, until, flows, &emit] {
-      if (sim.now() >= until) return;
-      net::FrameMeta f;
-      f.id = sent++;
-      f.wire_bytes = 84;
-      const auto flow =
-          static_cast<std::uint32_t>(f.id % static_cast<std::uint64_t>(flows));
-      f.src_ip = net::ipv4(10, 1, 0, 1) + (flow >> 4);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(2000 + (flow & 15));
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(0, emit);
-  }
-
-  std::uint64_t accounted() const {
-    return delivered + sys->rx_ring_drops() + sys->data_queue_drops() +
-           sys->no_route_drops();
-  }
-};
+LvrmConfig fabric_cfg(int shards, bool stealing) {
+  LvrmConfig c;
+  c.allocator = AllocatorKind::kFixed;
+  c.dispatch_shards = shards;
+  c.work_stealing = stealing;
+  return c;
+}
 
 // --- arena audit: ring counts and reclaimed bytes -------------------------
 
 TEST(MpmcFabric, FabricCollapsesRingCountAtLeastFourFold) {
   // 8 shards x 16 VRIs is the acceptance topology: the SPSC mesh needs
   // V*(2S+2)+S rings, the fabric V*3+2S links — >= 4x fewer.
-  LvrmConfig c = FabricRig::cfg(8, false);
+  LvrmConfig c = fabric_cfg(8, false);
   c.max_vris_per_vr = 16;
-  FabricRig rig(c, 16);
+  LvrmRig rig(c, 16);
   const std::size_t mesh = rig.sys->mesh_ring_count();
   const std::size_t fabric = rig.sys->fabric_ring_count();
   EXPECT_EQ(mesh, 16u * (2 * 8 + 2) + 8);   // 296
@@ -107,11 +41,11 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   // The ShmArena audit (§17 satellite): the arena reserves exactly the
   // fabric's closed form, strictly less than the SPSC mesh would for the
   // same topology, and the reclaimed headroom is published as a gauge.
-  FabricRig fab(FabricRig::cfg(2, false), 4);
+  LvrmRig fab(fabric_cfg(2, false), 4);
   EXPECT_EQ(fab.sys->shm().total_bytes(), fab.sys->fabric_ring_bytes());
   EXPECT_LT(fab.sys->fabric_ring_bytes(), fab.sys->mesh_ring_bytes());
 
-  fab.offer(100'000.0, msec(100));
+  fab.offer(100'000.0, msec(100), spread_flows());
   fab.sim.run_all();
   ASSERT_NE(fab.sys->telemetry(), nullptr);
   fab.sys->snapshot_telemetry();
@@ -136,19 +70,19 @@ TEST(MpmcFabric, IdleVriStealsFromSlowedSibling) {
   // Frame granularity (no pins): slow one VRI 8x so its data queue backlogs
   // while its sibling idles — the sibling's idle hook must steal. Every
   // frame still arrives exactly once.
-  LvrmConfig c = FabricRig::cfg(1, true);
-  FabricRig rig(c, 2);
+  LvrmConfig c = fabric_cfg(1, true);
+  LvrmRig rig(c, 2);
   rig.faults->schedule({.kind = FaultKind::kSlowdown,
                         .vri = 0,
                         .at = msec(10),
                         .duration = msec(400),
                         .magnitude = 8.0});
-  rig.offer(250'000.0, msec(300));
+  rig.offer(250'000.0, msec(300), spread_flows());
   rig.sim.run_all();
 
   EXPECT_GT(rig.sys->vri_steals(), 0u);
   EXPECT_GT(rig.sys->vri_steal_frames(), 0u);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_TRUE(rig.conserved());
 
   // The steal trail carries the §17 audit kind.
   bool saw_audit = false;
@@ -161,20 +95,20 @@ TEST(MpmcFabric, PinnedFlowsAreNeverStolen) {
   // Flow granularity with no replication: every queued head carries a
   // pinned flow, so the steal-only-unpinned filter must refuse ALL ingress
   // steals even with a backlogged sibling right next to an idle one.
-  LvrmConfig c = FabricRig::cfg(1, true);
+  LvrmConfig c = fabric_cfg(1, true);
   c.granularity = BalancerGranularity::kFlow;
-  FabricRig rig(c, 2);
+  LvrmRig rig(c, 2);
   rig.faults->schedule({.kind = FaultKind::kSlowdown,
                         .vri = 0,
                         .at = msec(10),
                         .duration = msec(400),
                         .magnitude = 8.0});
-  rig.offer(250'000.0, msec(300));
+  rig.offer(250'000.0, msec(300), spread_flows());
   rig.sim.run_all();
 
   EXPECT_EQ(rig.sys->vri_steals(), 0u);
-  EXPECT_EQ(rig.ordering_violations, 0u);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_EQ(rig.check.fifo_violations(), 0u);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
@@ -182,11 +116,11 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
   // crash and respawn mid-run. The pin filter and the recovery
   // re-dispatch must together keep every flow's egress in order and every
   // frame accounted.
-  LvrmConfig c = FabricRig::cfg(2, true);
+  LvrmConfig c = fabric_cfg(2, true);
   c.granularity = BalancerGranularity::kFlow;
   c.health.enabled = true;
-  FabricRig rig(c, 4);
-  rig.offer(300'000.0, sec(3));
+  LvrmRig rig(c, 4);
+  rig.offer(300'000.0, sec(3), spread_flows());
   rig.faults->schedule(
       {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
   rig.sim.run_all();
@@ -194,8 +128,8 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
   ASSERT_EQ(rig.sys->recovery_log().size(), 1u);
   EXPECT_TRUE(rig.sys->recovery_log()[0].respawned);
   EXPECT_EQ(rig.sys->vri_steals(), 0u);  // all heads pinned: no steals
-  EXPECT_EQ(rig.ordering_violations, 0u);
-  EXPECT_EQ(rig.accounted(), rig.sent);
+  EXPECT_EQ(rig.check.fifo_violations(), 0u);
+  EXPECT_TRUE(rig.conserved());
 }
 
 TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
@@ -203,10 +137,10 @@ TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
   // slowdown and a crash: every sent frame is delivered or counted in a
   // drop bucket, no matter which server ran it.
   for (const int shards : {1, 2}) {
-    LvrmConfig c = FabricRig::cfg(shards, true);
+    LvrmConfig c = fabric_cfg(shards, true);
     c.health.enabled = true;
-    FabricRig rig(c, 4);
-    rig.offer(300'000.0, sec(2));
+    LvrmRig rig(c, 4);
+    rig.offer(300'000.0, sec(2), spread_flows());
     rig.faults->schedule({.kind = FaultKind::kSlowdown,
                           .vri = 2,
                           .at = msec(100),
@@ -216,30 +150,30 @@ TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
         {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
     rig.sim.run_all();
 
-    EXPECT_GT(rig.delivered, 0u) << "shards=" << shards;
-    EXPECT_EQ(rig.accounted(), rig.sent) << "shards=" << shards;
+    EXPECT_GT(rig.delivered(), 0u) << "shards=" << shards;
+    EXPECT_TRUE(rig.conserved()) << "shards=" << shards;
   }
 }
 
 TEST(MpmcFabric, StealCountersAndGaugesOnlyWhenStealingOn) {
   // Counter/gauge hygiene: the steal families appear iff work_stealing is
   // on, so defaults-off exports stay byte-identical to earlier builds.
-  FabricRig off(FabricRig::cfg(1, false), 2);
-  off.offer(100'000.0, msec(100));
+  LvrmRig off(fabric_cfg(1, false), 2);
+  off.offer(100'000.0, msec(100), spread_flows());
   off.sim.run_all();
   for (const auto& ctr : off.sys->telemetry()->metrics().snapshot().counters)
     EXPECT_TRUE(ctr.name.find("steal") == std::string::npos) << ctr.name;
   for (const auto& g : off.sys->telemetry()->metrics().snapshot().gauges)
     EXPECT_TRUE(g.name.find("steal") == std::string::npos) << g.name;
 
-  LvrmConfig c = FabricRig::cfg(1, true);
-  FabricRig on(c, 2);
+  LvrmConfig c = fabric_cfg(1, true);
+  LvrmRig on(c, 2);
   on.faults->schedule({.kind = FaultKind::kSlowdown,
                        .vri = 0,
                        .at = msec(10),
                        .duration = msec(400),
                        .magnitude = 8.0});
-  on.offer(250'000.0, msec(300));
+  on.offer(250'000.0, msec(300), spread_flows());
   on.sim.run_all();
   on.sys->snapshot_telemetry();
   bool saw_counter = false, saw_gauge = false;

@@ -5,63 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "lvrm/system.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
-namespace costs = sim::costs;
-
-struct TelRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::uint64_t delivered = 0;
-  std::uint64_t next_id = 0;
-  std::deque<std::function<void()>> emitters;
-
-  explicit TelRig(LvrmConfig cfg = dynamic_cfg(), int initial_vris = 1) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.dummy_load = costs::kDummyLoad;
-    vr.initial_vris = initial_vris;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-  }
-
-  static LvrmConfig dynamic_cfg() {
-    LvrmConfig cfg;
-    cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-    cfg.per_vri_capacity_fps = 60'000.0;
-    return cfg;
-  }
-
-  void offer(double fps, Nanos from, Nanos to) {
-    const Nanos gap = interval_for_rate(fps);
-    std::function<void()>& emit = emitters.emplace_back();
-    emit = [this, gap, to, &emit] {
-      if (sim.now() >= to) return;
-      net::FrameMeta f;
-      f.id = next_id++;
-      f.wire_bytes = 84;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + next_id % 16);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(from, emit);
-  }
-};
+LvrmConfig dynamic_cfg() {
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  cfg.per_vri_capacity_fps = 60'000.0;
+  return cfg;
+}
 
 /// Replays the audit trail's create/destroy events; `a` is the VRI count
 /// after each change, so the last event per VR IS the current count.
@@ -77,9 +36,9 @@ int replay_vri_count(const std::vector<obs::AuditEvent>& events, int vr) {
 }
 
 TEST(SystemTelemetry, AuditReplayMatchesAllocatorState) {
-  TelRig rig;
-  rig.offer(150'000.0, 0, sec(5));   // grow to 3 VRIs
-  rig.offer(30'000.0, sec(5), sec(12));  // shrink back to 1
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(150'000.0, sec(5), port_flows(16));  // grow to 3 VRIs
+  rig.offer(30'000.0, sec(12), port_flows(16), sec(5));  // shrink back to 1
   rig.sim.run_all();
 
   ASSERT_NE(rig.sys->telemetry(), nullptr);
@@ -105,8 +64,8 @@ TEST(SystemTelemetry, AuditReplayMatchesAllocatorState) {
 }
 
 TEST(SystemTelemetry, BalanceSummariesAccountDispatchedFrames) {
-  TelRig rig;
-  rig.offer(100'000.0, 0, sec(4));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(100'000.0, sec(4), port_flows(16));
   rig.sim.run_all();
   std::uint64_t summarized = 0;
   for (const auto& e : rig.sys->telemetry()->audit().events())
@@ -118,8 +77,8 @@ TEST(SystemTelemetry, BalanceSummariesAccountDispatchedFrames) {
 }
 
 TEST(SystemTelemetry, LatencyHistogramsFillFromSampledFrames) {
-  TelRig rig;
-  rig.offer(100'000.0, 0, sec(2));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(100'000.0, sec(2), port_flows(16));
   rig.sim.run_all();
   rig.sys->snapshot_telemetry();
   const auto& series = rig.sys->telemetry()->series();
@@ -154,12 +113,12 @@ TEST(SystemTelemetry, LatencyHistogramsFillFromSampledFrames) {
 
 TEST(SystemTelemetry, ResultsBitIdenticalTelemetryOnOff) {
   auto run = [](bool telemetry_on) {
-    LvrmConfig cfg = TelRig::dynamic_cfg();
+    LvrmConfig cfg = dynamic_cfg();
     cfg.telemetry.enabled = telemetry_on;
-    TelRig rig(cfg);
-    rig.offer(150'000.0, 0, sec(4));
+    LvrmRig rig(cfg);
+    rig.offer(150'000.0, sec(4), port_flows(16));
     rig.sim.run_all();
-    return std::tuple{rig.delivered, rig.sys->forwarded(),
+    return std::tuple{rig.delivered(), rig.sys->forwarded(),
                       rig.sys->active_vris(0), rig.sys->data_queue_drops(),
                       rig.sim.now()};
   };
@@ -167,10 +126,10 @@ TEST(SystemTelemetry, ResultsBitIdenticalTelemetryOnOff) {
 }
 
 TEST(SystemTelemetry, DisabledMeansNoTelemetryObject) {
-  LvrmConfig cfg = TelRig::dynamic_cfg();
+  LvrmConfig cfg = dynamic_cfg();
   cfg.telemetry.enabled = false;
-  TelRig rig(cfg);
-  rig.offer(50'000.0, 0, msec(500));
+  LvrmRig rig(cfg);
+  rig.offer(50'000.0, msec(500), port_flows(16));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->telemetry(), nullptr);
   EXPECT_FALSE(rig.sys->export_telemetry("/tmp/should_not_exist"));
@@ -181,8 +140,8 @@ TEST(SystemTelemetry, HealthTransitionIsAudited) {
   cfg.allocator = AllocatorKind::kFixed;
   cfg.health.enabled = true;
   // Two VRIs so a hang leaves a healthy sibling serving traffic.
-  TelRig rig(cfg, /*initial_vris=*/2);
-  rig.offer(50'000.0, 0, sec(2));
+  LvrmRig rig(cfg, /*initial_vris=*/2);
+  rig.offer(50'000.0, sec(2), port_flows(16));
   rig.sim.at(msec(500), [&rig] { rig.sys->inject_vri_hang(0, 0); });
   rig.sim.run_all();
   ASSERT_FALSE(rig.sys->recovery_log().empty());
@@ -197,8 +156,8 @@ TEST(SystemTelemetry, HealthTransitionIsAudited) {
 }
 
 TEST(SystemTelemetry, ExportWritesAllThreeFiles) {
-  TelRig rig;
-  rig.offer(100'000.0, 0, sec(2));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(100'000.0, sec(2), port_flows(16));
   rig.sim.run_all();
   const std::string prefix = ::testing::TempDir() + "tel_export";
   ASSERT_TRUE(rig.sys->export_telemetry(prefix));
@@ -229,10 +188,10 @@ TEST(SystemTelemetry, ExportWritesAllThreeFiles) {
 }
 
 TEST(SystemTelemetry, PeriodicSnapshotsAccumulate) {
-  LvrmConfig cfg = TelRig::dynamic_cfg();
+  LvrmConfig cfg = dynamic_cfg();
   cfg.telemetry.snapshot_period = msec(100);
-  TelRig rig(cfg);
-  rig.offer(80'000.0, 0, sec(1));
+  LvrmRig rig(cfg);
+  rig.offer(80'000.0, sec(1), port_flows(16));
   rig.sim.run_all();
   // ~1 s of traffic at a 100 ms cadence: several periodic snapshots.
   EXPECT_GE(rig.sys->telemetry()->series().size(), 5u);

@@ -5,77 +5,37 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "exp/experiments.hpp"
-#include "lvrm/system.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "sim/costs.hpp"
+#include "rig.hpp"
 
 namespace lvrm {
 namespace {
 
 namespace costs = sim::costs;
 
-struct TraceRig {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::uint64_t delivered = 0;
-  std::uint64_t next_id = 0;
-  std::deque<std::function<void()>> emitters;
+LvrmConfig tracing_cfg(bool tracing) {
+  LvrmConfig c;
+  c.allocator = AllocatorKind::kFixed;
+  c.tracing.enabled = tracing;
+  return c;
+}
 
-  explicit TraceRig(LvrmConfig cfg, int initial_vris = 1) {
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.dummy_load = costs::kDummyLoad;  // 60 Kfps per VRI
-    vr.initial_vris = initial_vris;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&&) { ++delivered; });
-  }
-
-  static LvrmConfig cfg(bool tracing) {
-    LvrmConfig c;
-    c.allocator = AllocatorKind::kFixed;
-    c.tracing.enabled = tracing;
-    return c;
-  }
-
-  void offer(double fps, Nanos from, Nanos to, int flows = 32) {
-    const Nanos gap = interval_for_rate(fps);
-    std::function<void()>& emit = emitters.emplace_back();
-    emit = [this, gap, to, flows, &emit] {
-      if (sim.now() >= to) return;
-      net::FrameMeta f;
-      f.id = next_id++;
-      f.wire_bytes = 84;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + next_id % flows);
-      sys->ingress(f);
-      sim.after(gap, emit);
-    };
-    sim.at(from, emit);
-  }
-
-  std::string slurp(const std::string& path) {
-    std::ifstream in(path);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
-};
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
 TEST(SystemTracing, DisabledMeansNoTracerObject) {
-  TraceRig rig(TraceRig::cfg(false));
-  rig.offer(50'000.0, 0, msec(100));
+  LvrmRig rig(tracing_cfg(false));
+  rig.offer(50'000.0, msec(100));
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->tracer(), nullptr);
 }
@@ -85,10 +45,10 @@ TEST(SystemTracing, ResultsBitIdenticalTracingOnOff) {
   // every result the simulation produces is identical with it on or off —
   // same frames delivered, same drops, same final sim time.
   auto run = [](bool tracing) {
-    TraceRig rig(TraceRig::cfg(tracing), /*initial_vris=*/2);
-    rig.offer(150'000.0, 0, msec(400));  // overloads 2 VRIs: drops happen too
+    LvrmRig rig(tracing_cfg(tracing), /*initial_vris=*/2);
+    rig.offer(150'000.0, msec(400));  // overloads 2 VRIs: drops happen too
     rig.sim.run_all();
-    return std::tuple{rig.delivered, rig.sys->forwarded(),
+    return std::tuple{rig.delivered(), rig.sys->forwarded(),
                       rig.sys->data_queue_drops(), rig.sim.now()};
   };
   EXPECT_EQ(run(true), run(false));
@@ -102,14 +62,14 @@ TEST(SystemTracing, OffExportsCarryNoTraceFamiliesAndMatchDefaults) {
     LvrmConfig c;
     c.allocator = AllocatorKind::kFixed;
     if (touch_tracing) c.tracing.enabled = false;  // explicit off == default
-    TraceRig rig(c);
-    rig.offer(50'000.0, 0, msec(200));
+    LvrmRig rig(c);
+    rig.offer(50'000.0, msec(200));
     rig.sim.run_all();
     const std::string prefix = ::testing::TempDir() + "trace_off_" + tag;
     EXPECT_TRUE(rig.sys->export_telemetry(prefix));
     std::string all;
     for (const char* ext : {".prom", ".csv", ".trace.json"}) {
-      all += rig.slurp(prefix + ext);
+      all += slurp(prefix + ext);
       std::remove((prefix + ext).c_str());
     }
     return all;
@@ -127,11 +87,11 @@ TEST(SystemTracing, OffExportsCarryNoTraceFamiliesAndMatchDefaults) {
 }
 
 TEST(SystemTracing, AdaptiveSamplerRaisesResolutionWhenIdle) {
-  LvrmConfig c = TraceRig::cfg(true);
-  TraceRig rig(c, /*initial_vris=*/2);
+  LvrmConfig c = tracing_cfg(true);
+  LvrmRig rig(c, /*initial_vris=*/2);
   ASSERT_NE(rig.sys->tracer(), nullptr);
   EXPECT_EQ(rig.sys->tracer()->sample_every(), 64u);
-  rig.offer(30'000.0, 0, msec(300));  // 1/4 of capacity: queues stay shallow
+  rig.offer(30'000.0, msec(300));  // 1/4 of capacity: queues stay shallow
   rig.sim.run_all();
   // Idle pressure relaxes the period to the 1-in-4 floor.
   EXPECT_EQ(rig.sys->tracer()->sample_every(), 4u);
@@ -143,10 +103,11 @@ TEST(SystemTracing, AdaptiveSamplerBacksOffUnderFlashCrowd) {
   // VRI's capacity. The controller must first raise resolution, then back
   // off once the dispatch queues sit above the pressure watermark — tracing
   // sheds its own resolution under overload instead of adding to it.
-  LvrmConfig c = TraceRig::cfg(true);
-  TraceRig rig(c, /*initial_vris=*/1);
-  rig.offer(20'000.0, 0, msec(200));           // idle phase
-  rig.offer(250'000.0, msec(200), msec(500));  // flash crowd, >4x capacity
+  LvrmConfig c = tracing_cfg(true);
+  LvrmRig rig(c, /*initial_vris=*/1);
+  rig.offer(20'000.0, msec(200));  // idle phase
+  // Then a flash crowd at >4x capacity.
+  rig.offer(250'000.0, msec(500), port_flows(), msec(200));
   std::uint32_t idle_period = 0;
   rig.sim.at(msec(199), [&] { idle_period = rig.sys->tracer()->sample_every(); });
   rig.sim.run_all();
@@ -157,8 +118,8 @@ TEST(SystemTracing, AdaptiveSamplerBacksOffUnderFlashCrowd) {
 }
 
 TEST(SystemTracing, ExportContainsNestedPathSpanTracks) {
-  TraceRig rig(TraceRig::cfg(true));
-  rig.offer(50'000.0, 0, msec(200));
+  LvrmRig rig(tracing_cfg(true));
+  rig.offer(50'000.0, msec(200));
   rig.sim.run_all();
   ASSERT_GT(rig.sys->tracer()->spans().size(), 0u);
   // Delivered sampled frames carry the full timeline.
@@ -172,7 +133,7 @@ TEST(SystemTracing, ExportContainsNestedPathSpanTracks) {
 
   const std::string prefix = ::testing::TempDir() + "trace_spans";
   ASSERT_TRUE(rig.sys->export_telemetry(prefix));
-  const std::string text = rig.slurp(prefix + ".trace.json");
+  const std::string text = slurp(prefix + ".trace.json");
   for (const char* ext : {".prom", ".csv", ".trace.json"})
     std::remove((prefix + ext).c_str());
   for (const char* name : {"thread_name", "shard 0 dispatch", "vr0 vri0 service",
@@ -183,14 +144,14 @@ TEST(SystemTracing, ExportContainsNestedPathSpanTracks) {
 }
 
 TEST(SystemTracing, VriCrashDumpsTheFlightRecorder) {
-  LvrmConfig c = TraceRig::cfg(true);
+  LvrmConfig c = tracing_cfg(true);
   c.tracing.dump_dir = ::testing::TempDir();
   // Size the black box to cover the crash-to-reap window at this load (the
   // reap rides the next 1 s allocation pass), so the dump still holds the
   // victim's in-flight frames when the verdict lands.
   c.tracing.recorder_capacity = 1u << 16;
-  TraceRig rig(c, /*initial_vris=*/3);
-  rig.offer(150'000.0, 0, sec(2) + msec(500));
+  LvrmRig rig(c, /*initial_vris=*/3);
+  rig.offer(150'000.0, sec(2) + msec(500));
   rig.sim.at(sec(1) + msec(900), [&rig] { rig.sys->inject_vri_crash(0, 1); });
   rig.sim.run_all();
   ASSERT_EQ(rig.sys->crashed_vris_reaped(), 1u);
@@ -215,7 +176,7 @@ TEST(SystemTracing, VriCrashDumpsTheFlightRecorder) {
   // The dump also landed on disk as JSON, and in the audit trail.
   const std::string path =
       c.tracing.dump_dir + "/flight_" + std::to_string(d.seq) + "_vri_crash.json";
-  const std::string text = rig.slurp(path);
+  const std::string text = slurp(path);
   std::remove(path.c_str());
   EXPECT_NE(text.find("\"reason\":\"vri_crash\""), std::string::npos);
   EXPECT_NE(text.find("\"hop\":"), std::string::npos);
@@ -230,10 +191,10 @@ TEST(SystemTracing, VriCrashDumpsTheFlightRecorder) {
 }
 
 TEST(SystemTracing, AdmissionEscalationDumpsTheFlightRecorder) {
-  LvrmConfig c = TraceRig::cfg(true);
+  LvrmConfig c = tracing_cfg(true);
   c.overload_control.enabled = true;
-  TraceRig rig(c, /*initial_vris=*/1);
-  rig.offer(200'000.0, 0, msec(40));  // >3x one VRI: ladder reaches admission
+  LvrmRig rig(c, /*initial_vris=*/1);
+  rig.offer(200'000.0, msec(40));  // >3x one VRI: ladder reaches admission
   rig.sim.run_all();
   ASSERT_GT(rig.sys->admission_rejected_drops(), 0u);
 
@@ -250,11 +211,11 @@ TEST(SystemTracing, AdmissionEscalationDumpsTheFlightRecorder) {
 }
 
 TEST(SystemTracing, DropsTerminateSpansWithTheExitCause) {
-  LvrmConfig c = TraceRig::cfg(true);
+  LvrmConfig c = tracing_cfg(true);
   c.tracing.initial_sample_every = 1;  // sample everything: drops included
   c.tracing.min_sample_every = 1;
-  TraceRig rig(c, /*initial_vris=*/1);
-  rig.offer(250'000.0, 0, msec(50));  // far past capacity: queue-full drops
+  LvrmRig rig(c, /*initial_vris=*/1);
+  rig.offer(250'000.0, msec(50));  // far past capacity: queue-full drops
   rig.sim.run_all();
   ASSERT_GT(rig.sys->data_queue_drops(), 0u);
   bool dropped_span = false;
