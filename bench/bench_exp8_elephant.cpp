@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"replication", "vris", "eleph Kfps", "x 1-vri",
                       "order viol", "sprayed", "deltas", "seq ovfl"},
                      args.csv);
-  const double one_vri_kfps = 60.0;  // per_vri_capacity_fps default
+  const double one_vri_kfps = kPerVriCapacityFps / 1e3;
   for (const bool replication : {false, true}) {
     for (const int vris : {2, 4}) {
       ElephantTrialOptions opt;

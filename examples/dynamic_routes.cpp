@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
 
   auto report = [&](const char* phase) {
     std::cout << phase << ": forwarded=" << delivered
-              << " no-route-drops=" << lvrm.no_route_drops() << '\n';
+              << " no-route-drops=" << lvrm.drops(DropCause::kNoRoute)
+              << '\n';
   };
 
   sim.at(msec(10), [&] {

@@ -28,8 +28,13 @@ nested configs (the obs:: ones included) expanded into their own fields.
   counts as set when `.<leaf> =` (a member assignment or a designated
   initializer) appears outside comments anywhere under ASSIGNMENT_DIRS. The
   match is by leaf name, so a nested field whose leaf another struct shares
-  (`overload_control.adapt_period` vs `tracing.adapt_period`) passes when
-  either is set. ALLOWED_UNASSIGNED lists the deliberate exceptions.
+  (`health.enabled` vs `tracing.enabled`) passes when either is set.
+  ALLOWED_UNASSIGNED lists the deliberate exceptions.
+* Default-only: a settable value whose every assignment under
+  ASSIGNMENT_DIRS is, as text with whitespace removed, its declared
+  default (`cfg.fail_slow_grace = 3;` for `int fail_slow_grace = 3;`).
+  Setting a value to its default turns nothing, so such a value is as
+  unused as an unassigned one.
 
 Usage: check_config_docs.py [ROOT]
 Prints every undocumented, stale or unassigned field and exits non-zero if
@@ -58,9 +63,10 @@ COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 FIELD = re.compile(
     r"^\s{2}(?:static\s+)?(?:constexpr\s+)?"
     r"(?P<type>[\w:]+(?:<[^;=(){}]*>)?)\s+"
-    r"(?P<name>\w+)\s*(?:=\s*[^;]+)?;",
+    r"(?P<name>\w+)\s*(?:=\s*(?P<default>[^;]+))?;",
     re.MULTILINE,
 )
+ASSIGNMENT = re.compile(r"\.\s*(\w+)\s*=(?!=)")
 
 
 def struct_bodies(text):
@@ -79,39 +85,73 @@ def fields_of(body):
     return [(m.group("type"), m.group("name")) for m in FIELD.finditer(body)]
 
 
+def squeeze(text):
+    return re.sub(r"\s+", "", text)
+
+
+def defaults_of(body):
+    """Field name -> its declared default, whitespace removed (None if none)."""
+    return {m.group("name"): m.group("default") and squeeze(m.group("default"))
+            for m in FIELD.finditer(body)}
+
+
 def settable_values(root, bodies):
-    """Dotted name of every scalar LvrmConfig value, nested configs expanded."""
+    """(dotted name, declared default) of every scalar LvrmConfig value,
+    nested configs expanded; the default is None when none is declared."""
     external = {}
     for hdr in sorted((root / "src" / "obs").glob("*.hpp")):
         external.update(struct_bodies(hdr.read_text(encoding="utf-8")))
     values = []
+    top = defaults_of(bodies["LvrmConfig"])
     for ftype, name in fields_of(bodies["LvrmConfig"]):
         base = ftype.rsplit("::", 1)[-1]
         nested = bodies.get(base) or (
             external.get(base) if ftype.startswith("obs::") else None)
         if nested is None:
-            values.append(name)
+            values.append((name, top[name]))
         else:
-            values.extend(f"{name}.{sub}" for _, sub in fields_of(nested))
+            values.extend((f"{name}.{sub}", default)
+                          for sub, default in defaults_of(nested).items())
     return values
 
 
 def known_fields(root, bodies):
     """Every name a first-column cell may use: top-level and dotted nested."""
-    return set(settable_values(root, bodies)) | {
+    return {v for v, _ in settable_values(root, bodies)} | {
         name for _, name in fields_of(bodies["LvrmConfig"])}
 
 
-def assigned_leaves(root):
-    """Every `.<leaf> =` target outside comments under ASSIGNMENT_DIRS."""
-    leaves = set()
+def assigned_text(code, start):
+    """The right-hand side starting at `start`, up to the `;`, `,`, `)` or
+    `}` that ends it outside any bracket, whitespace removed."""
+    depth, i = 0, start
+    while i < len(code):
+        ch = code[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif ch in ";," and depth == 0:
+            break
+        i += 1
+    return squeeze(code[start:i])
+
+
+def assignments(root):
+    """Leaf -> right-hand sides of every `.<leaf> = ...` outside comments
+    under ASSIGNMENT_DIRS, whitespace removed."""
+    found = {}
     for d in ASSIGNMENT_DIRS:
         for path in sorted((root / d).rglob("*")):
             if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
                 continue
             code = COMMENT.sub("", path.read_text(encoding="utf-8"))
-            leaves.update(re.findall(r"\.\s*(\w+)\s*=(?!=)", code))
-    return leaves
+            for m in ASSIGNMENT.finditer(code):
+                found.setdefault(m.group(1), set()).add(
+                    assigned_text(code, m.end()))
+    return found
 
 
 def table_first_cells(readme_text):
@@ -177,10 +217,16 @@ def main():
                        known_fields(root, bodies))
 
     values = settable_values(root, bodies)
-    assigned = assigned_leaves(root)
-    unassigned = [v for v in values
-                  if v.rsplit(".", 1)[-1] not in assigned
-                  and v not in ALLOWED_UNASSIGNED]
+    assigned = assignments(root)
+    unassigned, default_only = [], []
+    for name, default in values:
+        if name in ALLOWED_UNASSIGNED:
+            continue
+        rhs = assigned.get(name.rsplit(".", 1)[-1])
+        if rhs is None:
+            unassigned.append(name)
+        elif default is not None and rhs == {default}:
+            default_only.append(name)
 
     if missing:
         print(f"{readme}: LvrmConfig fields missing from the configuration "
@@ -198,12 +244,18 @@ def main():
               f"at its reader, or allowlist it with a reason):")
         for name in unassigned:
             print(f"  {name}")
-    if missing or stale or unassigned:
+    if default_only:
+        print(f"{header}: {len(default_only)} LvrmConfig values are only ever "
+              f"set to their declared default in {', '.join(ASSIGNMENT_DIRS)} "
+              f"(make each a named constant at its reader):")
+        for name in default_only:
+            print(f"  {name}")
+    if missing or stale or unassigned or default_only:
         return 1
     print(f"check_config_docs: every LvrmConfig field of {header.name} is "
           f"documented in {readme.name}, every row names a field, and each "
-          f"of the {len(values)} settable values is set somewhere or "
-          f"allowlisted")
+          f"of the {len(values)} settable values is set to a value other "
+          f"than its default somewhere or allowlisted")
     return 0
 
 

@@ -469,7 +469,7 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   vr.initial_vris = opt.vris;
   // Pin each VRI's service rate to the allocator's nominal capacity so
   // elephant_multiplier is a true per-core overload factor.
-  vr.dummy_load = static_cast<Nanos>(1e9 / cfg.per_vri_capacity_fps);
+  vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
   sys.add_vr(vr);
   sys.start();
 
@@ -486,10 +486,10 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   });
 
   const double elephant_rate =
-      cfg.per_vri_capacity_fps * opt.elephant_multiplier;
+      kPerVriCapacityFps * opt.elephant_multiplier;
   const double mouse_rate =
       opt.mice_flows > 0
-          ? cfg.per_vri_capacity_fps * opt.mice_load / opt.mice_flows
+          ? kPerVriCapacityFps * opt.mice_load / opt.mice_flows
           : 0.0;
   auto make_frame = [&](std::uint16_t src_port, std::uint64_t id) {
     net::FrameMeta f;
@@ -578,7 +578,7 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
     vr.inner_kind = VrKind::kCpp;
     vr.rate_limit_fps = 1e9;
     vr.rate_limit_burst = 1e6;
-    vr.dummy_load = static_cast<Nanos>(1e9 / cfg.per_vri_capacity_fps);
+    vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
   } else {
     vr.kind = VrKind::kCpp;
   }
@@ -644,14 +644,14 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
     if (opt.workload == Workload::kElephant) {
       // Exp 8 shape: one elephant at 4x a single VRI's capacity plus light
       // pinned mice at 10% aggregate.
-      elephant_credit += cfg.per_vri_capacity_fps * 4.0 * dt;
+      elephant_credit += kPerVriCapacityFps * 4.0 * dt;
       while (elephant_credit >= 1.0) {
         elephant_credit -= 1.0;
         if (!sys.ingress(make_frame(kElephantPort, elephant_seq))) break;
         ++elephant_seq;
       }
       const double mouse_rate =
-          cfg.per_vri_capacity_fps * 0.1 / static_cast<double>(flows);
+          kPerVriCapacityFps * 0.1 / static_cast<double>(flows);
       for (std::size_t m = 0; m < flows; ++m) {
         mouse_credit[m] += mouse_rate * dt;
         while (mouse_credit[m] >= 1.0) {
@@ -709,11 +709,11 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   vr.initial_vris = opt.vris;
   // The thesis's dummy load pins each VRI's service rate to the allocator's
   // nominal capacity, so offered_multiplier is a true overload factor.
-  vr.dummy_load = static_cast<Nanos>(1e9 / cfg.per_vri_capacity_fps);
+  vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
   sys.add_vr(vr);
   sys.start();
 
-  const double nominal = cfg.per_vri_capacity_fps * opt.vris;
+  const double nominal = kPerVriCapacityFps * opt.vris;
   const Nanos stop = opt.warmup + opt.measure;
 
   traffic::WorkloadGenerator::Config wl;
@@ -766,13 +766,14 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   out.offered = gen.sent();
   for (int c = 0; c < traffic::kFlowClassCount; ++c)
     out.offered_by_class[c] = gen.sent(static_cast<traffic::FlowClass>(c));
-  out.sampled_shed = sys.sampled_shed_drops();
-  out.admission_rejected = sys.admission_rejected_drops();
+  out.sampled_shed = sys.drops(DropCause::kSampledShed);
+  out.admission_rejected = sys.drops(DropCause::kAdmissionReject);
   out.queue_drops = sys.data_queue_drops();
   out.ordering_violations = check.fifo_violations();
   out.offered_estimate = sys.vr_offered_estimate(0);
-  const double truth = static_cast<double>(sys.vr_frames_in(0)) +
-                       static_cast<double>(sys.vr_admission_rejected(0));
+  const double truth =
+      static_cast<double>(sys.vr_frames_in(0)) +
+      static_cast<double>(sys.vr_drops(0, DropCause::kAdmissionReject));
   out.estimate_error =
       truth > 0.0 ? std::abs(out.offered_estimate - truth) / truth : 0.0;
   out.delivered_fps =

@@ -141,7 +141,7 @@ ShardScalingResult run_shard_scaling_trial(const ShardScalingOptions& opt);
 
 struct OverloadTrialOptions {
   /// Offered load relative to the VR's nominal capacity
-  /// (per_vri_capacity_fps × vris): the x axis of the fidelity curve.
+  /// (kPerVriCapacityFps × vris): the x axis of the fidelity curve.
   double offered_multiplier = 2.0;
   /// Degradation ladder on/off (the off column is the baseline the curve is
   /// compared against).
@@ -267,7 +267,7 @@ FlowScaleResult run_flow_scale_trial(const FlowScaleOptions& opt);
 
 struct ElephantTrialOptions {
   /// Elephant offered rate as a multiple of ONE VRI's nominal capacity
-  /// (per_vri_capacity_fps). >1 means a pinned flow cannot be served.
+  /// (kPerVriCapacityFps). >1 means a pinned flow cannot be served.
   double elephant_multiplier = 4.0;
   /// State-compute replication on/off — the off column is the flow-affinity
   /// baseline the §16 claim is measured against.

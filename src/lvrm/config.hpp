@@ -22,23 +22,10 @@ namespace lvrm {
 /// Health-monitoring layer (heartbeats + fail-slow watchdog). Disabled by
 /// default so the stock Sec 3.2 supervision (the 1 s allocation pass) is the
 /// baseline; every existing experiment is bit-for-bit unchanged with it off.
+/// The probe period, heartbeat timeout and fail-slow thresholds are fixed
+/// constants (health_monitor.hpp), not knobs.
 struct HealthConfig {
   bool enabled = false;
-
-  /// Heartbeat sampling period of the LVRM poll loop — decoupled from (and
-  /// much shorter than) the 1 s re-allocation period.
-  Nanos probe_period = msec(100);
-
-  /// A VRI whose progress counter has not advanced for this long while its
-  /// data queue is non-empty is declared hung.
-  Nanos heartbeat_timeout = msec(250);
-
-  /// Fail-slow watchdog: a VRI is struck when its measured departure rate
-  /// falls below this fraction of its siblings' median.
-  double fail_slow_fraction = 0.5;
-
-  /// Consecutive strikes before a fail-slow verdict (rides out transients).
-  int fail_slow_grace = 3;
 };
 
 /// Overload-resilience ladder (DESIGN.md §13): a per-VR backpressure
@@ -92,10 +79,6 @@ struct LvrmConfig {
   /// Minimum interval between core (de)allocation passes (Sec 3.2: "we set
   /// the period to be 1 second, while this parameter is tunable").
   Nanos realloc_period = sec(1);
-
-  /// Per-core capacity threshold for the fixed-threshold allocator. The
-  /// experiments use 60 Kfps, the service rate under the 1/60 ms dummy load.
-  double per_vri_capacity_fps = 60'000.0;
 
   /// Weight of the Fig 3.4 EWMA recurrences.
   double ewma_weight = 7.0;

@@ -84,6 +84,11 @@ class FixedAllocator final : public CoreAllocator {
   }
 };
 
+/// Per-core capacity threshold of the fixed-threshold allocator: 60 Kfps,
+/// the service rate under the experiments' 1/60 ms dummy load. Exactly
+/// 60'000 (1e9 / sim::costs::kDummyLoad would round).
+inline constexpr double kPerVriCapacityFps = 60'000.0;
+
 class DynamicFixedThresholdAllocator final : public CoreAllocator {
  public:
   explicit DynamicFixedThresholdAllocator(double per_vri_capacity_fps)

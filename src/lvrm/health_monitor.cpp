@@ -55,7 +55,7 @@ std::vector<HealthVerdict> HealthMonitor::probe(
       rec.last_progress = p.progress;
       rec.last_change = now;
     } else if (p.backlog > 0 &&
-               now - rec.last_change >= config_.heartbeat_timeout) {
+               now - rec.last_change >= kHeartbeatTimeout) {
       // Alive but frozen with work pending: hung. An idle VRI (backlog 0)
       // legitimately makes no progress and is left alone.
       ++hung_;
@@ -67,8 +67,8 @@ std::vector<HealthVerdict> HealthMonitor::probe(
     // Service-rate watchdog: progressing, but slower than its siblings.
     const double median = sibling_median(probes, p.vri);
     if (p.departure_rate_fps > 0.0 && median > 0.0 &&
-        p.departure_rate_fps < config_.fail_slow_fraction * median) {
-      if (++rec.slow_strikes >= config_.fail_slow_grace) {
+        p.departure_rate_fps < kFailSlowFraction * median) {
+      if (++rec.slow_strikes >= kFailSlowGrace) {
         ++fail_slow_;
         verdicts.push_back(
             {p.vri, VriHealth::kFailSlow, now - rec.last_change});

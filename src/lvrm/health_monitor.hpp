@@ -5,17 +5,17 @@
 // VRI — hung or degraded but with a live process — is never noticed at all.
 // This monitor closes that gap. The LVRM poll loop feeds it heartbeat probes
 // (cheap reads of each VRI's progress counter and queue backlog from shared
-// memory) on its own `probe_period`, decoupled from the allocation period,
+// memory) every kHealthProbePeriod, decoupled from the allocation period,
 // and the monitor classifies each VRI:
 //
 //   * kDead      — the process is gone (waitpid()/kill(pid,0) would fail);
 //                  detected at the first probe after death.
 //   * kHung      — the process is alive but its progress counter has not
-//                  advanced for `heartbeat_timeout` while work is pending in
+//                  advanced for kHeartbeatTimeout while work is pending in
 //                  its data queue (stuck in a loop, deadlocked, SIGSTOPped).
 //   * kFailSlow  — the service-rate watchdog: its measured departure rate
-//                  has stayed below `fail_slow_fraction` of its siblings'
-//                  median for `fail_slow_grace` consecutive probes.
+//                  has stayed below kFailSlowFraction of its siblings'
+//                  median for kFailSlowGrace consecutive probes.
 //
 // The monitor is pure bookkeeping — it owns no queues or processes — so it
 // unit-tests in isolation; LvrmSystem turns its verdicts into quarantine,
@@ -28,10 +28,22 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "lvrm/config.hpp"
 #include "lvrm/types.hpp"
 
 namespace lvrm {
+
+/// Heartbeat sampling period of the LVRM poll loop — decoupled from (and
+/// much shorter than) the 1 s re-allocation period.
+inline constexpr Nanos kHealthProbePeriod = msec(100);
+/// A VRI whose progress counter has not advanced for this long while its
+/// data queue is non-empty is declared hung.
+inline constexpr Nanos kHeartbeatTimeout = msec(250);
+/// Fail-slow watchdog: a VRI is struck when its measured departure rate
+/// falls below this fraction of its siblings' median...
+inline constexpr double kFailSlowFraction = 0.5;
+/// ...and condemned after this many consecutive strikes (rides out
+/// transients).
+inline constexpr int kFailSlowGrace = 3;
 
 /// One heartbeat sample for one VRI, taken by the LVRM poll loop.
 struct VriProbe {
@@ -52,8 +64,6 @@ struct HealthVerdict {
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthConfig config) : config_(config) {}
-
   /// Feeds one probe pass over the active VRIs of VR `vr`. Returns the VRIs
   /// needing recovery (dead, hung or fail-slow), at most one verdict each.
   std::vector<HealthVerdict> probe(int vr, std::span<const VriProbe> probes,
@@ -71,8 +81,6 @@ class HealthMonitor {
   std::uint64_t hung_detected() const { return hung_; }
   std::uint64_t fail_slow_detected() const { return fail_slow_; }
 
-  const HealthConfig& config() const { return config_; }
-
  private:
   struct Record {
     std::uint64_t last_progress = 0;
@@ -86,7 +94,6 @@ class HealthMonitor {
            static_cast<std::uint32_t>(vri);
   }
 
-  HealthConfig config_;
   std::unordered_map<std::uint64_t, Record> records_;
   std::uint64_t dead_ = 0;
   std::uint64_t hung_ = 0;

@@ -1,6 +1,5 @@
 #include "lvrm/invariants.hpp"
 
-#include <initializer_list>
 #include <numeric>
 #include <sstream>
 
@@ -40,22 +39,15 @@ std::string InvariantChecker::conservation(const LvrmSystem& sys) const {
   if (delivered_ + dropped() != offered_)
     err << "delivered " << delivered_ << " + dropped " << dropped()
         << " != offered " << offered_ << "; ";
-  const auto counter = [&](const char* name, std::uint64_t counted,
-                           std::initializer_list<DropCause> causes) {
-    std::uint64_t hooked = 0;
-    for (const DropCause c : causes) hooked += drops(c);
-    if (counted != hooked)
-      err << name << " " << counted << " != hooked " << hooked << "; ";
-  };
-  counter("rx_ring_drops", sys.rx_ring_drops(), {DropCause::kRxRingFull});
-  counter("data_queue_drops", sys.data_queue_drops(),
-          {DropCause::kQueueFull, DropCause::kVriInactive,
-           DropCause::kVriDestroyed});
-  counter("no_route_drops", sys.no_route_drops(), {DropCause::kNoRoute});
-  counter("sampled_shed_drops", sys.sampled_shed_drops(),
-          {DropCause::kSampledShed});
-  counter("admission_rejected_drops", sys.admission_rejected_drops(),
-          {DropCause::kAdmissionReject});
+  for (std::size_t i = 0; i < kDropCauses; ++i) {
+    const auto cause = static_cast<DropCause>(i);
+    if (sys.drops(cause) != drops(cause))
+      err << "drops(" << to_string(cause) << ") " << sys.drops(cause)
+          << " != hooked " << drops(cause) << "; ";
+  }
+  if (sys.rx_ring_drops() != drops(DropCause::kRxRingFull))
+    err << "rx_ring_drops " << sys.rx_ring_drops() << " != hooked "
+        << drops(DropCause::kRxRingFull) << "; ";
   return err.str();
 }
 

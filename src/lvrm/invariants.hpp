@@ -7,9 +7,11 @@
 //     regression and becomes the flow's last id.
 //   * Shard affinity (DESIGN.md §11): each frame of a 5-tuple leaves through
 //     the dispatcher shard the flow's previous frame took.
-//   * Conservation: delivered + hooked drops == offered, and each drop
-//     counter LvrmSystem keeps equals the hook's tally of its causes, so a
-//     drop that bypasses the hook fails even where the counters balance.
+//   * Conservation: delivered + hooked drops == offered, and for every
+//     DropCause LvrmSystem's drop ledger equals the hook's tally, so a drop
+//     that bypasses the hook fails and names its cause even where the
+//     totals balance. The RX rings' own tail-drop count, kept apart from
+//     the ledger, must equal the hook's kRxRingFull tally too.
 #pragma once
 
 #include <array>
@@ -53,9 +55,9 @@ class InvariantChecker {
   std::uint64_t fifo_violations() const { return fifo_violations_; }
   std::uint64_t affinity_violations() const { return affinity_violations_; }
 
-  /// Empty when delivered + hooked drops == offered and every drop counter
-  /// of `sys` equals the hook's tally of its causes; otherwise names each
-  /// mismatch.
+  /// Empty when delivered + hooked drops == offered, `sys.drops(c)` equals
+  /// the hook's tally for every cause c, and so does `sys.rx_ring_drops()`
+  /// for kRxRingFull; otherwise names each mismatch.
   std::string conservation(const LvrmSystem& sys) const;
   /// conservation() plus the FIFO regressions and shard changes, if any.
   std::string verdict(const LvrmSystem& sys) const;
@@ -65,11 +67,8 @@ class InvariantChecker {
     std::uint64_t last_id = 0;
     std::int16_t shard = -1;
   };
-  static constexpr std::size_t kCauses =
-      static_cast<std::size_t>(DropCause::kVrPolicy) + 1;
-
   std::unordered_map<net::FiveTuple, Flow, net::TupleHash> flows_;
-  std::array<std::uint64_t, kCauses> drops_{};
+  std::array<std::uint64_t, kDropCauses> drops_{};
   ClassFn class_of_;
   // Per flow class: {delivered, dropped}.
   std::array<std::array<std::uint64_t, 2>, kClasses> by_class_{};

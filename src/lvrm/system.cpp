@@ -52,7 +52,7 @@ static bool pressured(const sim::BoundedQueue<net::FrameMeta>& q) {
 
 // State replication (DESIGN.md §16).
 /// A flow is an elephant when its rate inside one detection window exceeds
-/// this fraction of `per_vri_capacity_fps` — i.e. when it alone occupies
+/// this fraction of kPerVriCapacityFps — i.e. when it alone occupies
 /// this share of the core it is pinned to.
 constexpr double kElephantFraction = 0.5;
 /// Length of the windows the heavy-hitter detector counts frames over.
@@ -100,7 +100,6 @@ struct LvrmSystem::VriSlot {
 
   std::uint64_t processed = 0;
   std::uint64_t forwarded = 0;
-  std::uint64_t no_route = 0;
   bool crashed = false;
   /// Reset-free drain quiesce in flight (DESIGN.md §13): the server is
   /// stopped but the slot keeps accepting pinned-flow frames until the
@@ -130,10 +129,6 @@ struct LvrmSystem::VriSlot {
   // idle re-poll timer.
   std::size_t data_in_input = 0;  // data_in's index on this slot's server
   bool steal_timer_armed = false;
-
-  /// Frames the slot's stateful VR refused (§16 policy drops; 0 for the
-  /// stateless thesis VRs, which never refuse).
-  std::uint64_t policy_drops = 0;
 };
 
 /// §16 TX sequencer state for one sprayed flow: frames may complete on any
@@ -176,7 +171,8 @@ struct LvrmSystem::VrState {
   Nanos pipeline_latency = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t forwarded = 0;
-  std::uint64_t data_drops = 0;
+  /// This VR's share of the drop ledger (note_drop).
+  DropTally drops{};
 
   // Balancer-summary deltas between allocation passes (audit trail; see
   // DESIGN.md §10).
@@ -192,8 +188,6 @@ struct LvrmSystem::VrState {
   Nanos win_start = -1;       // current adaptation window's start
   std::uint64_t win_frames = 0;     // frames seen this window
   std::uint64_t win_pressured = 0;  // of those, arrivals at a hot queue
-  std::uint64_t sampled_shed = 0;       // level-1 drops (out of subset)
-  std::uint64_t admission_rejected = 0; // level-2 drops (RX-side reject)
   /// Bias-corrected offered-load estimate: +1/rate per subset-passing frame.
   double offered_estimate = 0.0;
 
@@ -251,10 +245,10 @@ struct LvrmSystem::ObsHooks {
   // export byte-identical to the unsharded build).
   std::vector<obs::Counter> shard_rx;
   std::vector<obs::Counter> shard_tx;
-  // Degradation-ladder drop counters (registered only when
-  // `overload_control.enabled`, keeping ladder-off exports byte-identical).
-  obs::Counter sampled_shed;
-  obs::Counter admission_rejected;
+  // Per-cause drop counters, bumped by note_drop. Only the ladder's two
+  // are registered, and only when `overload_control.enabled`, keeping
+  // ladder-off exports byte-identical; the rest stay invalid.
+  std::array<obs::Counter, kDropCauses> drops;
   // §16 replication counters (registered only when
   // `state_replication.enabled` — defaults-off exports stay byte-identical).
   obs::Counter sprayed_frames;
@@ -303,9 +297,9 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
     shards_.push_back(std::move(shard));
   }
 
-  allocator_ = make_allocator(config_.allocator, config_.per_vri_capacity_fps);
+  allocator_ = make_allocator(config_.allocator, kPerVriCapacityFps);
   if (config_.health.enabled)
-    health_ = std::make_unique<HealthMonitor>(config_.health);
+    health_ = std::make_unique<HealthMonitor>();
 
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
@@ -326,8 +320,10 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
       }
     }
     if (config_.overload_control.enabled) {
-      obs_->sampled_shed = m.counter("lvrm_sampled_shed_total");
-      obs_->admission_rejected = m.counter("lvrm_admission_rejected_total");
+      obs_->drops[static_cast<std::size_t>(DropCause::kSampledShed)] =
+          m.counter("lvrm_sampled_shed_total");
+      obs_->drops[static_cast<std::size_t>(DropCause::kAdmissionReject)] =
+          m.counter("lvrm_admission_rejected_total");
     }
     if (config_.state_replication.enabled) {
       obs_->sprayed_frames = m.counter("lvrm_sprayed_frames_total");
@@ -509,28 +505,22 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                             s->vr_id, s->index, sim_.now(), 0,
                             f.obs_sampled != 0);
           if (f.output_if < 0) {
-            if (f.output_if == kPolicyDropIf) {
-              ++s->policy_drops;
-              note_drop(f, DropCause::kVrPolicy);
-            } else {
-              ++s->no_route;
-              note_drop(f, DropCause::kNoRoute);
-            }
+            note_drop(f, f.output_if == kPolicyDropIf ? DropCause::kVrPolicy
+                                                      : DropCause::kNoRoute);
             return;
           }
           if (v->pipeline_latency > 0) {
             // The Click VR's internal Queue element delays the frame without
             // consuming extra CPU (Fig 4.6's higher latency).
-            auto hand_off = [this, s, v, f] {
-              if (!push_or_note(*s->data_out, f, DropCause::kQueueFull))
-                ++v->data_drops;
+            auto hand_off = [this, s, f] {
+              push_or_note(*s->data_out, f, DropCause::kQueueFull);
             };
             // The largest per-frame capture; Callback's inline buffer is
             // sized for it.
             static_assert(sim::Callback::stores_inline<decltype(hand_off)>);
             sim_.after(v->pipeline_latency, std::move(hand_off));
-          } else if (!push_or_note(*s->data_out, f, DropCause::kQueueFull)) {
-            ++v->data_drops;
+          } else {
+            push_or_note(*s->data_out, f, DropCause::kQueueFull);
           }
         },
         CostCategory::kUser);
@@ -549,9 +539,10 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           return cost;
         },
         [this, v](net::FrameMeta&& f) {
+          // A lost control event is never counted: its delivery callback
+          // is erased and never fires, which is what its sender observes.
           const int dst = f.dispatch_vri;
           if (dst < 0 || dst >= static_cast<int>(v->slots.size())) {
-            ++control_drops_;
             control_cbs_.erase(f.id);
             return;
           }
@@ -559,11 +550,10 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           if (target.ctrl_loss_prob > 0.0 &&
               rng_.uniform01() < target.ctrl_loss_prob) {
             // Injected lossy control path: the event vanishes in transit.
-            ++control_drops_;
             control_cbs_.erase(f.id);
             return;
           }
-          if (!target.ctrl_in->push(std::move(f))) ++control_drops_;
+          if (!target.ctrl_in->push(f)) control_cbs_.erase(f.id);
         },
         CostCategory::kUser);
 
@@ -743,14 +733,12 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
   }
 
   if (frame.dispatch_vr < 0 || frame.dispatch_vri < 0) {
-    ++unclassified_drops_;
     note_drop(frame, DropCause::kUnclassified);
     return;
   }
   VrState& vr = *vrs_[static_cast<std::size_t>(frame.dispatch_vr)];
   VriSlot& slot = *vr.slots[static_cast<std::size_t>(frame.dispatch_vri)];
   if (!slot.active) {
-    ++vr.data_drops;
     note_drop(frame, DropCause::kVriInactive);
     return;
   }
@@ -777,10 +765,7 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
     frame.obs_sampled = 1;
     frame.obs_enq_at = sim_.now();
   }
-  if (!push_or_note(*slot.data_in, frame, DropCause::kQueueFull)) {
-    ++vr.data_drops;
-    return;
-  }
+  if (!push_or_note(*slot.data_in, frame, DropCause::kQueueFull)) return;
   // Fig 3.4 "estimate": one sample per dispatched frame.
   slot.estimator->on_dispatch(slot.data_in->size(), sim_.now());
 }
@@ -814,13 +799,11 @@ bool LvrmSystem::admission_reject(net::FrameMeta& frame) {
     frame.admit_rate = vr.sample_rate;
     return false;
   }
-  ++vr.admission_rejected;
   // The reject runs *after* the cheap source-prefix classification, so the
   // offered tally stays exact even while the gate drops at ingress — unlike
   // a NIC-ring overflow, which loses frames before anything knows which VR
   // they belonged to.
   vr.offered_estimate += 1.0;
-  if (obs_) obs_->admission_rejected.inc();
   note_drop(frame, DropCause::kAdmissionReject);
   return true;
 }
@@ -846,8 +829,6 @@ bool LvrmSystem::maybe_sample_shed(VrState& vr, VriSlot& slot,
     f.admit_rate = std::min(f.admit_rate, vr.sample_rate);
     return false;
   }
-  ++vr.sampled_shed;
-  if (obs_) obs_->sampled_shed.inc();
   note_drop(f, DropCause::kSampledShed);
   return true;
 }
@@ -928,7 +909,8 @@ void LvrmSystem::set_overload_state(VrState& vr, OverloadLevel level,
     e.threshold = pressure;
     e.a = static_cast<std::uint64_t>(level);
     e.b = static_cast<std::uint64_t>(before);
-    e.c = vr.sampled_shed + vr.admission_rejected;
+    e.c = vr.drops[static_cast<std::size_t>(DropCause::kSampledShed)] +
+          vr.drops[static_cast<std::size_t>(DropCause::kAdmissionReject)];
     telemetry_->audit().record(e);
   }
 }
@@ -949,10 +931,7 @@ void LvrmSystem::send_control(int vr_id, int src_vri, int dst_vri,
   f.dispatch_vr = static_cast<std::int16_t>(vr_id);
   f.dispatch_vri = static_cast<std::int16_t>(dst_vri);
   control_cbs_.emplace(f.id, std::move(on_delivered));
-  if (!src.ctrl_out->push(std::move(f))) {
-    ++control_drops_;
-    control_cbs_.erase(next_control_id_ - 1);
-  }
+  if (!src.ctrl_out->push(f)) control_cbs_.erase(f.id);
 }
 
 void LvrmSystem::broadcast_route_update(int vr_id, int src_vri,
@@ -971,31 +950,38 @@ void LvrmSystem::broadcast_route_update(int vr_id, int src_vri,
   // would otherwise have missed — part of the Sec 2.1 routing-state sync.
   vr.route_log.push_back(update);
 
-  struct SyncState {
-    int pending = 0;
+  sync_siblings(
+      vr, src_vri, route::kRouteUpdateWireSize + 16,  // + header
+      [update](VriSlot& sib) { sib.router->apply_route_update(update); },
+      std::move(on_synced));
+}
+
+void LvrmSystem::sync_siblings(VrState& vr, int src, std::size_t bytes,
+                               std::function<void(VriSlot&)> on_ack,
+                               std::function<void(Nanos)> done) {
+  struct Pending {
+    int acks = 0;
     Nanos worst = 0;
+    std::function<void(VriSlot&)> on_ack;
     std::function<void(Nanos)> done;
   };
-  auto sync = std::make_shared<SyncState>();
-  sync->done = std::move(on_synced);
+  auto pending = std::make_shared<Pending>();
   for (const int idx : vr.active_order)
-    if (idx != src_vri) ++sync->pending;
-  if (sync->pending == 0) {
-    if (sync->done) sync->done(0);
+    if (idx != src) ++pending->acks;
+  if (pending->acks == 0) {
+    if (done) done(0);
     return;
   }
-
-  const std::size_t bytes = route::kRouteUpdateWireSize + 16;  // + header
+  pending->on_ack = std::move(on_ack);
+  pending->done = std::move(done);
   for (const int idx : vr.active_order) {
-    if (idx == src_vri) continue;
-    VriSlot* slot = vr.slots[static_cast<std::size_t>(idx)].get();
-    send_control(vr_id, src_vri, idx, bytes,
-                 [slot, update, sync](Nanos latency) {
-                   slot->router->apply_route_update(update);
-                   sync->worst = std::max(sync->worst, latency);
-                   if (--sync->pending == 0 && sync->done)
-                     sync->done(sync->worst);
-                 });
+    if (idx == src) continue;
+    VriSlot* sib = vr.slots[static_cast<std::size_t>(idx)].get();
+    send_control(vr.id, src, idx, bytes, [sib, pending](Nanos latency) {
+      if (pending->on_ack) pending->on_ack(*sib);
+      pending->worst = std::max(pending->worst, latency);
+      if (--pending->acks == 0 && pending->done) pending->done(pending->worst);
+    });
   }
 }
 
@@ -1053,7 +1039,7 @@ int LvrmSystem::maybe_spray(VrState& vr, DispatchShard& shard,
   const double window_sec = to_seconds(kDetectWindow);
   const double threshold_frames =
       std::max(static_cast<double>(kMinElephantFrames),
-               kElephantFraction * config_.per_vri_capacity_fps * window_sec);
+               kElephantFraction * kPerVriCapacityFps * window_sec);
   if (static_cast<double>(count) < threshold_frames) return chosen;
 
   // Promotion: enter Pending (still pinned), start the snapshot handshake,
@@ -1081,7 +1067,7 @@ void LvrmSystem::start_spray_handshake(VrState& vr, int shard, int owner,
                                        const net::FiveTuple& tuple,
                                        double rate_fps, double threshold_fps) {
   // Snapshot the owner's state for this flow and copy it to every active
-  // sibling over the control rings (the broadcast_route_update pattern).
+  // sibling over the control rings (sync_siblings).
   // The spray goes Active only when the slowest sibling has acked — until
   // then frames stay pinned, so a sibling never sees a mid-flow frame
   // before the snapshot that explains it.
@@ -1089,14 +1075,6 @@ void LvrmSystem::start_spray_handshake(VrState& vr, int shard, int owner,
   net::StateDelta snap;
   const bool have_state =
       own.router->stateful() && own.router->export_flow_state(tuple, snap);
-
-  struct Sync {
-    int pending = 0;
-    Nanos worst = 0;
-  };
-  auto sync = std::make_shared<Sync>();
-  for (const int idx : vr.active_order)
-    if (idx != owner) ++sync->pending;
 
   const Nanos started = sim_.now();
   VrState* vrp = &vr;
@@ -1127,24 +1105,16 @@ void LvrmSystem::start_spray_handshake(VrState& vr, int shard, int owner,
       telemetry_->audit().record(e);
     }
   };
-  if (sync->pending == 0) {  // unreachable behind the >= 2 VRI gate
-    activate(0);
-    return;
-  }
-  for (const int idx : vr.active_order) {
-    if (idx == owner) continue;
-    VriSlot* sib = vr.slots[static_cast<std::size_t>(idx)].get();
-    // A lost handshake leg (injected control loss) erases the callback:
-    // the spray then stays Pending — i.e. pinned — forever. Safe by
-    // construction; never wrong, only not faster.
-    send_control(vr.id, owner, idx, net::StateDelta::kWireBytes + 16,
-                 [sib, snap, have_state, sync, activate](Nanos latency) {
-                   if (have_state && sib->active && !sib->crashed)
-                     sib->router->apply_delta(snap);
-                   sync->worst = std::max(sync->worst, latency);
-                   if (--sync->pending == 0) activate(sync->worst);
-                 });
-  }
+  // A lost handshake leg (injected control loss) means `activate` never
+  // runs: the spray then stays Pending — i.e. pinned — forever. Safe by
+  // construction; never wrong, only not faster.
+  sync_siblings(
+      vr, owner, net::StateDelta::kWireBytes + 16,
+      [snap, have_state](VriSlot& sib) {
+        if (have_state && sib.active && !sib.crashed)
+          sib.router->apply_delta(snap);
+      },
+      std::move(activate));
 }
 
 std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
@@ -1493,13 +1463,6 @@ std::size_t LvrmSystem::seq_held_frames() const {
   return n;
 }
 
-std::uint64_t LvrmSystem::vr_policy_drops(int vr) const {
-  std::uint64_t total = 0;
-  for (const auto& slot : vrs_.at(static_cast<std::size_t>(vr))->slots)
-    total += slot->policy_drops;
-  return total;
-}
-
 // --- core allocation --------------------------------------------------------------------
 
 void LvrmSystem::inject_vri_crash(int vr_id, int vri) {
@@ -1601,7 +1564,6 @@ void LvrmSystem::finish_drain(
   // Aborted while quiescing (a crash + reap can beat the in-service
   // completion): the crash path already disposed of the backlog and pins.
   if (!slot.draining || !slot.active || slot.crashed) return;
-  slot.draining = false;
 
   const Nanos now = sim_.now();
   DrainEvent ev;
@@ -1610,27 +1572,12 @@ void LvrmSystem::finish_drain(
   ev.vri = slot.index;
   ev.cause = cause;
 
-  slot.active = false;
-  std::erase(vr.active_order, slot.index);
-  bump_pool_generation(vr);
-  if (slot.migration_event != sim::kInvalidEvent) {
-    sim_.cancel(slot.migration_event);
-    slot.migration_event = sim::kInvalidEvent;
-  }
-
-  // Pop the backlog in FIFO order BEFORE evicting the flow pins, so the
-  // redispatch below re-pins every live flow exactly once at its new home
-  // and same-flow frames stay in arrival order end to end.
+  // retire_slot pops the backlog in FIFO order before it evicts the flow
+  // pins, so the redispatch below re-pins every live flow exactly once at
+  // its new home and same-flow frames stay in arrival order end to end.
   std::vector<net::FrameMeta> live;
-  while (!slot.data_in->empty()) live.push_back(slot.data_in->pop());
-  for (auto& d : vr.dispatchers)
-    ev.flows_evicted += d->on_vri_destroyed(slot.index);
+  ev.flows_evicted = retire_slot(vr, slot, /*from_recovery=*/false, live);
   flows_migrated_ += ev.flows_evicted;
-
-  audit_vri_change(vr, slot, /*create=*/false, /*from_recovery=*/false);
-  release_core(slot.core_id);
-  slot.core_id = sim::kNoCore;
-  if (health_) health_->forget(vr.id, slot.index);
   // Reset-free: needs_rebuild stays false — the router keeps its applied
   // route state (broadcast_route_update also updates inactive slots), so a
   // later activation skips the fork and the route-log replay entirely.
@@ -1648,12 +1595,9 @@ void LvrmSystem::finish_drain(
   // drain event records the slowest sibling's apply latency.
   const std::size_t di = drain_log_.size();
   drain_log_.push_back(ev);
-  for (const int idx : vr.active_order) {
-    send_control(vr.id, slot.index, idx, /*bytes=*/80, [this, di](Nanos lat) {
-      drain_log_[di].handoff_latency =
-          std::max(drain_log_[di].handoff_latency, lat);
-    });
-  }
+  sync_siblings(vr, slot.index, /*bytes=*/80, {}, [this, di](Nanos worst) {
+    drain_log_[di].handoff_latency = worst;
+  });
 
   if (telemetry_) {
     obs::AuditEvent ae;
@@ -1677,10 +1621,10 @@ void LvrmSystem::reap_crashed() {
   for (auto& vrp : vrs_) {
     VrState& vr = *vrp;
     std::vector<net::FrameMeta> stranded;
-    for (auto it = vr.active_order.begin(); it != vr.active_order.end();) {
-      VriSlot& slot = *vr.slots[static_cast<std::size_t>(*it)];
+    for (std::size_t i = 0; i < vr.active_order.size();) {
+      VriSlot& slot = *vr.slots[static_cast<std::size_t>(vr.active_order[i])];
       if (!slot.crashed) {
-        ++it;
+        ++i;
         continue;
       }
       // §15 black box: snapshot the flight recorders before the rescue path
@@ -1689,28 +1633,13 @@ void LvrmSystem::reap_crashed() {
       if (tracer_)
         trace_flight_dump(obs::FlightDumpCause::kVriCrash, slot.home_shard,
                           vr.id, slot.index);
-      // waitpid()-style reaping: free the core, take the dead process'
-      // queued frames (rescued below with the health layer on, else
-      // dropped), drop its flow pins.
-      while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
-      discard_stale_control(slot);
-      slot.active = false;
-      slot.crashed = false;
-      slot.draining = false;  // a crash mid-quiesce aborts the drain
-      slot.needs_rebuild = true;  // a replacement is a fresh fork
-      if (slot.migration_event != sim::kInvalidEvent) {
-        sim_.cancel(slot.migration_event);
-        slot.migration_event = sim::kInvalidEvent;
-      }
       LVRM_CLOG(kHealth, kWarn) << "vr=" << vr.id << " vri=" << slot.index
                                 << " reaped after crash";
-      it = vr.active_order.erase(it);
-      bump_pool_generation(vr);
-      audit_vri_change(vr, slot, /*create=*/false, /*from_recovery=*/true);
-      release_core(slot.core_id);
-      slot.core_id = sim::kNoCore;
-      for (auto& d : vr.dispatchers) d->on_vri_destroyed(slot.index);
-      if (health_) health_->forget(vr.id, slot.index);
+      // waitpid()-style reaping: free the core, take the dead process'
+      // queued frames (rescued below with the health layer on, else
+      // dropped), drop its flow pins. A crash mid-quiesce aborts the drain.
+      retire_slot(vr, slot, /*from_recovery=*/true, stranded);
+      bury_process(slot);
       ++crashes_reaped_;
     }
     // The fixed allocator promised a fixed core set: respawn replacements.
@@ -1723,16 +1652,42 @@ void LvrmSystem::reap_crashed() {
   }
 }
 
-void LvrmSystem::discard_stale_control(VriSlot& slot) {
+std::size_t LvrmSystem::retire_slot(VrState& vr, VriSlot& slot,
+                                    bool from_recovery,
+                                    std::vector<net::FrameMeta>& backlog) {
+  slot.server->stop();
+  while (!slot.data_in->empty()) backlog.push_back(slot.data_in->pop());
+  slot.active = false;
+  slot.draining = false;
+  std::erase(vr.active_order, slot.index);
+  bump_pool_generation(vr);
+  if (slot.migration_event != sim::kInvalidEvent) {
+    sim_.cancel(slot.migration_event);
+    slot.migration_event = sim::kInvalidEvent;
+  }
+  std::size_t evicted = 0;
+  for (auto& d : vr.dispatchers) evicted += d->on_vri_destroyed(slot.index);
+  audit_vri_change(vr, slot, /*create=*/false, from_recovery);
+  release_core(slot.core_id);
+  slot.core_id = sim::kNoCore;
+  // The slot's next process starts with no strikes and no steering mark.
+  if (health_) health_->forget(vr.id, slot.index);
+  slot.suspect = false;
+  return evicted;
+}
+
+void LvrmSystem::bury_process(VriSlot& slot) {
   // The dead incarnation's control queues die with it (fresh segments are
   // allocated at respawn): in-flight events are lost, and their delivery
-  // callbacks with them. Counted as control drops, never silent.
-  for (FrameQueue* q : {slot.ctrl_in.get(), slot.ctrl_out.get()}) {
-    while (!q->empty()) {
-      control_cbs_.erase(q->pop().id);
-      ++control_drops_;
-    }
-  }
+  // callbacks with them, so their senders never see them acked.
+  for (FrameQueue* q : {slot.ctrl_in.get(), slot.ctrl_out.get()})
+    while (!q->empty()) control_cbs_.erase(q->pop().id);
+  // The sickness dies with the process.
+  slot.crashed = false;
+  slot.hung = false;
+  slot.degrade = 1.0;
+  slot.ctrl_loss_prob = 0.0;
+  slot.needs_rebuild = true;  // a replacement is a fresh fork
 }
 
 std::size_t LvrmSystem::settle_backlog(VrState& vr,
@@ -1740,7 +1695,6 @@ std::size_t LvrmSystem::settle_backlog(VrState& vr,
                                        bool rescue) {
   if (frames.empty()) return 0;
   if (!rescue || vr.active_order.empty()) {
-    vr.data_drops += frames.size();
     for (const net::FrameMeta& f : frames)
       note_drop(f, DropCause::kVriDestroyed);
     return 0;
@@ -1761,11 +1715,10 @@ std::size_t LvrmSystem::settle_backlog(VrState& vr,
     const int chosen = vr.dispatchers[shard]->dispatch(f, views, now);
     f.dispatch_vri = static_cast<std::int16_t>(chosen);
     VriSlot& target = *vr.slots[static_cast<std::size_t>(chosen)];
+    // Survivors saturated: the overflow tail-drops.
     if (push_or_note(*target.data_in, f, DropCause::kQueueFull)) {
       target.estimator->on_dispatch(target.data_in->size(), now);
       ++admitted;
-    } else {
-      ++vr.data_drops;  // survivors saturated: tail-drop the overflow
     }
   }
   lvrm_core().charge(
@@ -1840,7 +1793,7 @@ void LvrmSystem::maybe_allocate() {
 void LvrmSystem::maybe_health_probe() {
   if (!health_) return;
   const Nanos now = sim_.now();
-  if (now - last_health_probe_ < config_.health.probe_period) return;
+  if (now - last_health_probe_ < kHealthProbePeriod) return;
   last_health_probe_ = now;
   // The probe itself: LVRM reads each VRI's progress counter and queue
   // depth out of the shared segments — cheap, hence the short period.
@@ -1918,8 +1871,7 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
                    ae.vr = static_cast<std::int16_t>(ev.vr);
                    ae.vri = static_cast<std::int16_t>(ev.vri);
                    ae.rate = static_cast<double>(stalled_for);
-                   ae.threshold =
-                       static_cast<double>(config_.health.heartbeat_timeout);
+                   ae.threshold = static_cast<double>(kHeartbeatTimeout);
                    ae.service = measured_service_rate(vr);
                    ae.a = ev.stranded;
                    ae.b = ev.redispatched;
@@ -1937,38 +1889,16 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
     trace_flight_dump(obs::FlightDumpCause::kQuarantine, slot.home_shard,
                       vr.id, slot.index);
 
-  // Quarantine: kill the incarnation (hung/slow processes get SIGKILL; a
-  // dead one needs no kill) and take it out of the dispatch set.
-  slot.server->stop();
-  slot.crashed = false;
-  slot.hung = false;
-  slot.degrade = 1.0;  // the sickness dies with the process
-  slot.ctrl_loss_prob = 0.0;
-  slot.suspect = false;
-  slot.needs_rebuild = true;
-
-  // Rescue the frames stranded in the dead incarnation's incoming queue
-  // before its segments are torn down.
-  std::vector<net::FrameMeta> stranded;
-  while (!slot.data_in->empty()) stranded.push_back(slot.data_in->pop());
-  discard_stale_control(slot);
-
-  slot.active = false;
-  std::erase(vr.active_order, slot.index);
-  bump_pool_generation(vr);
-  if (slot.migration_event != sim::kInvalidEvent) {
-    sim_.cancel(slot.migration_event);
-    slot.migration_event = sim::kInvalidEvent;
-  }
   LVRM_CLOG(kHealth, kWarn)
       << "vr=" << vr.id << " vri=" << slot.index << " quarantined ("
       << to_string(reason) << "), stalled_for=" << stalled_for << " ns, "
       << ev.stranded << " stranded";
-  audit_vri_change(vr, slot, /*create=*/false, /*from_recovery=*/true);
-  release_core(slot.core_id);
-  slot.core_id = sim::kNoCore;
-  for (auto& d : vr.dispatchers) d->on_vri_destroyed(slot.index);
-  health_->forget(vr.id, slot.index);
+  // Quarantine: kill the incarnation (hung/slow processes get SIGKILL; a
+  // dead one needs no kill), take it out of the dispatch set, and rescue
+  // the frames stranded in its incoming queue.
+  std::vector<net::FrameMeta> stranded;
+  retire_slot(vr, slot, /*from_recovery=*/true, stranded);
+  bury_process(slot);
 
   // Respawn policy: the fixed allocator promised a fixed set; the dynamic
   // allocators respawn when the arrival rate still demands the lost
@@ -2008,7 +1938,7 @@ void LvrmSystem::recover_slot(VrState& vr, VriSlot& slot, VriHealth reason,
     ae.vr = static_cast<std::int16_t>(vr.id);
     ae.vri = static_cast<std::int16_t>(slot.index);
     ae.rate = static_cast<double>(stalled_for);
-    ae.threshold = static_cast<double>(config_.health.heartbeat_timeout);
+    ae.threshold = static_cast<double>(kHeartbeatTimeout);
     ae.service = measured_service_rate(vr);
     ae.a = ev.stranded;
     ae.b = ev.redispatched;
@@ -2099,25 +2029,13 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
     drain_slot(vr, slot, DrainCause::kAllocatorDestroy);
     return;
   }
-  vr.active_order.pop_back();
-  slot.active = false;
-  bump_pool_generation(vr);
-  slot.server->stop();
-  // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost.
-  std::vector<net::FrameMeta> lost;
-  while (!slot.data_in->empty()) lost.push_back(slot.data_in->pop());
-  settle_backlog(vr, lost, /*rescue=*/false);
-  if (slot.migration_event != sim::kInvalidEvent) {
-    sim_.cancel(slot.migration_event);
-    slot.migration_event = sim::kInvalidEvent;
-  }
   LVRM_CLOG(kAlloc, kDebug) << "vr=" << vr.id << " vri=" << idx
                             << " deactivated, core=" << slot.core_id
                             << " released";
-  audit_vri_change(vr, slot, /*create=*/false, /*from_recovery=*/false);
-  release_core(slot.core_id);
-  slot.core_id = sim::kNoCore;
-  for (auto& d : vr.dispatchers) d->on_vri_destroyed(idx);
+  // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost.
+  std::vector<net::FrameMeta> lost;
+  retire_slot(vr, slot, /*from_recovery=*/false, lost);
+  settle_backlog(vr, lost, /*rescue=*/false);
 }
 
 NumaPick LvrmSystem::pick_core(sim::CoreId anchor) {
@@ -2289,17 +2207,15 @@ std::uint64_t LvrmSystem::vri_forwarded(int vr, int vri) const {
       ->forwarded;
 }
 
-std::uint64_t LvrmSystem::data_queue_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& vr : vrs_) total += vr->data_drops;
-  return total;
+std::uint64_t LvrmSystem::vr_drops(int vr, DropCause cause) const {
+  return vrs_.at(static_cast<std::size_t>(vr))
+      ->drops[static_cast<std::size_t>(cause)];
 }
 
-std::uint64_t LvrmSystem::no_route_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& vr : vrs_)
-    for (const auto& slot : vr->slots) total += slot->no_route;
-  return total;
+std::uint64_t LvrmSystem::queue_drops(const DropTally& t) {
+  return t[static_cast<std::size_t>(DropCause::kQueueFull)] +
+         t[static_cast<std::size_t>(DropCause::kVriInactive)] +
+         t[static_cast<std::size_t>(DropCause::kVriDestroyed)];
 }
 
 OverloadLevel LvrmSystem::overload_level(int vr) const {
@@ -2308,26 +2224,6 @@ OverloadLevel LvrmSystem::overload_level(int vr) const {
 
 double LvrmSystem::sample_rate(int vr) const {
   return vrs_.at(static_cast<std::size_t>(vr))->sample_rate;
-}
-
-std::uint64_t LvrmSystem::vr_sampled_shed(int vr) const {
-  return vrs_.at(static_cast<std::size_t>(vr))->sampled_shed;
-}
-
-std::uint64_t LvrmSystem::sampled_shed_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& vr : vrs_) total += vr->sampled_shed;
-  return total;
-}
-
-std::uint64_t LvrmSystem::vr_admission_rejected(int vr) const {
-  return vrs_.at(static_cast<std::size_t>(vr))->admission_rejected;
-}
-
-std::uint64_t LvrmSystem::admission_rejected_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& vr : vrs_) total += vr->admission_rejected;
-  return total;
 }
 
 std::uint64_t LvrmSystem::vr_frames_in(int vr) const {
@@ -2405,6 +2301,20 @@ obs::PathSpan LvrmSystem::span_of(const net::FrameMeta& f,
   s.gw_out = f.gw_out_at;
   s.terminal = terminal;
   return s;
+}
+
+void LvrmSystem::note_drop(const net::FrameMeta& f, DropCause cause) {
+  const auto c = static_cast<std::size_t>(cause);
+  ++drops_[c];
+  if (f.dispatch_vr >= 0 && f.dispatch_vr < vr_count())
+    ++vrs_[static_cast<std::size_t>(f.dispatch_vr)]->drops[c];
+  if (obs_ && obs_->drops[c].valid()) obs_->drops[c].inc();
+  // §16: a sprayed frame that dies anywhere leaves a hole in its spray
+  // sequence — tombstone it so the TX sequencer can release past it
+  // instead of stalling until the reorder window overflows.
+  if (replication_ && f.sprayed) seq_skip(f);
+  if (tracer_) trace_drop(f, cause);
+  if (drop_hook_) drop_hook_(f, cause);
 }
 
 void LvrmSystem::trace_drop(const net::FrameMeta& f, DropCause cause) {
@@ -2563,7 +2473,7 @@ void LvrmSystem::publish_gauges() {
     m.gauge("lvrm_frames_in", l).set(static_cast<double>(vr.frames_in));
     m.gauge("lvrm_forwarded", l).set(static_cast<double>(vr.forwarded));
     m.gauge("lvrm_data_queue_drops", l)
-        .set(static_cast<double>(vr.data_drops));
+        .set(static_cast<double>(queue_drops(vr.drops)));
     const DispatchStats stats = vr.dispatch_stats();
     m.gauge("lvrm_dispatch_decisions", l)
         .set(static_cast<double>(stats.decisions));
@@ -2582,9 +2492,11 @@ void LvrmSystem::publish_gauges() {
       m.gauge("lvrm_overload_sample_rate", l).set(vr.sample_rate);
       m.gauge("lvrm_offered_estimate", l).set(vr.offered_estimate);
       m.gauge("lvrm_sampled_shed", l)
-          .set(static_cast<double>(vr.sampled_shed));
+          .set(static_cast<double>(
+              vr.drops[static_cast<std::size_t>(DropCause::kSampledShed)]));
       m.gauge("lvrm_admission_rejected", l)
-          .set(static_cast<double>(vr.admission_rejected));
+          .set(static_cast<double>(vr.drops[static_cast<std::size_t>(
+              DropCause::kAdmissionReject)]));
     }
   }
 }

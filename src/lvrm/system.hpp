@@ -28,6 +28,7 @@
 // bit-identical to the paper's single-dispatcher gateway.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -209,14 +210,23 @@ class LvrmSystem {
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t vr_forwarded(int vr) const;
   std::uint64_t vri_forwarded(int vr, int vri) const;
-  /// Tail drops across every shard's RX ring (one ring with one shard).
+  /// Tail drops across every shard's RX ring (one ring with one shard). This
+  /// reads the rings' own counts, so it checks the drop ledger below.
   std::uint64_t rx_ring_drops() const {
     std::uint64_t total = 0;
     for (const auto& sh : shards_) total += sh.rx_ring->drops();
     return total;
   }
-  std::uint64_t data_queue_drops() const;
-  std::uint64_t no_route_drops() const;
+  /// The drop ledger: frames dropped with `cause`, system-wide and per VR
+  /// (the VR the frame was classified to). note_drop is the one place a
+  /// drop is counted.
+  std::uint64_t drops(DropCause cause) const {
+    return drops_[static_cast<std::size_t>(cause)];
+  }
+  std::uint64_t vr_drops(int vr, DropCause cause) const;
+  /// Drops at the VRIs' data queues: kQueueFull + kVriInactive +
+  /// kVriDestroyed.
+  std::uint64_t data_queue_drops() const { return queue_drops(drops_); }
 
   // --- overload ladder (DESIGN.md §13) --------------------------------------
   /// Floor of the ladder's per-flow sampling rate: even a worst-case flood
@@ -228,19 +238,14 @@ class LvrmSystem {
   /// The VR's current per-flow sampling rate (1.0 at kNormal, never below
   /// kMinSampleRate).
   double sample_rate(int vr) const;
-  /// Frames shed by the adaptive sampling subset, per VR / total.
-  std::uint64_t vr_sampled_shed(int vr) const;
-  std::uint64_t sampled_shed_drops() const;
-  /// Frames rejected by RX-side admission control, per VR / total.
-  std::uint64_t vr_admission_rejected(int vr) const;
-  std::uint64_t admission_rejected_drops() const;
   /// Frames classified to this VR after ring admission (includes frames the
   /// sampling subset later shed) — the ground truth the bias-corrected
   /// estimate reconstructs.
   std::uint64_t vr_frames_in(int vr) const;
   /// Bias-corrected offered-load estimate: every frame admitted past the
   /// sampling subset adds 1/rate, so the sum is an unbiased reconstruction
-  /// of `vr_frames_in + vr_admission_rejected` whatever the ladder did.
+  /// of `vr_frames_in + vr_drops(vr, DropCause::kAdmissionReject)` whatever
+  /// the ladder did.
   double vr_offered_estimate(int vr) const;
 
   // --- state replication (DESIGN.md §16) ------------------------------------
@@ -261,8 +266,6 @@ class LvrmSystem {
   /// Flows currently in the spray set / frames parked in sequencers.
   std::size_t spray_active_flows() const;
   std::size_t seq_held_frames() const;
-  /// Frames refused by a stateful VR's admission decision (policy drops).
-  std::uint64_t vr_policy_drops(int vr) const;
 
   /// Test/harness hook invoked once per dropped frame with its cause — the
   /// conservation check `delivered + every cause == offered` per flow
@@ -376,18 +379,15 @@ class LvrmSystem {
     queue::SegmentId tx_link_shm = queue::kInvalidSegment;
   };
 
-  /// Reports a drop to the installed hook and (tracing on) the §15 flight
-  /// recorder + span collector. Every drop/shed/quarantine exit point in
-  /// the system funnels through here, which is what makes one tracer hook
-  /// cover them all. Two null checks when both are unset.
-  void note_drop(const net::FrameMeta& f, DropCause cause) {
-    // §16: a sprayed frame that dies anywhere leaves a hole in its spray
-    // sequence — tombstone it so the TX sequencer can release past it
-    // instead of stalling until the reorder window overflows.
-    if (replication_ && f.sprayed) seq_skip(f);
-    if (tracer_) trace_drop(f, cause);
-    if (drop_hook_) drop_hook_(f, cause);
-  }
+  /// One count per DropCause.
+  using DropTally = std::array<std::uint64_t, kDropCauses>;
+  static std::uint64_t queue_drops(const DropTally& t);
+
+  /// Counts a drop in the ledger and reports it to the installed hook and
+  /// (tracing on) the §15 flight recorder + span collector. Every
+  /// drop/shed/quarantine exit point in the system funnels through here,
+  /// which is what makes one ledger and one tracer hook cover them all.
+  void note_drop(const net::FrameMeta& f, DropCause cause);
   /// Pushes a copy of `f`; when the queue refuses it, reports `f` as
   /// dropped with `cause`.
   bool push_or_note(FrameQueue& q, const net::FrameMeta& f, DropCause cause) {
@@ -424,7 +424,25 @@ class LvrmSystem {
   void rebuild_router(VrState& vr, VriSlot& slot);
   /// Allocates the slot's §17 arena segments (ingress link, control rings).
   void create_slot_segments(VriSlot& slot);
-  void discard_stale_control(VriSlot& slot);
+  /// The one step that takes a VRI out of service (destroy, drain, reap,
+  /// quarantine): stops its loop, appends its backlog to `backlog` in FIFO
+  /// order, leaves the dispatch set, cancels its migration timer, evicts
+  /// its flow pins on every shard, audits, releases its core, forgets its
+  /// health record and clears `suspect`. Returns the flow pins evicted.
+  std::size_t retire_slot(VrState& vr, VriSlot& slot, bool from_recovery,
+                          std::vector<net::FrameMeta>& backlog);
+  /// The step after retire_slot when the process itself is gone (reap,
+  /// quarantine): its in-flight control events die with it, the injected
+  /// faults are cleared, and the next activation forks a fresh process.
+  void bury_process(VriSlot& slot);
+  /// Sends one control event of `bytes` from `src` to every other active
+  /// VRI of `vr`. `on_ack` (may be empty) runs at each sibling as it
+  /// consumes the event; `done` (may be empty) receives the worst latency
+  /// when the slowest sibling has acked, at once with 0 when there is none.
+  /// A lost leg (injected control loss) means `done` never fires.
+  void sync_siblings(VrState& vr, int src, std::size_t bytes,
+                     std::function<void(VriSlot&)> on_ack,
+                     std::function<void(Nanos)> done);
   /// The one backlog step for a VRI leaving the dispatch set (drain,
   /// destroy, reap, quarantine): with `rescue` and a surviving VRI, the
   /// frames are re-dispatched in order (overflow tail-drops as kQueueFull);
@@ -575,8 +593,7 @@ class LvrmSystem {
 
   std::uint64_t forwarded_ = 0;
   std::uint64_t crashes_reaped_ = 0;
-  std::uint64_t unclassified_drops_ = 0;
-  std::uint64_t control_drops_ = 0;
+  DropTally drops_{};
   std::uint64_t next_control_id_ = 1;
   std::unordered_map<std::uint64_t, std::function<void(Nanos)>> control_cbs_;
 

@@ -7,6 +7,7 @@
 // directory; the test suite asserts all combinations compose.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace lvrm {
@@ -104,6 +105,9 @@ enum class DropCause {
   kVrPolicy,        // a stateful VR refused the frame (firewall deny,
                     // rate-limit throttle, NAT port-pool exhaustion)
 };
+/// Number of DropCause values (kVrPolicy is the last).
+inline constexpr std::size_t kDropCauses =
+    static_cast<std::size_t>(DropCause::kVrPolicy) + 1;
 
 /// Why a reset-free VRI drain started (DESIGN.md §13).
 enum class DrainCause {

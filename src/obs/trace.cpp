@@ -20,7 +20,7 @@ const char* to_string(FlightDumpCause c) {
 namespace {
 std::uint32_t clamp_period(std::uint32_t p, const TracingConfig& cfg) {
   const std::uint32_t lo = cfg.min_sample_every == 0 ? 1 : cfg.min_sample_every;
-  const std::uint32_t hi = std::max(lo, cfg.max_sample_every);
+  const std::uint32_t hi = std::max(lo, kMaxSampleEvery);
   return std::min(std::max(p, lo), hi);
 }
 }  // namespace

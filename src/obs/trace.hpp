@@ -14,7 +14,7 @@
 //     1-in-64 latency sampling with a feedback loop on the §13 pressure
 //     signal: the sampling period halves toward `min_sample_every` (1-in-4)
 //     while the observed dispatch-queue pressure stays low and doubles
-//     toward `max_sample_every` under overload, holding measured tracing
+//     toward kMaxSampleEvery under overload, holding measured tracing
 //     overhead under the bench_hotpath --check-trace-overhead CI budget.
 //
 // Like the rest of src/obs this is host-side observation only: no sim cost
@@ -40,6 +40,9 @@ namespace lvrm::obs {
 /// below kRelaxPressure it recovers, in between it holds.
 inline constexpr double kEscalatePressure = 0.5;
 inline constexpr double kRelaxPressure = 0.1;
+/// Lowest span resolution, the overload floor the adaptive controller backs
+/// off to (1-in-1024).
+inline constexpr std::uint32_t kMaxSampleEvery = 1024;
 
 struct TracingConfig {
   /// Master switch; when false LvrmSystem creates no Tracer at all and the
@@ -50,8 +53,6 @@ struct TracingConfig {
   std::uint32_t initial_sample_every = 64;
   /// Highest span resolution, reached when the pipeline is idle (1-in-4).
   std::uint32_t min_sample_every = 4;
-  /// Lowest resolution, the overload floor the controller backs off to.
-  std::uint32_t max_sample_every = 1024;
 
   /// Controller cadence. Each window's pressure is compared against the
   /// kEscalatePressure / kRelaxPressure pair above: the period doubles at

@@ -3,8 +3,8 @@
 // Every simulator event carries one Callback. A capture of up to
 // kInlineBytes (8-byte aligned, nothrow-movable) is stored inside the object,
 // so scheduling the hot-path closures touches no heap. The largest of them,
-// LvrmSystem's pipeline-latency hand-off `[this, s, v, f]` (three pointers
-// and a 144 B FrameMeta), is 168 B. Larger or over-aligned captures spill to
+// LvrmSystem's pipeline-latency hand-off `[this, s, f]` (two pointers and a
+// 144 B FrameMeta), is 160 B. Larger or over-aligned captures spill to
 // one heap allocation. Unlike std::function, a Callback is move-only, so it
 // also accepts move-only captures such as a std::unique_ptr.
 #pragma once
@@ -27,7 +27,7 @@ inline constexpr bool kIsStdFunction<std::function<Sig>> = true;
 
 class Callback {
  public:
-  /// Inline capture capacity: the 168 B hot capture above, rounded up so an
+  /// Inline capture capacity: the 160 B hot capture above, rounded up so an
   /// event-queue slot (a Callback plus its 8 B sequence number) fills
   /// exactly three cache lines.
   static constexpr std::size_t kInlineBytes = 176;

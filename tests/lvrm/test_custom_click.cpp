@@ -104,7 +104,7 @@ TEST(CustomClickVr, HostedOnLvrmEndToEnd) {
   sim.run_all();
   // The 10.1.66/24 frame was dropped by policy inside the Click graph.
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(sys.no_route_drops(), 1u);  // surfaced as a VRI-level drop
+  EXPECT_EQ(sys.drops(DropCause::kNoRoute), 1u);  // surfaced as a VRI-level drop
 }
 
 }  // namespace

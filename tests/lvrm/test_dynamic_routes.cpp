@@ -95,7 +95,7 @@ TEST(DynamicRoutes, BroadcastSynchronizesAllVris) {
   }
   rig.sim.run_all();
   EXPECT_EQ(rig.delivered(), 40u);
-  EXPECT_EQ(rig.sys->no_route_drops(), 0u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 0u);
 }
 
 TEST(DynamicRoutes, WithoutBroadcastOnlyOriginatorForwards) {
@@ -111,7 +111,7 @@ TEST(DynamicRoutes, WithoutBroadcastOnlyOriginatorForwards) {
   }
   rig.sim.run_all();
   EXPECT_EQ(rig.delivered(), 0u);
-  EXPECT_EQ(rig.sys->no_route_drops(), 10u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 10u);
 }
 
 TEST(DynamicRoutes, LateActivatedVriInheritsUpdates) {
@@ -145,7 +145,7 @@ TEST(DynamicRoutes, LateActivatedVriInheritsUpdates) {
   sim.at(0, emit);
   sim.run_all();
   EXPECT_GT(sys.active_vris(0), 1);
-  EXPECT_EQ(sys.no_route_drops(), 0u);
+  EXPECT_EQ(sys.drops(DropCause::kNoRoute), 0u);
   EXPECT_GT(delivered, 0u);
 }
 
@@ -162,7 +162,7 @@ TEST(DynamicRoutes, WithdrawPropagates) {
   }
   rig.sim.run_all();
   EXPECT_EQ(rig.delivered(), 0u);
-  EXPECT_EQ(rig.sys->no_route_drops(), 12u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 12u);
 }
 
 }  // namespace

@@ -9,23 +9,13 @@
 namespace lvrm {
 namespace {
 
-HealthConfig test_config() {
-  HealthConfig cfg;
-  cfg.enabled = true;
-  cfg.probe_period = msec(100);
-  cfg.heartbeat_timeout = msec(250);
-  cfg.fail_slow_fraction = 0.5;
-  cfg.fail_slow_grace = 3;
-  return cfg;
-}
-
 VriProbe probe(int vri, std::uint64_t progress, std::size_t backlog,
                double rate = 0.0, bool reachable = true) {
   return VriProbe{vri, reachable, progress, backlog, rate};
 }
 
 TEST(HealthMonitor, FirstSampleIsBaselineOnly) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   // Even an unreachable or frozen VRI produces no verdict on its very first
   // probe: there is no baseline to compare against yet.
   std::vector<VriProbe> ps = {probe(0, 0, 50)};
@@ -33,7 +23,7 @@ TEST(HealthMonitor, FirstSampleIsBaselineOnly) {
 }
 
 TEST(HealthMonitor, DeadDetectedImmediatelyAfterBaseline) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   std::vector<VriProbe> ps = {probe(0, 10, 0)};
   ASSERT_TRUE(mon.probe(0, ps, msec(100)).empty());
   ps = {probe(0, 10, 0, 0.0, /*reachable=*/false)};
@@ -45,10 +35,10 @@ TEST(HealthMonitor, DeadDetectedImmediatelyAfterBaseline) {
 }
 
 TEST(HealthMonitor, HangNeedsBacklogAndTimeout) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   std::vector<VriProbe> ps = {probe(0, 42, 10)};
   ASSERT_TRUE(mon.probe(0, ps, msec(0)).empty());
-  // Frozen, but the stall is younger than heartbeat_timeout (250 ms): no
+  // Frozen, but the stall is younger than kHeartbeatTimeout (250 ms): no
   // verdict at 100/200 ms...
   EXPECT_TRUE(mon.probe(0, ps, msec(100)).empty());
   EXPECT_TRUE(mon.probe(0, ps, msec(200)).empty());
@@ -61,7 +51,7 @@ TEST(HealthMonitor, HangNeedsBacklogAndTimeout) {
 }
 
 TEST(HealthMonitor, IdleFrozenVriIsNotHung) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   // No backlog: a VRI with nothing to do legitimately makes no progress.
   std::vector<VriProbe> ps = {probe(0, 42, 0)};
   ASSERT_TRUE(mon.probe(0, ps, msec(0)).empty());
@@ -70,7 +60,7 @@ TEST(HealthMonitor, IdleFrozenVriIsNotHung) {
 }
 
 TEST(HealthMonitor, ProgressResetsTheStallTimer) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   std::vector<VriProbe> ps = {probe(0, 1, 5)};
   ASSERT_TRUE(mon.probe(0, ps, msec(0)).empty());
   ps = {probe(0, 2, 5)};  // advanced at 200 ms
@@ -83,7 +73,7 @@ TEST(HealthMonitor, ProgressResetsTheStallTimer) {
 }
 
 TEST(HealthMonitor, FailSlowNeedsConsecutiveStrikes) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   // VRI 0 runs at 10 Kfps while its three siblings run at 60 Kfps: below
   // half the sibling median, so each probe is a strike; the verdict fires on
   // the third consecutive one.
@@ -108,7 +98,7 @@ TEST(HealthMonitor, FailSlowNeedsConsecutiveStrikes) {
 }
 
 TEST(HealthMonitor, RecoveryDuringGraceClearsStrikes) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   auto pass = [&](Nanos now, double rate0) {
     std::vector<VriProbe> ps = {
         probe(0, static_cast<std::uint64_t>(now), 5, rate0),
@@ -129,7 +119,7 @@ TEST(HealthMonitor, RecoveryDuringGraceClearsStrikes) {
 }
 
 TEST(HealthMonitor, SingleVriIsNeverFailSlow) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   // No siblings -> no median -> the watchdog cannot condemn the only VRI.
   for (int i = 0; i < 10; ++i) {
     std::vector<VriProbe> ps = {
@@ -140,7 +130,7 @@ TEST(HealthMonitor, SingleVriIsNeverFailSlow) {
 }
 
 TEST(HealthMonitor, ForgetStartsAFreshIncarnation) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   std::vector<VriProbe> ps = {probe(0, 7, 5)};
   ASSERT_TRUE(mon.probe(0, ps, msec(0)).empty());
   mon.forget(0, 0);
@@ -153,7 +143,7 @@ TEST(HealthMonitor, ForgetStartsAFreshIncarnation) {
 }
 
 TEST(HealthMonitor, VrsAreTrackedIndependently) {
-  HealthMonitor mon(test_config());
+  HealthMonitor mon;
   std::vector<VriProbe> ps = {probe(0, 3, 5)};
   ASSERT_TRUE(mon.probe(0, ps, msec(0)).empty());
   // VR 1's VRI 0 is a different key: its first probe is baseline-only even

@@ -56,16 +56,28 @@ TEST(InvariantChecker, DuplicateDeliveryFailsThroughConservation) {
 }
 
 TEST(InvariantChecker, DropThatBypassesTheHookFailsConservation) {
-  LvrmRig rig(flow_cfg(), 2);
+  // A firewall VR over the C++ engine: a UDP frame passes the firewall and
+  // misses the route, a TCP ACK of no tracked connection is denied.
+  VrConfig fw = LvrmRig::one_vr(2, sim::costs::kDummyLoad);
+  fw.kind = VrKind::kFirewall;
+  LvrmRig rig(flow_cfg(), {fw});
   rig.sys->set_drop_hook({});  // the system counts drops the checker misses
   net::FrameMeta f = port_frame(1000, 0);
   f.dst_ip = net::ipv4(99, 9, 9, 9);  // no route
   rig.ingress(f);
+  net::FrameMeta ack = port_frame(1001, 1);
+  ack.kind = net::FrameKind::kTcpData;
+  ack.protocol = 6;
+  ack.tcp_flags = net::kTcpFlagAck;
+  rig.ingress(ack);
   rig.sim.run_all();
-  ASSERT_EQ(rig.sys->no_route_drops(), 1u);
+  ASSERT_EQ(rig.sys->drops(DropCause::kNoRoute), 1u);
+  ASSERT_EQ(rig.sys->drops(DropCause::kVrPolicy), 1u);
   EXPECT_EQ(rig.check.dropped(), 0u);
   const std::string failures = rig.check.conservation(*rig.sys);
-  EXPECT_NE(failures.find("no_route_drops 1 != hooked 0"), std::string::npos)
+  EXPECT_NE(failures.find("drops(no-route) 1 != hooked 0"), std::string::npos)
+      << failures;
+  EXPECT_NE(failures.find("drops(vr-policy) 1 != hooked 0"), std::string::npos)
       << failures;
 }
 

@@ -74,7 +74,7 @@ TEST(Recovery, HungVriIsQuarantinedRespawnedAndConserved) {
   ASSERT_EQ(rig.sys->recovery_log().size(), 1u);
   const RecoveryEvent& ev = rig.sys->recovery_log()[0];
   EXPECT_EQ(ev.reason, VriHealth::kHung);
-  EXPECT_GE(ev.stalled_for, rig.sys->config().health.heartbeat_timeout);
+  EXPECT_GE(ev.stalled_for, kHeartbeatTimeout);
   EXPECT_TRUE(ev.respawned);
   EXPECT_EQ(rig.sys->active_vris(0), 3);
 
@@ -146,6 +146,66 @@ TEST(Recovery, LastVriReapedBeforeTheHeartbeatDropsThroughTheHook) {
   EXPECT_TRUE(rig.conserved());
 }
 
+TEST(Recovery, ReapedVriRespawnsWithoutItsInjectedSlowdown) {
+  // The stock 1 s reap (health off) respawns the fixed set as a fresh fork,
+  // so a slowdown injected into the dead process must not slow its
+  // replacement.
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kFixed;
+  LvrmRig rig(cfg, 2);
+  rig.offer(100'000.0, sec(3));
+  rig.sim.at(msec(500), [&] {
+    rig.sys->inject_vri_slowdown(0, 1, 6.0);
+    rig.sys->inject_vri_crash(0, 1);
+  });
+  std::uint64_t sibling = 0, respawned = 0;
+  rig.sim.at(msec(1500), [&] {
+    sibling = rig.sys->vri_forwarded(0, 0);
+    respawned = rig.sys->vri_forwarded(0, 1);
+  });
+  rig.sim.at(msec(2500), [&] {
+    sibling = rig.sys->vri_forwarded(0, 0) - sibling;
+    respawned = rig.sys->vri_forwarded(0, 1) - respawned;
+  });
+  rig.sim.run_all();
+
+  EXPECT_EQ(rig.sys->crashed_vris_reaped(), 1u);
+  // Each serves half the offered 100 Kfps; a 6x slow fork manages ~10 Kfps.
+  EXPECT_GT(respawned, 45'000u);
+  EXPECT_NEAR(static_cast<double>(respawned), static_cast<double>(sibling),
+              2'000.0);
+  EXPECT_TRUE(rig.conserved());
+}
+
+TEST(Recovery, DestroyedVriLeavesNoStaleSuspicion) {
+  // The allocator destroys a VRI inside its fail-slow grace window: a 3x
+  // slowdown on VRI 2 strikes at the 3.8 s and 3.9 s probes, and the load
+  // cut makes the 4 s pass destroy VRI 2 before a third strike. Its health
+  // record must go with it, or the slot's next process would inherit the
+  // dead one's strikes.
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  cfg.health = enabled_health();
+  LvrmRig rig(cfg, 1);
+  rig.offer(150'000.0, msec(3870));
+  rig.offer(40'000.0, sec(5), port_flows(), msec(3870));
+  rig.sim.at(msec(3750), [&] { rig.sys->inject_vri_slowdown(0, 2, 3.0); });
+  bool suspect_before = false;
+  rig.sim.at(msec(3990), [&] {
+    suspect_before = rig.sys->health()->is_suspect(0, 2);
+  });
+  rig.sim.run_all();
+
+  ASSERT_TRUE(suspect_before);
+  ASSERT_FALSE(rig.sys->allocation_log().empty());
+  const AllocationEvent& destroy = rig.sys->allocation_log().back();
+  EXPECT_FALSE(destroy.create);
+  EXPECT_EQ(rig.sys->active_vris(0), 2);
+  EXPECT_TRUE(rig.sys->recovery_log().empty());
+  EXPECT_FALSE(rig.sys->health()->is_suspect(0, 2));
+  EXPECT_TRUE(rig.conserved());
+}
+
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   // Satellite regression: a dynamic route broadcast BEFORE the crash must be
   // present in the respawned (fresh-process) incarnation. Round-robin makes
@@ -175,7 +235,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   ASSERT_EQ(rig.sys->recovery_log().size(), 1u);
   EXPECT_TRUE(rig.sys->recovery_log()[0].respawned);
   // A fresh fork without the replay would no-route half the stream.
-  EXPECT_EQ(rig.sys->no_route_drops(), 0u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 0u);
   EXPECT_TRUE(rig.conserved());
 }
 
@@ -205,7 +265,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
 
   EXPECT_EQ(rig.sys->crashed_vris_reaped(), 1u);
   EXPECT_EQ(rig.sys->active_vris(0), 2);
-  EXPECT_EQ(rig.sys->no_route_drops(), 0u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 0u);
 }
 
 TEST(Recovery, OverloadWithoutTheLadderTailDropsAndConserves) {

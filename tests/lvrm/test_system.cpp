@@ -78,7 +78,7 @@ TEST(LvrmSystem, NoRouteFramesDropped) {
   rig.ingress(frame(rig, net::ipv4(10, 1, 0, 1), net::ipv4(99, 9, 9, 9)));
   rig.sim.run_all();
   EXPECT_EQ(rig.delivered(), 0u);
-  EXPECT_EQ(rig.sys->no_route_drops(), 1u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 1u);
 }
 
 TEST(LvrmSystem, FixedAllocatorActivatesRequestedVris) {

@@ -12,7 +12,6 @@ namespace costs = sim::costs;
 LvrmConfig dynamic_cfg() {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-  cfg.per_vri_capacity_fps = 60'000.0;
   return cfg;
 }
 

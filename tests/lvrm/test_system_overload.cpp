@@ -55,8 +55,8 @@ TEST(SystemOverload, EnabledLadderIsInvisibleBelowTheWatermark) {
   rig.sim.run_all();
   EXPECT_EQ(rig.sys->overload_level(0), OverloadLevel::kNormal);
   EXPECT_EQ(rig.sys->sample_rate(0), 1.0);
-  EXPECT_EQ(rig.sys->sampled_shed_drops(), 0u);
-  EXPECT_EQ(rig.sys->admission_rejected_drops(), 0u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kSampledShed), 0u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kAdmissionReject), 0u);
 }
 
 TEST(SystemOverload, DisabledLadderRegistersNoMetricFamilies) {
@@ -109,8 +109,8 @@ TEST(SystemOverload, SustainedOverloadEscalatesThroughSamplingToAdmission) {
   EXPECT_EQ(seen[2], OverloadLevel::kAdmission);
   EXPECT_LT(rig.sys->sample_rate(0), 1.0);
   EXPECT_GE(rig.sys->sample_rate(0), LvrmSystem::kMinSampleRate);
-  EXPECT_GT(rig.sys->vr_sampled_shed(0), 0u);
-  EXPECT_GT(rig.sys->vr_admission_rejected(0), 0u);
+  EXPECT_GT(rig.sys->vr_drops(0, DropCause::kSampledShed), 0u);
+  EXPECT_GT(rig.sys->vr_drops(0, DropCause::kAdmissionReject), 0u);
   // Survivors keep their per-flow order through the shedding.
   EXPECT_EQ(rig.check.fifo_violations(), 0u);
 }
@@ -120,7 +120,8 @@ TEST(SystemOverload, LadderRelaxesBackToNormalWhenPressureSubsides) {
   rig.offer(200'000.0, msec(30));           // drive it into admission
   rig.offer(20'000.0, msec(120));           // then light load only
   rig.sim.run_all();
-  EXPECT_GT(rig.sys->admission_rejected_drops(), 0u);  // it did escalate
+  // It did escalate.
+  EXPECT_GT(rig.sys->drops(DropCause::kAdmissionReject), 0u);
   EXPECT_EQ(rig.sys->overload_level(0), OverloadLevel::kNormal);
   EXPECT_EQ(rig.sys->sample_rate(0), 1.0);
 }
@@ -133,9 +134,10 @@ TEST(SystemOverload, OfferedEstimateStaysConservationExactWhileShedding) {
   LvrmRig rig(overload_cfg(true), /*vris=*/1);
   rig.offer(250'000.0, msec(50));
   rig.sim.run_all();
-  ASSERT_GT(rig.sys->admission_rejected_drops(), 0u);
-  const double truth = static_cast<double>(rig.sys->vr_frames_in(0)) +
-                       static_cast<double>(rig.sys->vr_admission_rejected(0));
+  ASSERT_GT(rig.sys->drops(DropCause::kAdmissionReject), 0u);
+  const double truth =
+      static_cast<double>(rig.sys->vr_frames_in(0)) +
+      static_cast<double>(rig.sys->vr_drops(0, DropCause::kAdmissionReject));
   ASSERT_GT(truth, 0.0);
   const double err =
       std::abs(rig.sys->vr_offered_estimate(0) - truth) / truth;
@@ -150,7 +152,7 @@ TEST(SystemOverload, DeliveredFramesRecordTheirSamplingRate) {
   rig.keep_egress = true;
   rig.offer(200'000.0, msec(40));
   rig.sim.run_all();
-  ASSERT_GT(rig.sys->vr_sampled_shed(0), 0u);
+  ASSERT_GT(rig.sys->vr_drops(0, DropCause::kSampledShed), 0u);
   bool saw_sampled = false;
   for (const auto& f : rig.out) {
     ASSERT_GT(f.admit_rate, 0.0);
@@ -189,8 +191,8 @@ TEST(SystemOverload, ConservationHoldsPerFlowClassAcrossConfigs) {
           << "class=" << cls << " shards=" << shards;
     }
     EXPECT_TRUE(rig.conserved()) << "shards=" << shards;
-    EXPECT_GT(rig.sys->sampled_shed_drops() +
-                  rig.sys->admission_rejected_drops(),
+    EXPECT_GT(rig.sys->drops(DropCause::kSampledShed) +
+                  rig.sys->drops(DropCause::kAdmissionReject),
               0u);
   }
 }

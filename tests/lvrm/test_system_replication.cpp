@@ -15,8 +15,6 @@
 namespace lvrm {
 namespace {
 
-constexpr double kOneVriFps = 60'000.0;  // LvrmConfig::per_vri_capacity_fps
-
 // --- rollout contract -------------------------------------------------------------------
 
 TEST(SystemReplication, SubThresholdTrafficIsByteIdenticalToDisabled) {
@@ -69,7 +67,7 @@ TEST(SystemReplication, ElephantExceedsOneVriWithReplicationOn) {
   const auto r = exp::run_elephant_trial(opt);
   // The acceptance bar: one flow offered at 4x a single VRI's capacity
   // delivers >= 1.5x one VRI's throughput at 4 VRIs...
-  EXPECT_GE(r.elephant_fps, 1.5 * kOneVriFps)
+  EXPECT_GE(r.elephant_fps, 1.5 * kPerVriCapacityFps)
       << "elephant delivered only " << r.elephant_fps << " fps";
   // ...with zero external ordering violations (the TX sequencer's job).
   EXPECT_EQ(r.ordering_violations, 0u);
@@ -87,7 +85,7 @@ TEST(SystemReplication, ElephantStaysPinnedWithReplicationOff) {
   opt.vris = 4;
   const auto r = exp::run_elephant_trial(opt);
   // Flow affinity caps a pinned flow at one core no matter the VRI count.
-  EXPECT_LE(r.elephant_fps, 1.2 * kOneVriFps);
+  EXPECT_LE(r.elephant_fps, 1.2 * kPerVriCapacityFps);
   EXPECT_EQ(r.ordering_violations, 0u);
   EXPECT_EQ(r.sprayed_frames, 0u);
   EXPECT_EQ(r.spray_activations, 0u);
@@ -106,7 +104,7 @@ TEST(SystemReplication, OrderingHoldsAcrossShardCounts) {
     const auto r = exp::run_elephant_trial(opt);
     const std::string mode = std::to_string(shards) + "-shard";
     EXPECT_EQ(r.ordering_violations, 0u) << mode;
-    EXPECT_GT(r.elephant_fps, 1.1 * kOneVriFps)
+    EXPECT_GT(r.elephant_fps, 1.1 * kPerVriCapacityFps)
         << mode << " delivered " << r.elephant_fps << " fps";
     EXPECT_GE(r.spray_activations, 1u) << mode;
   }
@@ -144,7 +142,7 @@ TEST(SystemReplication, RateLimiterPolicyDropsAreAccounted) {
   // and land in the dedicated counter, not no_route.
   EXPECT_GT(delivered, 0u);
   EXPECT_LT(delivered, 40u);
-  EXPECT_EQ(sys.vr_policy_drops(0), 200u - delivered);
+  EXPECT_EQ(sys.vr_drops(0, DropCause::kVrPolicy), 200u - delivered);
 }
 
 // --- healthy-pool generation cache (the satellite fix) ----------------------------------

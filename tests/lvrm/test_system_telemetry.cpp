@@ -18,7 +18,6 @@ namespace {
 LvrmConfig dynamic_cfg() {
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-  cfg.per_vri_capacity_fps = 60'000.0;
   return cfg;
 }
 

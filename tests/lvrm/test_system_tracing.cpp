@@ -196,7 +196,7 @@ TEST(SystemTracing, AdmissionEscalationDumpsTheFlightRecorder) {
   LvrmRig rig(c, /*initial_vris=*/1);
   rig.offer(200'000.0, msec(40));  // >3x one VRI: ladder reaches admission
   rig.sim.run_all();
-  ASSERT_GT(rig.sys->admission_rejected_drops(), 0u);
+  ASSERT_GT(rig.sys->drops(DropCause::kAdmissionReject), 0u);
 
   const obs::Tracer& tr = *rig.sys->tracer();
   ASSERT_GE(tr.dumps_taken(), 1u);

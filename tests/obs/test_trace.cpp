@@ -95,7 +95,6 @@ TracingConfig small_cfg() {
   cfg.enabled = true;
   cfg.initial_sample_every = 64;
   cfg.min_sample_every = 4;
-  cfg.max_sample_every = 1024;
   cfg.adapt_period = usec(100);
   cfg.recorder_capacity = 16;
   return cfg;
