@@ -297,20 +297,15 @@ double poll_host_ns(std::uint64_t frames) {
 
 // --- telemetry: hot-path overhead of the obs layer -------------------------------
 
-/// The exact per-frame work LvrmSystem adds when telemetry is on: one
-/// pre-registered counter add at RX and TX, the deterministic 1-in-N sample
-/// tick at RX, and — for the sampled subset — three histogram records at TX.
-struct TelemetryHooks {
-  obs::Counter rx, tx;
-  obs::LogHistogram wait_ns, svc_ns, e2e_ns;
-};
-
-/// Same workload as poll_host_ns(frames), with the telemetry touches
-/// LvrmSystem's RX cost fn and TX sink make. `hooks` null reproduces the
-/// telemetry-off configuration: the branch is still there (LvrmSystem
-/// always pays one null check) but nothing else is.
-double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
-                              TelemetryHooks* hooks) {
+/// Same workload as poll_host_ns(frames), with the Telemetry calls
+/// LvrmSystem makes per frame when telemetry is on: the snapshot-cadence
+/// check and the deterministic 1-in-N sample tick at RX, and — for the
+/// sampled subset — the three latency records at TX. Counters and gauges
+/// read LvrmSystem's own tallies at snapshot time, so they add nothing
+/// here. `tel` null reproduces the telemetry-off configuration: the branch
+/// is still there (LvrmSystem always pays one null check) but nothing else
+/// is.
+double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel) {
   sim::Simulator sim;
   sim::Core core(sim, 0, 0);
   sim::BoundedQueue<net::FrameMeta> q(frames + 1, "bench-q");
@@ -318,22 +313,17 @@ double poll_host_ns_telemetry(std::uint64_t frames, obs::Telemetry* tel,
   std::uint64_t sunk = 0;
   server.add_input(
       q, /*priority=*/1,
-      [tel, hooks](net::FrameMeta& f) {
-        if (hooks) {
-          hooks->rx.inc();
+      [tel, &sim](net::FrameMeta& f) {
+        if (tel) {
+          tel->maybe_snapshot(sim.now());
           if (tel->should_sample()) f.obs_sampled = 1;
         }
         return Nanos{100};
       },
-      [&sunk, hooks](net::FrameMeta&& f) {
-        if (hooks) {
-          hooks->tx.inc();
-          if (f.obs_sampled) {
-            hooks->wait_ns.record(static_cast<std::int64_t>(f.id & 1023));
-            hooks->svc_ns.record(100);
-            hooks->e2e_ns.record(static_cast<std::int64_t>(f.id & 4095));
-          }
-        }
+      [&sunk, tel](net::FrameMeta&& f) {
+        if (tel && f.obs_sampled)
+          tel->record_latency(static_cast<Nanos>(f.id & 1023), 100,
+                              static_cast<Nanos>(f.id & 4095));
         sunk += f.id;
       },
       sim::CostCategory::kUser, /*batch=*/16);
@@ -884,23 +874,17 @@ int main(int argc, char** argv) {
   // ratios. This is the <3% CI gate (--check-telemetry-overhead).
   std::vector<double> tel_off_samples, tel_on_samples;
   {
-    obs::Telemetry tel{obs::TelemetryConfig{}};
-    TelemetryHooks hooks;
-    hooks.rx = tel.metrics().counter("bench_rx_total");
-    hooks.tx = tel.metrics().counter("bench_tx_total");
-    hooks.wait_ns = tel.metrics().histogram("bench_wait_ns");
-    hooks.svc_ns = tel.metrics().histogram("bench_svc_ns");
-    hooks.e2e_ns = tel.metrics().histogram("bench_e2e_ns");
+    obs::Telemetry tel;
     // Longer runs than the other sections: the gate resolves a ~1% effect,
     // so each sample must average over enough frames to drown scheduler
     // jitter.
     const std::uint64_t tel_frames = kPollFrames * 4;
-    poll_host_ns_telemetry(tel_frames, nullptr, nullptr);  // warm-up
-    poll_host_ns_telemetry(tel_frames, &tel, &hooks);      // warm-up
+    poll_host_ns_telemetry(tel_frames, nullptr);  // warm-up
+    poll_host_ns_telemetry(tel_frames, &tel);     // warm-up
     const int tel_reps = 3 * reps + 6;  // cheap runs; buy down the noise
     for (int r = 0; r < tel_reps; ++r) {
-      const double off = poll_host_ns_telemetry(tel_frames, nullptr, nullptr);
-      const double on = poll_host_ns_telemetry(tel_frames, &tel, &hooks);
+      const double off = poll_host_ns_telemetry(tel_frames, nullptr);
+      const double on = poll_host_ns_telemetry(tel_frames, &tel);
       tel_off_samples.push_back(off);
       tel_on_samples.push_back(on);
     }

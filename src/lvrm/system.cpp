@@ -82,7 +82,6 @@ struct LvrmSystem::VriSlot {
   int index = -1;
   bool active = false;
   sim::CoreId core_id = sim::kNoCore;
-  Nanos activated_at = 0;
   Nanos cold_until = 0;  // post-migration cold-cache window (default policy)
 
   std::unique_ptr<FrameQueue> data_in;
@@ -98,8 +97,7 @@ struct LvrmSystem::VriSlot {
   /// service cost, inverted into frames/s on demand.
   AlphaEwma service_time{0.2};
 
-  std::uint64_t processed = 0;
-  std::uint64_t forwarded = 0;
+  std::uint64_t forwarded = 0;  // frames egressed after this VRI served them
   bool crashed = false;
   /// Reset-free drain quiesce in flight (DESIGN.md §13): the server is
   /// stopped but the slot keeps accepting pinned-flow frames until the
@@ -170,7 +168,6 @@ struct LvrmSystem::VrState {
   Nanos last_arrival = -1;
   Nanos pipeline_latency = 0;
   std::uint64_t frames_in = 0;
-  std::uint64_t forwarded = 0;
   /// This VR's share of the drop ledger (note_drop).
   DropTally drops{};
 
@@ -228,43 +225,6 @@ struct LvrmSystem::VrState {
   std::uint64_t pool_generation = 1;
 };
 
-/// Pre-registered hot-path metric handles plus snapshot bookkeeping. The
-/// data-path cost of telemetry is exactly: one null check on `obs_`, one
-/// relaxed counter add per RX/TX frame, and — for the sampled 1-in-N subset
-/// only — three histogram adds at TX. Everything else (gauges, queue depths,
-/// dispatcher/poll-server counters) is read from existing accounting at
-/// snapshot time.
-struct LvrmSystem::ObsHooks {
-  obs::Counter rx_frames;
-  obs::Counter tx_frames;
-  obs::LogHistogram queue_wait_ns;   // RX enqueue -> VRI service start
-  obs::LogHistogram vri_service_ns;  // VRI service start -> done
-  obs::LogHistogram e2e_ns;          // gateway in -> gateway out
-  // Per-shard RX/TX counters, labeled shard="<id>". Populated only when
-  // dispatch_shards > 1 (empty vectors keep the single-shard hot path and
-  // export byte-identical to the unsharded build).
-  std::vector<obs::Counter> shard_rx;
-  std::vector<obs::Counter> shard_tx;
-  // Per-cause drop counters, bumped by note_drop. Only the ladder's two
-  // are registered, and only when `overload_control.enabled`, keeping
-  // ladder-off exports byte-identical; the rest stay invalid.
-  std::array<obs::Counter, kDropCauses> drops;
-  // §16 replication counters (registered only when
-  // `state_replication.enabled` — defaults-off exports stay byte-identical).
-  obs::Counter sprayed_frames;
-  obs::Counter spray_activations;
-  obs::Counter deltas_sent;
-  obs::Counter deltas_applied;
-  obs::Counter seq_holds;
-  obs::Counter seq_gap_skips;
-  obs::Counter seq_window_overflow;
-  // §17 work-stealing counters (registered only when `work_stealing` is on
-  // — defaults-off exports stay byte-identical).
-  obs::Counter vri_steals;
-  obs::Counter vri_steal_frames;
-  Nanos last_snapshot = 0;
-};
-
 // --- construction -----------------------------------------------------------------
 
 LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
@@ -301,51 +261,13 @@ LvrmSystem::LvrmSystem(sim::Simulator& sim, const sim::CpuTopology& topo,
   if (config_.health.enabled)
     health_ = std::make_unique<HealthMonitor>();
 
-  if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
-    obs_ = std::make_unique<ObsHooks>();
-    auto& m = telemetry_->metrics();
-    obs_->rx_frames = m.counter("lvrm_rx_frames_total");
-    obs_->tx_frames = m.counter("lvrm_tx_frames_total");
-    obs_->queue_wait_ns = m.histogram("lvrm_queue_wait_ns");
-    obs_->vri_service_ns = m.histogram("lvrm_vri_service_ns");
-    obs_->e2e_ns = m.histogram("lvrm_e2e_latency_ns");
-    if (n_shards > 1) {
-      // Per-shard RX/TX counters exist only on a sharded plane, so the
-      // single-shard export stays byte-identical to the unsharded build.
-      for (int s = 0; s < n_shards; ++s) {
-        const std::string l = "shard=\"" + std::to_string(s) + "\"";
-        obs_->shard_rx.push_back(m.counter("lvrm_rx_frames_total", l));
-        obs_->shard_tx.push_back(m.counter("lvrm_tx_frames_total", l));
-      }
-    }
-    if (config_.overload_control.enabled) {
-      obs_->drops[static_cast<std::size_t>(DropCause::kSampledShed)] =
-          m.counter("lvrm_sampled_shed_total");
-      obs_->drops[static_cast<std::size_t>(DropCause::kAdmissionReject)] =
-          m.counter("lvrm_admission_rejected_total");
-    }
-    if (config_.state_replication.enabled) {
-      obs_->sprayed_frames = m.counter("lvrm_sprayed_frames_total");
-      obs_->spray_activations = m.counter("lvrm_spray_activations_total");
-      obs_->deltas_sent = m.counter("lvrm_state_deltas_sent_total");
-      obs_->deltas_applied = m.counter("lvrm_state_deltas_applied_total");
-      obs_->seq_holds = m.counter("lvrm_seq_holds_total");
-      obs_->seq_gap_skips = m.counter("lvrm_seq_gap_skips_total");
-      obs_->seq_window_overflow = m.counter("lvrm_seq_window_overflow_total");
-    }
-    if (stealing_) {
-      // §17 steal counters exist only with work stealing on, so a
-      // stealing-off export stays byte-identical to earlier builds.
-      obs_->vri_steals = m.counter("lvrm_vri_steals_total");
-      obs_->vri_steal_frames = m.counter("lvrm_vri_steal_frames_total");
-    }
-  }
+  if (config_.telemetry.enabled)
+    telemetry_ = std::make_unique<obs::Telemetry>();
   replication_ = config_.state_replication.enabled;
 
   // §15 tracing: per-shard flight recorders + adaptive span sampling. The
-  // trace gauges are published only when this exists (publish_gauges), so
-  // tracing-off exports stay byte-identical.
+  // trace gauges are registered only when this exists (register_metrics),
+  // so tracing-off exports stay byte-identical.
   if (config_.tracing.enabled)
     tracer_ = std::make_unique<obs::Tracer>(config_.tracing, n_shards);
 
@@ -498,7 +420,6 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
           return cost;
         },
         [this, s, v](net::FrameMeta&& f) {
-          ++s->processed;
           if (f.obs_sampled) f.obs_done_at = sim_.now();
           if (tracer_)
             tracer_->record(f.dispatch_shard, obs::TraceHop::kVriEnd, f.id,
@@ -602,6 +523,7 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
 void LvrmSystem::start() {
   assert(!started_);
   started_ = true;
+  if (telemetry_) register_metrics();
   for (auto& vr : vrs_) {
     const int initial = std::max(1, vr->cfg.initial_vris);
     for (int i = 0; i < initial; ++i) activate_vri(*vr);
@@ -723,14 +645,10 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
   // The heartbeat pass rides the same poll loop but on its own (much
   // shorter) period, so faults are noticed well inside the 1 s window.
   maybe_health_probe();
-  // The snapshot tick piggybacks on the same loop: telemetry aggregation
-  // never needs its own timer or thread.
-  if (obs_) {
-    obs_->rx_frames.inc();
-    if (!obs_->shard_rx.empty() && frame.dispatch_shard >= 0)
-      obs_->shard_rx[static_cast<std::size_t>(frame.dispatch_shard)].inc();
-    maybe_snapshot();
-  }
+  ++shards_[static_cast<std::size_t>(frame.dispatch_shard)].rx_served;
+  // The snapshot tick piggybacks on the same loop: telemetry never needs
+  // its own timer or thread.
+  if (telemetry_) telemetry_->maybe_snapshot(sim_.now());
 
   if (frame.dispatch_vr < 0 || frame.dispatch_vri < 0) {
     note_drop(frame, DropCause::kUnclassified);
@@ -761,7 +679,7 @@ void LvrmSystem::rx_sink(net::FrameMeta&& frame) {
     tracer_->record(frame.dispatch_shard, obs::TraceHop::kDispatch, frame.id,
                     frame.dispatch_vr, frame.dispatch_vri, sim_.now(), 0,
                     frame.obs_sampled != 0);
-  } else if (obs_ && telemetry_->should_sample()) {
+  } else if (telemetry_ && telemetry_->should_sample()) {
     frame.obs_sampled = 1;
     frame.obs_enq_at = sim_.now();
   }
@@ -1008,7 +926,6 @@ int LvrmSystem::maybe_spray(VrState& vr, DispatchShard& shard,
     ++sp.frames;
     sp.last_frame = now;
     ++sprayed_frames_;
-    if (obs_) obs_->sprayed_frames.inc();
     if (sp.phase != VrState::SprayState::Phase::kActive) return chosen;
     // Active: per-frame min-load pick over the non-suspect candidates (the
     // replicated state makes every sibling a valid target).
@@ -1055,7 +972,6 @@ int LvrmSystem::maybe_spray(VrState& vr, DispatchShard& shard,
   f.spray_seq = sp.next_seq++;
   sp.frames = 1;
   ++sprayed_frames_;
-  if (obs_) obs_->sprayed_frames.inc();
   const double threshold_fps = threshold_frames / window_sec;
   vr.sprays.emplace(tuple, sp);
   start_spray_handshake(vr, shard.id, chosen, tuple, sp.rate_fps,
@@ -1084,7 +1000,6 @@ void LvrmSystem::start_spray_handshake(VrState& vr, int shard, int owner,
     if (it == vrp->sprays.end()) return;  // idle-expired mid-handshake
     it->second.phase = VrState::SprayState::Phase::kActive;
     ++spray_activations_;
-    if (obs_) obs_->spray_activations.inc();
     LVRM_CLOG(kDispatch, kInfo)
         << "vr=" << vrp->id << " flow sprayed: rate=" << rate_fps
         << " fps >= threshold=" << threshold_fps << " fps, fanout="
@@ -1126,7 +1041,6 @@ std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
       if (idx == slot.index) continue;
       VriSlot* sib = vr.slots[static_cast<std::size_t>(idx)].get();
       ++deltas_sent_;
-      if (obs_) obs_->deltas_sent.inc();
       // The callback runs when the sibling consumes the delta from its
       // ctrl_in (charged at the §16 delta-apply cost, not the full control
       // cost). Re-read the slot's router at delivery — a respawn may have
@@ -1136,10 +1050,7 @@ std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
           vr.id, slot.index, idx, net::StateDelta::kWireBytes,
           [this, sib, d](Nanos) {
             if (!sib->active || sib->crashed) return;
-            if (sib->router->apply_delta(d)) {
-              ++deltas_applied_;
-              if (obs_ && replication_) obs_->deltas_applied.inc();
-            }
+            if (sib->router->apply_delta(d)) ++deltas_applied_;
           },
           net::FrameKind::kStateDelta);
     }
@@ -1148,11 +1059,8 @@ std::size_t LvrmSystem::relay_deltas(VrState& vr, VriSlot& slot) {
 }
 
 void LvrmSystem::finish_tx(VrState& vr, net::FrameMeta&& f) {
-  ++forwarded_;
-  ++vr.forwarded;
-  if (f.dispatch_vri >= 0 &&
-      f.dispatch_vri < static_cast<std::int16_t>(vr.slots.size()))
-    ++vr.slots[static_cast<std::size_t>(f.dispatch_vri)]->forwarded;
+  ++vr.slots[static_cast<std::size_t>(f.dispatch_vri)]->forwarded;
+  ++shards_[static_cast<std::size_t>(f.dispatch_shard)].tx_frames;
   if (tracer_) {
     tracer_->record(f.dispatch_shard, obs::TraceHop::kTxDrain, f.id,
                     f.dispatch_vr, f.dispatch_vri, f.gw_out_at, 0,
@@ -1161,21 +1069,10 @@ void LvrmSystem::finish_tx(VrState& vr, net::FrameMeta&& f) {
     // (terminal 0 = egressed).
     if (f.obs_sampled) tracer_->add_span(span_of(f, 0));
   }
-  if (obs_) {
-    obs_->tx_frames.inc();
-    if (!obs_->shard_tx.empty() && f.dispatch_shard >= 0)
-      obs_->shard_tx[static_cast<std::size_t>(f.dispatch_shard)].inc();
-    if (f.obs_sampled) {
-      // The three stages of the latency pipeline, recorded for the sampled
-      // subset only.
-      obs_->queue_wait_ns.record(static_cast<std::uint64_t>(
-          std::max<Nanos>(0, f.obs_svc_at - f.obs_enq_at)));
-      obs_->vri_service_ns.record(static_cast<std::uint64_t>(
-          std::max<Nanos>(0, f.obs_done_at - f.obs_svc_at)));
-      obs_->e2e_ns.record(static_cast<std::uint64_t>(
-          std::max<Nanos>(0, f.gw_out_at - f.gw_in_at)));
-    }
-  }
+  if (telemetry_ && f.obs_sampled)
+    telemetry_->record_latency(f.obs_svc_at - f.obs_enq_at,
+                               f.obs_done_at - f.obs_svc_at,
+                               f.gw_out_at - f.gw_in_at);
   if (egress_) egress_(std::move(f));
 }
 
@@ -1210,7 +1107,6 @@ void LvrmSystem::sequence_tx(VrState& vr, net::FrameMeta&& f) {
   }
   // Ahead of the cursor: park until the gap fills (or tombstones).
   ++seq_holds_;
-  if (obs_ && replication_) obs_->seq_holds.inc();
   const std::uint32_t seq = f.spray_seq;
   const auto [it, inserted] =
       so.held.emplace(seq, std::optional<net::FrameMeta>());
@@ -1225,7 +1121,6 @@ void LvrmSystem::sequence_tx(VrState& vr, net::FrameMeta&& f) {
     // from the oldest held position. This is the one case external order
     // can be violated, and it is counted.
     ++seq_window_overflows_;
-    if (obs_ && replication_) obs_->seq_window_overflow.inc();
     auto first = so.held.begin();
     so.next = first->first + 1;
     if (first->second) {
@@ -1246,7 +1141,6 @@ void LvrmSystem::seq_skip(const net::FrameMeta& f) {
   so.last_activity = sim_.now();
   if (f.spray_seq < so.next) return;  // cursor already passed this position
   ++seq_gap_skips_;
-  if (obs_ && replication_) obs_->seq_gap_skips.inc();
   if (f.spray_seq == so.next) {
     ++so.next;
     seq_release_run(vr, so);
@@ -1348,10 +1242,6 @@ bool LvrmSystem::try_vri_steal(VrState& vr, VriSlot& thief) {
     victim.server->repair_hint(victim.data_in_input);
     ++vri_steals_;
     vri_steal_frames_ += moved;
-    if (obs_) {
-      obs_->vri_steals.inc();
-      obs_->vri_steal_frames.add(moved);
-    }
     audit_steal(thief.index, victim, moved);
     return true;
   }
@@ -1977,7 +1867,6 @@ void LvrmSystem::activate_slot(VrState& vr, VriSlot& slot,
   slot.estimator->reset();
   slot.service_time.reset();
   slot.active = true;
-  slot.activated_at = sim_.now();
   vr.active_order.push_back(slot.index);
   bump_pool_generation(vr);
   slot.server->start();
@@ -2032,9 +1921,11 @@ void LvrmSystem::deactivate_vri(VrState& vr) {
   LVRM_CLOG(kAlloc, kDebug) << "vr=" << vr.id << " vri=" << idx
                             << " deactivated, core=" << slot.core_id
                             << " released";
-  // Fig 3.2 "destroy": queues are destroyed, so queued frames are lost.
+  // Fig 3.2 "destroy": the process is killed and its queues destroyed, so
+  // queued frames are lost and a later create forks a fresh process.
   std::vector<net::FrameMeta> lost;
   retire_slot(vr, slot, /*from_recovery=*/false, lost);
+  bury_process(slot);
   settle_backlog(vr, lost, /*rescue=*/false);
 }
 
@@ -2197,8 +2088,17 @@ double LvrmSystem::service_rate_estimate(int vr) const {
   return measured_service_rate(*vrs_.at(static_cast<std::size_t>(vr)));
 }
 
+std::uint64_t LvrmSystem::forwarded() const {
+  std::uint64_t total = 0;
+  for (const auto& sh : shards_) total += sh.tx_frames;
+  return total;
+}
+
 std::uint64_t LvrmSystem::vr_forwarded(int vr) const {
-  return vrs_.at(static_cast<std::size_t>(vr))->forwarded;
+  std::uint64_t total = 0;
+  for (const auto& slot : vrs_.at(static_cast<std::size_t>(vr))->slots)
+    total += slot->forwarded;
+  return total;
 }
 
 std::uint64_t LvrmSystem::vri_forwarded(int vr, int vri) const {
@@ -2308,7 +2208,6 @@ void LvrmSystem::note_drop(const net::FrameMeta& f, DropCause cause) {
   ++drops_[c];
   if (f.dispatch_vr >= 0 && f.dispatch_vr < vr_count())
     ++vrs_[static_cast<std::size_t>(f.dispatch_vr)]->drops[c];
-  if (obs_ && obs_->drops[c].valid()) obs_->drops[c].inc();
   // §16: a sprayed frame that dies anywhere leaves a hole in its spray
   // sequence — tombstone it so the TX sequencer can release past it
   // instead of stalling until the reorder window overflows.
@@ -2372,140 +2271,152 @@ void LvrmSystem::audit_balance(Nanos now) {
   }
 }
 
-void LvrmSystem::maybe_snapshot() {
-  const Nanos period = config_.telemetry.snapshot_period;
-  if (period <= 0) return;
-  const Nanos now = sim_.now();
-  if (now - obs_->last_snapshot < period) return;
-  obs_->last_snapshot = now;
-  snapshot_telemetry();
-}
+void LvrmSystem::register_metrics() {
+  // The one registration block: every series reads, at snapshot time, a
+  // tally or estimate the system keeps anyway, so the data path pays
+  // nothing for it. A family whose feature is off is never registered, and
+  // the per-shard families exist only on a sharded plane, so such exports
+  // stay byte-identical to the builds before that feature. Each kind is
+  // exported in registration order.
+  obs::MetricsRegistry& m = telemetry_->metrics();
+  const auto tally = [](const std::uint64_t& v) { return [&v] { return v; }; };
+  const auto gauge = [&m](const char* name, const std::string& labels,
+                          auto read) {
+    m.gauge(name, labels, [read] { return static_cast<double>(read()); });
+  };
+  const auto label = [](const char* key, int id) {
+    return std::string(key) + "=\"" + std::to_string(id) + "\"";
+  };
+  const auto over_shards = [this](auto per_shard) {
+    return [this, per_shard] {
+      std::uint64_t total = 0;
+      for (const DispatchShard& sh : shards_) total += per_shard(sh);
+      return total;
+    };
+  };
+  const auto cause = [](DropCause c) { return static_cast<std::size_t>(c); };
+  const bool sharded = shards_.size() > 1;
 
-void LvrmSystem::snapshot_telemetry() {
-  if (!telemetry_) return;
-  publish_gauges();
-  telemetry_->take_snapshot(sim_.now());
-}
-
-void LvrmSystem::publish_gauges() {
-  // Everything here reads accounting the system keeps anyway — queue depth
-  // fields, dispatcher counters, poll-server counters — so the hot path
-  // pays nothing for these series.
-  auto& m = telemetry_->metrics();
-  std::uint64_t ring_depth = 0, ring_drops = 0;
-  std::uint64_t served = 0;
-  for (const auto& sh : shards_) {
-    ring_depth += sh.rx_ring->size();
-    ring_drops += sh.rx_ring->drops();
-    served += sh.server->served();
+  m.counter("lvrm_rx_frames_total", {},
+            over_shards([](const DispatchShard& sh) { return sh.rx_served; }));
+  m.counter("lvrm_tx_frames_total", {}, [this] { return forwarded(); });
+  if (sharded) {
+    for (const DispatchShard& sh : shards_) {
+      const std::string l = label("shard", sh.id);
+      m.counter("lvrm_rx_frames_total", l, tally(sh.rx_served));
+      m.counter("lvrm_tx_frames_total", l, tally(sh.tx_frames));
+    }
   }
-  m.gauge("lvrm_rx_ring_depth").set(static_cast<double>(ring_depth));
-  m.gauge("lvrm_rx_ring_drops").set(static_cast<double>(ring_drops));
-  m.gauge("lvrm_poll_serve_events").set(static_cast<double>(served));
-  if (shards_.size() > 1) {
-    // Per-shard breakdowns exist only on a sharded plane so single-shard
-    // exports match the unsharded build byte for byte.
-    for (const auto& sh : shards_) {
-      const std::string l = "shard=\"" + std::to_string(sh.id) + "\"";
-      m.gauge("lvrm_rx_ring_depth", l)
-          .set(static_cast<double>(sh.rx_ring->size()));
-      m.gauge("lvrm_rx_ring_drops", l)
-          .set(static_cast<double>(sh.rx_ring->drops()));
-      m.gauge("lvrm_poll_serve_events", l)
-          .set(static_cast<double>(sh.server->served()));
-      m.gauge("lvrm_shard_rx_admitted", l)
-          .set(static_cast<double>(sh.rx_admitted));
-      m.gauge("lvrm_shard_core", l).set(static_cast<double>(sh.core_id));
+  if (config_.overload_control.enabled) {
+    m.counter("lvrm_sampled_shed_total", {},
+              tally(drops_[cause(DropCause::kSampledShed)]));
+    m.counter("lvrm_admission_rejected_total", {},
+              tally(drops_[cause(DropCause::kAdmissionReject)]));
+  }
+  if (replication_) {
+    m.counter("lvrm_sprayed_frames_total", {}, tally(sprayed_frames_));
+    m.counter("lvrm_spray_activations_total", {}, tally(spray_activations_));
+    m.counter("lvrm_state_deltas_sent_total", {}, tally(deltas_sent_));
+    m.counter("lvrm_state_deltas_applied_total", {}, tally(deltas_applied_));
+    m.counter("lvrm_seq_holds_total", {}, tally(seq_holds_));
+    m.counter("lvrm_seq_gap_skips_total", {}, tally(seq_gap_skips_));
+    m.counter("lvrm_seq_window_overflow_total", {},
+              tally(seq_window_overflows_));
+  }
+  if (stealing_) {
+    m.counter("lvrm_vri_steals_total", {}, tally(vri_steals_));
+    m.counter("lvrm_vri_steal_frames_total", {}, tally(vri_steal_frames_));
+  }
+
+  gauge("lvrm_rx_ring_depth", {}, over_shards([](const DispatchShard& sh) {
+          return sh.rx_ring->size();
+        }));
+  gauge("lvrm_rx_ring_drops", {}, [this] { return rx_ring_drops(); });
+  gauge("lvrm_poll_serve_events", {}, over_shards([](const DispatchShard& sh) {
+          return sh.server->served();
+        }));
+  if (sharded) {
+    for (const DispatchShard& sh : shards_) {
+      const std::string l = label("shard", sh.id);
+      gauge("lvrm_rx_ring_depth", l, [&sh] { return sh.rx_ring->size(); });
+      gauge("lvrm_rx_ring_drops", l, [&sh] { return sh.rx_ring->drops(); });
+      gauge("lvrm_poll_serve_events", l,
+            [&sh] { return sh.server->served(); });
+      gauge("lvrm_shard_rx_admitted", l, tally(sh.rx_admitted));
+      gauge("lvrm_shard_core", l, [&sh] { return sh.core_id; });
     }
   }
   if (tracer_) {
-    // Trace gauges exist only with tracing on, so defaults-off exports stay
-    // byte-identical (same rule as the ladder gauges).
-    m.gauge("lvrm_trace_sample_every")
-        .set(static_cast<double>(tracer_->sample_every()));
-    m.gauge("lvrm_trace_adaptations")
-        .set(static_cast<double>(tracer_->adaptations()));
-    m.gauge("lvrm_trace_records_total")
-        .set(static_cast<double>(tracer_->records_total()));
-    m.gauge("lvrm_trace_spans")
-        .set(static_cast<double>(tracer_->spans().size()));
-    m.gauge("lvrm_trace_spans_dropped")
-        .set(static_cast<double>(tracer_->spans_dropped()));
-    m.gauge("lvrm_flight_dumps")
-        .set(static_cast<double>(tracer_->dumps_taken()));
+    const obs::Tracer& t = *tracer_;
+    gauge("lvrm_trace_sample_every", {}, [&t] { return t.sample_every(); });
+    gauge("lvrm_trace_adaptations", {}, [&t] { return t.adaptations(); });
+    gauge("lvrm_trace_records_total", {}, [&t] { return t.records_total(); });
+    gauge("lvrm_trace_spans", {}, [&t] { return t.spans().size(); });
+    gauge("lvrm_trace_spans_dropped", {}, [&t] { return t.spans_dropped(); });
+    gauge("lvrm_flight_dumps", {}, [&t] { return t.dumps_taken(); });
   }
-  m.gauge("lvrm_audit_events").set(static_cast<double>(telemetry_->audit().total()));
-  m.gauge("lvrm_audit_overwritten")
-      .set(static_cast<double>(telemetry_->audit().overwritten()));
+  const obs::AuditTrail& audit = telemetry_->audit();
+  gauge("lvrm_audit_events", {}, [&audit] { return audit.total(); });
+  gauge("lvrm_audit_overwritten", {}, [&audit] { return audit.overwritten(); });
   if (replication_) {
-    // Replication gauges exist only with §16 replication on (same
-    // byte-identity rule as the per-shard breakdowns above).
-    m.gauge("lvrm_spray_active_flows")
-        .set(static_cast<double>(spray_active_flows()));
-    m.gauge("lvrm_seq_held_frames")
-        .set(static_cast<double>(seq_held_frames()));
+    gauge("lvrm_spray_active_flows", {},
+          [this] { return spray_active_flows(); });
+    gauge("lvrm_seq_held_frames", {}, [this] { return seq_held_frames(); });
   }
-  // §17 fabric inventory. Reclaimed headroom = what an SPSC mesh would
-  // have reserved minus what the fabric actually reserves.
-  m.gauge("lvrm_fabric_rings").set(static_cast<double>(fabric_ring_count()));
-  m.gauge("lvrm_mesh_rings").set(static_cast<double>(mesh_ring_count()));
-  const std::size_t mesh_b = mesh_ring_bytes();
-  const std::size_t fab_b = fabric_ring_bytes();
-  m.gauge("lvrm_fabric_reclaimed_bytes")
-      .set(static_cast<double>(mesh_b > fab_b ? mesh_b - fab_b : 0));
+  // §17 fabric inventory. Reclaimed headroom = what an SPSC mesh would have
+  // reserved minus what the fabric actually reserves.
+  gauge("lvrm_fabric_rings", {}, [this] { return fabric_ring_count(); });
+  gauge("lvrm_mesh_rings", {}, [this] { return mesh_ring_count(); });
+  gauge("lvrm_fabric_reclaimed_bytes", {}, [this] {
+    const std::size_t mesh = mesh_ring_bytes();
+    const std::size_t fabric = fabric_ring_bytes();
+    return mesh > fabric ? mesh - fabric : 0;
+  });
   if (stealing_) {
-    // Steal gauges exist only with work stealing on (same byte-identity
-    // rule as the replication gauges above).
-    m.gauge("lvrm_vri_steals").set(static_cast<double>(vri_steals_));
-    m.gauge("lvrm_vri_steal_frames")
-        .set(static_cast<double>(vri_steal_frames_));
+    gauge("lvrm_vri_steals", {}, tally(vri_steals_));
+    gauge("lvrm_vri_steal_frames", {}, tally(vri_steal_frames_));
   }
 
   for (const auto& vrp : vrs_) {
     const VrState& vr = *vrp;
-    const std::string l = "vr=\"" + std::to_string(vr.id) + "\"";
-    m.gauge("lvrm_active_vris", l)
-        .set(static_cast<double>(vr.active_order.size()));
-    m.gauge("lvrm_arrival_rate_fps", l).set(arrival_rate_estimate(vr.id));
-    m.gauge("lvrm_service_rate_fps", l).set(measured_service_rate(vr));
-    m.gauge("lvrm_capacity_fps", l)
-        .set(allocator_->capacity_fps(alloc_view(vr)));
-    m.gauge("lvrm_frames_in", l).set(static_cast<double>(vr.frames_in));
-    m.gauge("lvrm_forwarded", l).set(static_cast<double>(vr.forwarded));
-    m.gauge("lvrm_data_queue_drops", l)
-        .set(static_cast<double>(queue_drops(vr.drops)));
-    const DispatchStats stats = vr.dispatch_stats();
-    m.gauge("lvrm_dispatch_decisions", l)
-        .set(static_cast<double>(stats.decisions));
-    m.gauge("lvrm_flow_probes", l)
-        .set(static_cast<double>(stats.flow_probes));
-    m.gauge("lvrm_flow_hits", l).set(static_cast<double>(stats.flow_hits));
-    std::size_t depth = 0;
-    for (int idx : vr.active_order)
-      depth += vr.slots[static_cast<std::size_t>(idx)]->data_in->size();
-    m.gauge("lvrm_data_queue_depth", l).set(static_cast<double>(depth));
+    const std::string l = label("vr", vr.id);
+    gauge("lvrm_active_vris", l, [&vr] { return vr.active_order.size(); });
+    gauge("lvrm_arrival_rate_fps", l,
+          [this, &vr] { return arrival_rate_estimate(vr.id); });
+    gauge("lvrm_service_rate_fps", l,
+          [this, &vr] { return measured_service_rate(vr); });
+    gauge("lvrm_capacity_fps", l,
+          [this, &vr] { return allocator_->capacity_fps(alloc_view(vr)); });
+    gauge("lvrm_frames_in", l, tally(vr.frames_in));
+    gauge("lvrm_forwarded", l, [this, &vr] { return vr_forwarded(vr.id); });
+    gauge("lvrm_data_queue_drops", l, [&vr] { return queue_drops(vr.drops); });
+    gauge("lvrm_dispatch_decisions", l,
+          [&vr] { return vr.dispatch_stats().decisions; });
+    gauge("lvrm_flow_probes", l,
+          [&vr] { return vr.dispatch_stats().flow_probes; });
+    gauge("lvrm_flow_hits", l, [&vr] { return vr.dispatch_stats().flow_hits; });
+    gauge("lvrm_data_queue_depth", l, [&vr] {
+      std::size_t depth = 0;
+      for (int idx : vr.active_order)
+        depth += vr.slots[static_cast<std::size_t>(idx)]->data_in->size();
+      return depth;
+    });
     if (config_.overload_control.enabled) {
-      // Ladder gauges exist only with the ladder on, so defaults-off
-      // exports stay byte-identical (same rule as the trace gauges).
-      m.gauge("lvrm_overload_level", l)
-          .set(static_cast<double>(static_cast<int>(vr.level)));
-      m.gauge("lvrm_overload_sample_rate", l).set(vr.sample_rate);
-      m.gauge("lvrm_offered_estimate", l).set(vr.offered_estimate);
-      m.gauge("lvrm_sampled_shed", l)
-          .set(static_cast<double>(
-              vr.drops[static_cast<std::size_t>(DropCause::kSampledShed)]));
-      m.gauge("lvrm_admission_rejected", l)
-          .set(static_cast<double>(vr.drops[static_cast<std::size_t>(
-              DropCause::kAdmissionReject)]));
+      gauge("lvrm_overload_level", l,
+            [&vr] { return static_cast<int>(vr.level); });
+      gauge("lvrm_overload_sample_rate", l, [&vr] { return vr.sample_rate; });
+      gauge("lvrm_offered_estimate", l, [&vr] { return vr.offered_estimate; });
+      gauge("lvrm_sampled_shed", l,
+            tally(vr.drops[cause(DropCause::kSampledShed)]));
+      gauge("lvrm_admission_rejected", l,
+            tally(vr.drops[cause(DropCause::kAdmissionReject)]));
     }
   }
 }
 
 bool LvrmSystem::export_telemetry(const std::string& prefix) {
-  if (!telemetry_) return false;
-  const Nanos now = sim_.now();
-  publish_gauges();
-  return telemetry_->export_files(prefix, now,
+  return telemetry_ &&
+         telemetry_->export_files(prefix, sim_.now(),
                                   tracer_ ? &tracer_->spans() : nullptr);
 }
 

@@ -207,7 +207,9 @@ class LvrmSystem {
   double arrival_rate_estimate(int vr) const;   // frames/s (EWMA)
   double service_rate_estimate(int vr) const;   // frames/s per VRI (measured)
 
-  std::uint64_t forwarded() const { return forwarded_; }
+  /// Frames egressed: the sum of the per-shard TX tallies, and of one VR's
+  /// per-VRI tallies.
+  std::uint64_t forwarded() const;
   std::uint64_t vr_forwarded(int vr) const;
   std::uint64_t vri_forwarded(int vr, int vri) const;
   /// Tail drops across every shard's RX ring (one ring with one shard). This
@@ -336,14 +338,10 @@ class LvrmSystem {
   obs::Tracer* tracer() { return tracer_.get(); }
   const obs::Tracer* tracer() const { return tracer_.get(); }
 
-  /// Flushes open audit episodes, publishes the gauge set, and writes
-  /// `<prefix>.prom`, `<prefix>.csv` and `<prefix>.trace.json`. Returns
-  /// false when telemetry is disabled or a file could not be opened.
+  /// Takes a final snapshot and writes `<prefix>.prom`, `<prefix>.csv` and
+  /// `<prefix>.trace.json`. Returns false when telemetry is disabled or a
+  /// file could not be opened.
   bool export_telemetry(const std::string& prefix);
-
-  /// Publishes the gauge set and appends a snapshot to the retained series
-  /// (also runs periodically from the poll loop; exposed for tests).
-  void snapshot_telemetry();
 
   /// Zeroes all per-core accounting (for windowed CPU-usage measurements).
   void reset_accounting();
@@ -374,6 +372,8 @@ class LvrmSystem {
     std::unique_ptr<FrameQueue> rx_ring;
     std::unique_ptr<FrameServer> server;
     std::uint64_t rx_admitted = 0;  // frames accepted into this shard's ring
+    std::uint64_t rx_served = 0;    // frames its poll loop served off the ring
+    std::uint64_t tx_frames = 0;    // frames egressed that entered here
     // §17 fabric: this shard's shared TX drain segment (one MPMC link all
     // homed VRIs produce into).
     queue::SegmentId tx_link_shm = queue::kInvalidSegment;
@@ -431,9 +431,10 @@ class LvrmSystem {
   /// health record and clears `suspect`. Returns the flow pins evicted.
   std::size_t retire_slot(VrState& vr, VriSlot& slot, bool from_recovery,
                           std::vector<net::FrameMeta>& backlog);
-  /// The step after retire_slot when the process itself is gone (reap,
-  /// quarantine): its in-flight control events die with it, the injected
-  /// faults are cleared, and the next activation forks a fresh process.
+  /// The step after retire_slot when the process itself is gone (destroy,
+  /// reap, quarantine): its in-flight control events die with it, the
+  /// injected faults are cleared, and the next activation forks a fresh
+  /// process.
   void bury_process(VriSlot& slot);
   /// Sends one control event of `bytes` from `src` to every other active
   /// VRI of `vr`. `on_ack` (may be empty) runs at each sibling as it
@@ -477,9 +478,9 @@ class LvrmSystem {
                     const std::function<void(const DrainEvent&)>& done);
   /// One synthetic flash-crowd frame + reschedule (inject_overload_burst).
   void burst_step(int vr, Nanos gap, Nanos until);
-  // Telemetry (all no-ops when telemetry is disabled).
-  void maybe_snapshot();
-  void publish_gauges();
+  /// Registers every metric series with the telemetry registry (start(),
+  /// telemetry on): each reads a tally or estimate kept here anyway.
+  void register_metrics();
   // §15 tracing (all no-ops when tracing is disabled / tracer_ is null).
   /// Flight-record + (sampled frames) span-collect a drop exit.
   void trace_drop(const net::FrameMeta& f, DropCause cause);
@@ -580,18 +581,14 @@ class LvrmSystem {
   // set that rx_cost hands to the dispatcher.
   std::vector<VriView> views_scratch_;
 
-  // Telemetry layer. `obs_` carries the pre-registered hot-path handles and
-  // snapshot bookkeeping; one null check gates every hot-path touch.
-  struct ObsHooks;
+  // Telemetry layer; one null check gates every hot-path touch.
   std::unique_ptr<obs::Telemetry> telemetry_;
-  std::unique_ptr<ObsHooks> obs_;
 
   // §15 tracing layer: per-shard flight recorders + the adaptive sampling
   // controller + the retained path spans. Null unless config.tracing is
   // enabled; every hot-path touch is gated on this one pointer.
   std::unique_ptr<obs::Tracer> tracer_;
 
-  std::uint64_t forwarded_ = 0;
   std::uint64_t crashes_reaped_ = 0;
   DropTally drops_{};
   std::uint64_t next_control_id_ = 1;

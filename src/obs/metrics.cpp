@@ -4,81 +4,47 @@
 
 namespace lvrm::obs {
 
-namespace detail {
-
-std::size_t assign_shard() {
-  static std::atomic<std::size_t> next{0};
-  const std::size_t n = next.fetch_add(1, std::memory_order_relaxed);
-  return n < kShards - 1 ? n : kShards - 1;  // overflow threads share the last
+template <class Read>
+void MetricsRegistry::add(std::vector<Entry<Read>>& entries,
+                          const std::string& name, const std::string& labels,
+                          Read read) {
+  for (auto& e : entries)
+    if (e.name == name && e.labels == labels) {
+      e.read = std::move(read);
+      return;
+    }
+  entries.push_back(Entry<Read>{name, labels, std::move(read)});
 }
 
-}  // namespace detail
-
-Counter MetricsRegistry::counter(const std::string& name,
-                                 const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : counters_)
-    if (e.name == name && e.labels == labels) return Counter(e.cells.data());
-  auto& e = counters_.emplace_back();
-  e.name = name;
-  e.labels = labels;
-  return Counter(e.cells.data());
+void MetricsRegistry::counter(const std::string& name,
+                              const std::string& labels, CounterReader read) {
+  add(counters_, name, labels, std::move(read));
 }
 
-Gauge MetricsRegistry::gauge(const std::string& name,
-                             const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : gauges_)
-    if (e.name == name && e.labels == labels) return Gauge(&e.cell);
-  auto& e = gauges_.emplace_back();
-  e.name = name;
-  e.labels = labels;
-  return Gauge(&e.cell);
+void MetricsRegistry::gauge(const std::string& name, const std::string& labels,
+                            GaugeReader read) {
+  add(gauges_, name, labels, std::move(read));
 }
 
-LogHistogram MetricsRegistry::histogram(const std::string& name,
-                                        const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : histograms_)
-    if (e.name == name && e.labels == labels)
-      return LogHistogram(e.shards.data());
-  auto& e = histograms_.emplace_back();
-  e.name = name;
-  e.labels = labels;
-  return LogHistogram(e.shards.data());
+void MetricsRegistry::histogram(const std::string& name,
+                                const std::string& labels,
+                                const LogHistogram& h) {
+  add(histograms_, name, labels, &h);
 }
 
 Snapshot MetricsRegistry::snapshot(Nanos at) const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.at = at;
   snap.counters.reserve(counters_.size());
-  for (const auto& e : counters_) {
-    CounterSample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    for (const auto& cell : e.cells)
-      s.value += cell.v.load(std::memory_order_relaxed);
-    snap.counters.push_back(std::move(s));
-  }
+  for (const auto& e : counters_)
+    snap.counters.push_back(CounterSample{e.name, e.labels, e.read()});
   snap.gauges.reserve(gauges_.size());
-  for (const auto& e : gauges_) {
-    GaugeSample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.value = e.cell.load(std::memory_order_relaxed);
-    snap.gauges.push_back(std::move(s));
-  }
+  for (const auto& e : gauges_)
+    snap.gauges.push_back(GaugeSample{e.name, e.labels, e.read()});
   snap.histograms.reserve(histograms_.size());
-  for (const auto& e : histograms_) {
-    HistogramSample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    for (const auto& shard : e.shards)
-      for (std::size_t b = 0; b < kHistBuckets; ++b)
-        s.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    snap.histograms.push_back(std::move(s));
-  }
+  for (const auto& e : histograms_)
+    snap.histograms.push_back(
+        HistogramSample{e.name, e.labels, e.read->buckets});
   return snap;
 }
 

@@ -1,30 +1,22 @@
-// metrics.hpp — per-core sharded metrics registry (DESIGN.md §10).
+// metrics.hpp — the single-writer metrics registry (DESIGN.md §10).
 //
-// The registry is the telemetry layer's hot-path primitive: counters, gauges
-// and log-bucket histograms registered once by name+labels and updated from
-// the data path with a SINGLE relaxed access — no locks, no branches on
-// shared state, no aggregation. Each metric owns kShards cache-line-padded
-// cells; a thread is assigned a shard the first time it touches any metric
-// (the first kShards-1 threads exclusively, later threads share the last),
-// so concurrent writers on different cores never contend on a line and
-// single-writer shards avoid the RMW entirely. Aggregation happens only in
-// snapshot(),
-// off the hot path, following the "monitoring must itself be sampled and
-// per-core" lesson of the load-aware sampling literature.
-//
-// Inside the single-threaded simulator every increment lands in one shard;
-// the sharding exists for the real-thread consumers (ring endpoints, the
-// stress tests, future multi-process deployments) and costs the hot path
-// one thread-local load.
+// A registry belongs to one Telemetry, which belongs to one LvrmSystem (or
+// one bench harness) on one simulator thread — the paper's LVRM is likewise
+// one monitor process on one pinned core, so the registry is already per
+// core, as the load-aware sampling literature asks of monitoring state.
+// It keeps no tallies of its own: a counter or gauge is registered once
+// with a reader over a value its owner keeps anyway, and snapshot() calls
+// every reader. A histogram is a plain bucket array its owner records into
+// and the registry reads at snapshot time. Counters and gauges therefore
+// cost the data path nothing, and a sampled latency costs one array
+// increment.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,62 +24,12 @@
 
 namespace lvrm::obs {
 
-/// Shard count: the first kShards-1 writer threads get private lines (and
-/// single-writer plain stores); any further threads share the last shard,
-/// which always uses an atomic RMW so counts stay exact.
-inline constexpr std::size_t kShards = 16;
-
 /// Log2 histogram buckets: bucket 0 holds exact zeros, bucket k (k >= 1)
 /// holds values in [2^(k-1), 2^k). 64 value buckets cover the full uint64
 /// range, so a nanosecond latency can never fall outside the histogram.
 inline constexpr std::size_t kHistBuckets = 65;
 
-inline constexpr std::size_t kObsCacheLine = 64;
-
 namespace detail {
-
-/// Assigns the calling thread a shard. Cold: runs once per thread, on its
-/// first metric touch. The first kShards-1 threads each get an exclusive
-/// shard; every later thread shares the last shard. Exclusive shards have a
-/// single writer forever, so updates are plain load+store; the shared shard
-/// always uses an atomic RMW, so counts stay exact at any thread count.
-std::size_t assign_shard();
-
-/// Constant-initialised, so reads skip the TLS init guard a dynamic
-/// initialiser would cost on every metric update. kShards = "unassigned".
-inline thread_local std::size_t t_shard = kShards;
-
-/// Index of the calling thread's shard: one TLS load and a predictable
-/// branch on the hot path.
-inline std::size_t shard_index() {
-  std::size_t s = t_shard;
-  if (s >= kShards) {
-    s = assign_shard();
-    t_shard = s;
-  }
-  return s;
-}
-
-/// One relaxed increment into the calling thread's shard cell. Exclusive
-/// shards (single writer) skip the RMW: a relaxed load+store is ~3x cheaper
-/// than lock xadd, and the <3% hot-path overhead gate needs that margin.
-inline void shard_add(std::atomic<std::uint64_t>& cell, std::size_t shard,
-                      std::uint64_t n) {
-  if (shard == kShards - 1) {
-    cell.fetch_add(n, std::memory_order_relaxed);
-  } else {
-    cell.store(cell.load(std::memory_order_relaxed) + n,
-               std::memory_order_relaxed);
-  }
-}
-
-struct alignas(kObsCacheLine) CounterCell {
-  std::atomic<std::uint64_t> v{0};
-};
-
-struct alignas(kObsCacheLine) HistShard {
-  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-};
 
 /// Bucket of a value: 0 for 0, else 1 + floor(log2(v)) — exactly bit_width.
 inline std::size_t hist_bucket(std::uint64_t v) {
@@ -96,56 +38,13 @@ inline std::size_t hist_bucket(std::uint64_t v) {
 
 }  // namespace detail
 
-/// Monotone counter handle. Copyable, trivially destructible; points into
-/// registry-owned storage, so it must not outlive its MetricsRegistry.
-class Counter {
- public:
-  Counter() = default;
-  bool valid() const { return cells_ != nullptr; }
-  void add(std::uint64_t n) const {
-    const std::size_t s = detail::shard_index();
-    detail::shard_add(cells_[s].v, s, n);
-  }
-  void inc() const { add(1); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(detail::CounterCell* cells) : cells_(cells) {}
-  detail::CounterCell* cells_ = nullptr;
+/// Log2-bucket histogram: a plain bucket array, written by its one owner.
+struct LogHistogram {
+  std::array<std::uint64_t, kHistBuckets> buckets{};
+  void record(std::uint64_t v) { ++buckets[detail::hist_bucket(v)]; }
 };
 
-/// Last-write-wins gauge (doubles: rates, depths, estimates). Gauges are
-/// written from cold paths (snapshot publication), so a single cell suffices.
-class Gauge {
- public:
-  Gauge() = default;
-  bool valid() const { return cell_ != nullptr; }
-  void set(double v) const { cell_->store(v, std::memory_order_relaxed); }
-  double value() const { return cell_->load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::atomic<double>* cell) : cell_(cell) {}
-  std::atomic<double>* cell_ = nullptr;
-};
-
-/// Log2-bucket histogram handle; record() is one relaxed add.
-class LogHistogram {
- public:
-  LogHistogram() = default;
-  bool valid() const { return shards_ != nullptr; }
-  void record(std::uint64_t v) const {
-    const std::size_t s = detail::shard_index();
-    detail::shard_add(shards_[s].buckets[detail::hist_bucket(v)], s, 1);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit LogHistogram(detail::HistShard* shards) : shards_(shards) {}
-  detail::HistShard* shards_ = nullptr;
-};
-
-// --- snapshot types (aggregated, plain data) ---------------------------------
+// --- snapshot types (plain data) -----------------------------------------------
 
 struct CounterSample {
   std::string name;
@@ -175,10 +74,7 @@ struct HistogramSample {
   double approx_mean() const;
 };
 
-/// One aggregated view of every registered metric, taken at `at` sim-time.
-/// Because histogram totals are derived from the bucket counts themselves
-/// (no separate total cell), a concurrent snapshot is internally consistent:
-/// count() always equals the sum of the sampled buckets.
+/// Every registered metric's value at `at` sim-time.
 struct Snapshot {
   Nanos at = 0;
   std::vector<CounterSample> counters;
@@ -186,41 +82,41 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;
 };
 
-/// Registry of named metrics. Registration and snapshotting take a mutex;
-/// handle operations never do. Registering the same name+labels twice
-/// returns a handle to the same storage (idempotent).
+/// Registry of named metrics, each read at snapshot time. Snapshots list
+/// each kind in registration order. Registering a name+labels pair again
+/// replaces its reader and keeps its place.
 class MetricsRegistry {
  public:
+  using CounterReader = std::function<std::uint64_t()>;
+  using GaugeReader = std::function<double()>;
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter counter(const std::string& name, const std::string& labels = {});
-  Gauge gauge(const std::string& name, const std::string& labels = {});
-  LogHistogram histogram(const std::string& name,
-                         const std::string& labels = {});
+  void counter(const std::string& name, const std::string& labels,
+               CounterReader read);
+  void gauge(const std::string& name, const std::string& labels,
+             GaugeReader read);
+  /// `h` is read in place at every snapshot, so it must outlive them.
+  void histogram(const std::string& name, const std::string& labels,
+                 const LogHistogram& h);
 
   Snapshot snapshot(Nanos at = 0) const;
 
  private:
-  struct CounterEntry {
+  template <class Read>
+  struct Entry {
     std::string name, labels;
-    std::array<detail::CounterCell, kShards> cells;
+    Read read;
   };
-  struct GaugeEntry {
-    std::string name, labels;
-    std::atomic<double> cell{0.0};
-  };
-  struct HistEntry {
-    std::string name, labels;
-    std::array<detail::HistShard, kShards> shards;
-  };
+  template <class Read>
+  static void add(std::vector<Entry<Read>>& entries, const std::string& name,
+                  const std::string& labels, Read read);
 
-  mutable std::mutex mu_;
-  // Deques: stable addresses across registration, required by the handles.
-  std::deque<CounterEntry> counters_;
-  std::deque<GaugeEntry> gauges_;
-  std::deque<HistEntry> histograms_;
+  std::vector<Entry<CounterReader>> counters_;
+  std::vector<Entry<GaugeReader>> gauges_;
+  std::vector<Entry<const LogHistogram*>> histograms_;
 };
 
 }  // namespace lvrm::obs

@@ -7,6 +7,12 @@
 
 namespace lvrm::obs {
 
+Telemetry::Telemetry() : audit_(kAuditCapacity), sampler_(kSampleEvery) {
+  metrics_.histogram("lvrm_queue_wait_ns", {}, queue_wait_ns_);
+  metrics_.histogram("lvrm_vri_service_ns", {}, vri_service_ns_);
+  metrics_.histogram("lvrm_e2e_latency_ns", {}, e2e_ns_);
+}
+
 void Telemetry::take_snapshot(Nanos at) {
   series_.push_back(metrics_.snapshot(at));
   if (series_.size() > kMaxSnapshots) series_.erase(series_.begin());

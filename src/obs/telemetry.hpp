@@ -1,11 +1,12 @@
 // telemetry.hpp — per-system telemetry bundle: registry + audit + exporters.
 //
 // One Telemetry object per LvrmSystem (or per bench harness) owns the
-// metrics registry, the decision audit trail, the retained snapshot series
-// and the deterministic 1-in-N latency sampling tick. Everything here is
-// host-side observation only: no sim cost is ever charged and no RNG is
-// consumed, so experiment outputs are bit-identical with telemetry on or
-// off (tested in test_system_telemetry.cpp).
+// metrics registry, the decision audit trail, the retained snapshot series,
+// the deterministic 1-in-N latency sampling tick, the three sampled latency
+// histograms and the snapshot cadence. Everything here is host-side
+// observation only: no sim cost is ever charged and no RNG is consumed, so
+// experiment outputs are bit-identical with telemetry on or off (tested in
+// test_system_telemetry.cpp).
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,6 @@ struct TelemetryConfig {
   /// Master switch; when false LvrmSystem creates no Telemetry at all and
   /// the hot path carries zero extra work beyond one pointer null check.
   bool enabled = true;
-  /// Periodic snapshot cadence in sim time; 0 disables periodic snapshots
-  /// (a final snapshot is still taken at export time).
-  Nanos snapshot_period = msec(250);
 };
 
 class Telemetry {
@@ -38,11 +36,13 @@ class Telemetry {
   static constexpr std::size_t kAuditCapacity = 8192;
   /// Bound on the retained snapshot series (oldest dropped beyond this).
   static constexpr std::size_t kMaxSnapshots = 4096;
+  /// Periodic snapshot cadence in sim time (maybe_snapshot); a final
+  /// snapshot is also taken at export time.
+  static constexpr Nanos kSnapshotPeriod = msec(250);
 
-  explicit Telemetry(const TelemetryConfig& cfg)
-      : cfg_(cfg), audit_(kAuditCapacity), sampler_(kSampleEvery) {}
+  /// Registers the three sampled latency histograms.
+  Telemetry();
 
-  const TelemetryConfig& config() const { return cfg_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   AuditTrail& audit() { return audit_; }
@@ -55,7 +55,24 @@ class Telemetry {
   /// tested there.
   bool should_sample() { return sampler_.tick(); }
 
-  /// Append an aggregated snapshot to the retained series.
+  /// Records one sampled frame's three latency stages: RX enqueue -> VRI
+  /// service start, service start -> done, and gateway in -> out. A
+  /// negative span (a stamp the frame never got) records as 0.
+  void record_latency(Nanos queue_wait, Nanos vri_service, Nanos e2e) {
+    queue_wait_ns_.record(clamp(queue_wait));
+    vri_service_ns_.record(clamp(vri_service));
+    e2e_ns_.record(clamp(e2e));
+  }
+
+  /// Takes a snapshot when kSnapshotPeriod has passed since the last one
+  /// (the first one at kSnapshotPeriod). Called once per served frame.
+  void maybe_snapshot(Nanos now) {
+    if (now - last_snapshot_ < kSnapshotPeriod) return;
+    last_snapshot_ = now;
+    take_snapshot(now);
+  }
+
+  /// Append a snapshot to the retained series.
   void take_snapshot(Nanos at);
 
   const std::vector<Snapshot>& series() const { return series_; }
@@ -69,11 +86,18 @@ class Telemetry {
                     const std::vector<PathSpan>* spans = nullptr);
 
  private:
-  TelemetryConfig cfg_;
+  static std::uint64_t clamp(Nanos span) {
+    return static_cast<std::uint64_t>(span > 0 ? span : 0);
+  }
+
   MetricsRegistry metrics_;
   AuditTrail audit_;
   std::vector<Snapshot> series_;
   TelemetrySampler sampler_;  // deterministic 1-in-kSampleEvery countdown
+  LogHistogram queue_wait_ns_;
+  LogHistogram vri_service_ns_;
+  LogHistogram e2e_ns_;
+  Nanos last_snapshot_ = 0;
 };
 
 }  // namespace lvrm::obs

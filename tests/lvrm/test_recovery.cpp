@@ -177,6 +177,41 @@ TEST(Recovery, ReapedVriRespawnsWithoutItsInjectedSlowdown) {
   EXPECT_TRUE(rig.conserved());
 }
 
+TEST(Recovery, DestroyedVriIsRecreatedWithoutItsInjectedSlowdown) {
+  // Fig 3.2's destroy kills the VRI process, so a VRI the allocator destroys
+  // and later creates again is a fresh fork: a slowdown injected into the
+  // killed process must not slow its successor. VRI 2 is slowed 6x at 2.5 s,
+  // the dip makes the 4 s pass destroy it and the 5 s pass create it again.
+  LvrmConfig cfg;
+  cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
+  LvrmRig rig(cfg, 1);
+  rig.offer(150'000.0, msec(3870));
+  rig.offer(40'000.0, msec(4500), port_flows(), msec(3870));
+  rig.offer(150'000.0, msec(6500), port_flows(), msec(4500));
+  rig.sim.at(msec(2500), [&] { rig.sys->inject_vri_slowdown(0, 2, 6.0); });
+  std::uint64_t sibling = 0, recreated = 0;
+  rig.sim.at(msec(5500), [&] {
+    sibling = rig.sys->vri_forwarded(0, 0);
+    recreated = rig.sys->vri_forwarded(0, 2);
+  });
+  rig.sim.at(msec(6500), [&] {
+    sibling = rig.sys->vri_forwarded(0, 0) - sibling;
+    recreated = rig.sys->vri_forwarded(0, 2) - recreated;
+  });
+  rig.sim.run_all();
+
+  const auto& log = rig.sys->allocation_log();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_FALSE(log[2].create);  // 4 s: VRI 2 destroyed
+  EXPECT_TRUE(log[3].create);   // 5 s: VRI 2 created again
+  // Each of three VRIs serves a third of 150 Kfps; the killed 6x process
+  // managed about 10 Kfps.
+  EXPECT_GT(recreated, 45'000u);
+  EXPECT_NEAR(static_cast<double>(recreated), static_cast<double>(sibling),
+              2'000.0);
+  EXPECT_TRUE(rig.conserved());
+}
+
 TEST(Recovery, DestroyedVriLeavesNoStaleSuspicion) {
   // The allocator destroys a VRI inside its fail-slow grace window: a 3x
   // slowdown on VRI 2 strikes at the 3.8 s and 3.9 s probes, and the load

@@ -48,7 +48,6 @@ TEST(MpmcFabric, FabricArenaReservesFewerBytesThanMesh) {
   fab.offer(100'000.0, msec(100), spread_flows());
   fab.sim.run_all();
   ASSERT_NE(fab.sys->telemetry(), nullptr);
-  fab.sys->snapshot_telemetry();
   bool saw_reclaimed = false, saw_rings = false;
   for (const auto& g : fab.sys->telemetry()->metrics().snapshot().gauges) {
     if (g.name == "lvrm_fabric_reclaimed_bytes") {
@@ -175,7 +174,6 @@ TEST(MpmcFabric, StealCountersAndGaugesOnlyWhenStealingOn) {
                        .magnitude = 8.0});
   on.offer(250'000.0, msec(300), spread_flows());
   on.sim.run_all();
-  on.sys->snapshot_telemetry();
   bool saw_counter = false, saw_gauge = false;
   for (const auto& ctr : on.sys->telemetry()->metrics().snapshot().counters)
     if (ctr.name == "lvrm_vri_steal_frames_total" && ctr.value > 0)

@@ -79,10 +79,7 @@ TEST(SystemTelemetry, LatencyHistogramsFillFromSampledFrames) {
   LvrmRig rig(dynamic_cfg());
   rig.offer(100'000.0, sec(2), port_flows(16));
   rig.sim.run_all();
-  rig.sys->snapshot_telemetry();
-  const auto& series = rig.sys->telemetry()->series();
-  ASSERT_FALSE(series.empty());
-  const obs::Snapshot& snap = series.back();
+  const obs::Snapshot snap = rig.sys->telemetry()->metrics().snapshot();
 
   std::uint64_t rx = 0;
   std::uint64_t tx = 0;
@@ -187,12 +184,11 @@ TEST(SystemTelemetry, ExportWritesAllThreeFiles) {
 }
 
 TEST(SystemTelemetry, PeriodicSnapshotsAccumulate) {
-  LvrmConfig cfg = dynamic_cfg();
-  cfg.telemetry.snapshot_period = msec(100);
-  LvrmRig rig(cfg);
-  rig.offer(80'000.0, sec(1), port_flows(16));
+  LvrmRig rig(dynamic_cfg());
+  rig.offer(80'000.0, sec(1) + msec(300), port_flows(16));
   rig.sim.run_all();
-  // ~1 s of traffic at a 100 ms cadence: several periodic snapshots.
+  // 1.3 s of traffic at the 250 ms cadence: five periodic snapshots.
+  static_assert(obs::Telemetry::kSnapshotPeriod == msec(250));
   EXPECT_GE(rig.sys->telemetry()->series().size(), 5u);
   // Snapshot times are monotone.
   const auto& series = rig.sys->telemetry()->series();

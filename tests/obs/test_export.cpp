@@ -2,6 +2,7 @@
 // and the Chrome trace_event JSON structure of the audit trail.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,11 +17,12 @@ namespace {
 
 Snapshot sample_snapshot() {
   MetricsRegistry reg;
-  reg.counter("rx_total").add(100);
-  reg.gauge("depth", "vr=\"0\"").set(7.0);
-  LogHistogram h = reg.histogram("lat_ns");
+  reg.counter("rx_total", {}, [] { return std::uint64_t{100}; });
+  reg.gauge("depth", "vr=\"0\"", [] { return 7.0; });
+  LogHistogram h;
   for (int i = 0; i < 10; ++i) h.record(100);
   h.record(0);
+  reg.histogram("lat_ns", {}, h);
   return reg.snapshot(msec(500));
 }
 
