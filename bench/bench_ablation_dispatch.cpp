@@ -9,6 +9,7 @@
 //      estimator flaps core allocations, a smooth one reacts late.
 #include "bench/exp_common.hpp"
 #include "exp/experiments.hpp"
+#include "exp/rig.hpp"
 #include "sim/costs.hpp"
 #include "traffic/udp_sender.hpp"
 
@@ -17,35 +18,20 @@ using namespace lvrm::exp;
 
 namespace {
 
-double memory_tput_kfps(std::size_t batch) {
-  // A trimmed run_memory_throughput with a configurable poll batch.
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.adapter = AdapterKind::kMemory;
-  cfg.allocator = AllocatorKind::kFixed;
+/// Exp 1c's RAM world at poll batch `batch` with one portless flow: the
+/// delivered rate over 10-40 ms, and the conservation verdict.
+MemoryTrialResult memory_throughput(std::size_t batch) {
+  LvrmConfig cfg = ram_config();
   cfg.poll_batch = batch;
-  LvrmSystem sys(sim, topo, cfg);
-  sys.add_vr(VrConfig{});
-  sys.start();
-  std::uint64_t delivered = 0;
-  sys.set_egress([&](net::FrameMeta&&) { ++delivered; });
-  std::uint64_t id = 0;
-  std::function<void()> refill = [&] {
-    for (int i = 0; i < 512; ++i) {
-      net::FrameMeta f;
-      f.id = id++;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      if (!sys.ingress(f)) break;
-    }
-    sim.after(usec(50), refill);
-  };
-  sim.at(0, refill);
-  sim.run_until(msec(10));
-  const std::uint64_t mark = delivered;
-  sim.run_until(msec(40));
-  return static_cast<double>(delivered - mark) / 0.03 / 1e3;
+  LvrmRig rig(cfg, 1, 0);
+  rig.refill(512, host_flow());
+  rig.sim.run_until(msec(10));
+  const std::uint64_t mark = rig.delivered();
+  rig.sim.run_until(msec(40));
+  MemoryTrialResult out;
+  out.delivered_fps = static_cast<double>(rig.delivered() - mark) / 0.03;
+  out.conservation = rig.drain();
+  return out;
 }
 
 }  // namespace
@@ -61,10 +47,13 @@ int main(int argc, char** argv) {
   std::cout << "-- 1. poll batch: throughput vs control latency --\n";
   TablePrinter batch_table(
       {"batch", "memory Kfps", "ctrl latency full-load us"}, args.csv);
+  bench::Conservation conservation;
   for (const std::size_t batch : {1UL, 2UL, 4UL, 6UL, 8UL, 16UL}) {
+    const auto r = memory_throughput(batch);
+    conservation.check(r.conservation, "poll batch " + std::to_string(batch));
     batch_table.add_row(
         {TablePrinter::num(static_cast<std::int64_t>(batch)),
-         TablePrinter::num(memory_tput_kfps(batch), 1),
+         TablePrinter::num(r.delivered_fps / 1e3, 1),
          TablePrinter::num(
              measure_control_latency_us(256, /*full_load=*/true, 120, batch),
              2)});
@@ -121,5 +110,5 @@ int main(int argc, char** argv) {
              trace.samples.back().vris_per_vr.at(0)))});
   }
   ewma_table.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
       "element-graph processing");
 
   TablePrinter table({"frame B", "VR", "Kfps", "Gbps"}, args.csv);
+  bench::Conservation conservation;
   for (const int size : frame_size_sweep()) {
     for (const VrKind vr : {VrKind::kCpp, VrKind::kClick}) {
-      // The Click element graph is exercised for real in tests and examples;
-      // the sweep uses the (equivalence-tested) LPM fallback so the 84-byte
-      // point finishes quickly. Costs charged are identical either way.
-      const auto r = run_memory_throughput(vr, size, /*click_use_graph=*/false);
+      const auto r = run_memory_throughput(vr, size);
+      conservation.check(r.conservation,
+                         std::to_string(size) + " B " + to_string(vr));
       table.add_row({TablePrinter::num(static_cast<std::int64_t>(size)),
                      to_string(vr),
                      TablePrinter::num(r.delivered_fps / 1e3, 1),
@@ -31,5 +31,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

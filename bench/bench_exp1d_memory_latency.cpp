@@ -17,13 +17,16 @@ int main(int argc, char** argv) {
       "RTT of Experiment 1b");
 
   TablePrinter table({"frame B", "VR", "avg latency us"}, args.csv);
+  bench::Conservation conservation;
   for (const int size : frame_size_sweep()) {
     for (const VrKind vr : {VrKind::kCpp, VrKind::kClick}) {
       const auto r = run_memory_latency(vr, size);
+      conservation.check(r.conservation,
+                         std::to_string(size) + " B " + to_string(vr));
       table.add_row({TablePrinter::num(static_cast<std::int64_t>(size)),
                      to_string(vr), TablePrinter::num(r.avg_latency_us, 2)});
     }
   }
   table.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       opts.gw.lvrm.seed = args.seed;
       VrConfig vr;
       vr.initial_vris = 1;
-      vr.click_use_graph = false;  // cost-model path; graph tested elsewhere
       opts.gw.vrs = {vr};
       const auto best = achievable_throughput(opts, offered_rate_bound(84));
       table.add_row({mech == Mechanism::kLvrmPfCpp ? "c++" : "click",

@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
       VrConfig vr;
       vr.initial_vris = cores;
       vr.dummy_load = sim::costs::kDummyLoad;
-      vr.click_use_graph = false;
       opts.gw.vrs = {vr};
       const auto r = run_udp_trial(opts, 360'000.0);
       const double ideal = std::min(360.0, 60.0 * cores);

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       VrConfig vr;
       vr.initial_vris = 6;
       vr.dummy_load = sim::costs::kDummyLoad;
-      vr.click_use_graph = false;
       opts.gw.vrs = {vr};
       // "Achievable throughput of each load balancing scheme": the search
       // finds the highest rate the scheme carries within the +/-2% rule.

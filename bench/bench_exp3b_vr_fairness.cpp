@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
       vr1.subnets = {net::Prefix{net::ipv4(10, 1, 0, 0), 16}};
       vr1.dummy_load = sim::costs::kDummyLoad;
       vr1.initial_vris = 3;
-      vr1.click_use_graph = false;
       VrConfig vr2 = vr1;
       vr2.name = "vr2";
       vr2.subnets = {net::Prefix{net::ipv4(10, 3, 0, 0), 16}};

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
                       "affinity viol", "order viol"},
                      args.csv);
   double base_fps = 0.0;
+  bench::Conservation conservation;
   for (const int shards : {1, 2, 3, 4}) {
     ShardScalingOptions opt;
     opt.shards = shards;
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
     opt.warmup = args.scaled(opt.warmup);
     opt.measure = args.scaled(opt.measure);
     const auto r = run_shard_scaling_trial(opt);
+    conservation.check(r.conservation, std::to_string(shards) + " shards");
     if (shards == 1) base_fps = r.delivered_fps;
 
     // The RSS split as each shard's share of admitted frames, e.g. "50/50".
@@ -59,5 +61,5 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(r.ordering_violations))});
   }
   table.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
                       "mouse corr %", "peak", "sampled", "admitted out",
                       "order viol"},
                      args.csv);
+  bench::Conservation conservation;
   for (const double mult : {0.8, 1.0, 1.5, 2.0, 3.0}) {
     for (const bool ladder : {false, true}) {
       OverloadTrialOptions opt;
@@ -54,6 +55,9 @@ int main(int argc, char** argv) {
       opt.warmup = args.scaled(opt.warmup);
       opt.measure = args.scaled(opt.measure);
       const auto r = run_overload_trial(opt);
+      conservation.check(r.conservation, TablePrinter::num(mult, 1) +
+                                             "x, ladder " +
+                                             (ladder ? "on" : "off"));
       const double deliv_pct =
           r.offered ? 100.0 * static_cast<double>(r.delivered) /
                           static_cast<double>(r.offered)
@@ -89,6 +93,7 @@ int main(int argc, char** argv) {
   opt.warmup = args.scaled(opt.warmup);
   opt.measure = args.scaled(opt.measure);
   const auto d = run_overload_trial(opt);
+  conservation.check(d.conservation, "the VRI drain");
   TablePrinter drain({"migrated", "dropped", "flows re-pinned", "handoff us",
                       "order viol"},
                      args.csv);
@@ -100,5 +105,5 @@ int main(int argc, char** argv) {
                          1),
        TablePrinter::num(static_cast<std::int64_t>(d.ordering_violations))});
   drain.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
                       "order viol", "sprayed", "deltas", "seq ovfl"},
                      args.csv);
   const double one_vri_kfps = kPerVriCapacityFps / 1e3;
+  bench::Conservation conservation;
   for (const bool replication : {false, true}) {
     for (const int vris : {2, 4}) {
       ElephantTrialOptions opt;
@@ -38,6 +39,10 @@ int main(int argc, char** argv) {
       opt.warmup = args.scaled(opt.warmup);
       opt.measure = args.scaled(opt.measure);
       const auto r = run_elephant_trial(opt);
+      conservation.check(r.conservation,
+                         std::string("replication ") +
+                             (replication ? "on, " : "off, ") +
+                             std::to_string(vris) + " VRIs");
       table.add_row(
           {replication ? "on" : "off",
            TablePrinter::num(static_cast<std::int64_t>(vris)),
@@ -52,5 +57,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

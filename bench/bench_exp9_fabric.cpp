@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
                     "mesh KiB", "fabric KiB", "reclaimed KiB"},
                    args.csv);
   struct Topo { int shards, vris; };
+  bench::Conservation conservation;
   for (const auto topo : {Topo{4, 8}, Topo{8, 16}, Topo{16, 32}}) {
     FabricTrialOptions opt;
     opt.shards = topo.shards;
@@ -51,6 +52,9 @@ int main(int argc, char** argv) {
     opt.warmup = args.scaled(msec(2));
     opt.measure = args.scaled(msec(5));
     const auto r = run_fabric_trial(opt);
+    conservation.check(r.conservation, std::to_string(topo.shards) + "x" +
+                                           std::to_string(topo.vris) +
+                                           " inventory");
     inv.add_row(
         {TablePrinter::num(static_cast<std::int64_t>(topo.shards)),
          TablePrinter::num(static_cast<std::int64_t>(topo.vris)),
@@ -88,6 +92,9 @@ int main(int argc, char** argv) {
       opt.warmup = args.scaled(opt.warmup);
       opt.measure = args.scaled(opt.measure);
       const auto r = run_fabric_trial(opt);
+      conservation.check(r.conservation,
+                         std::string(workload_name(workload)) +
+                             ", stealing " + (stealing ? "on" : "off"));
       steal.add_row(
           {workload_name(workload), stealing ? "on" : "off",
            TablePrinter::num(r.delivered_fps / 1e3, 1),
@@ -98,5 +105,5 @@ int main(int argc, char** argv) {
     }
   }
   steal.print(std::cout);
-  return 0;
+  return conservation.exit_code();
 }

@@ -13,17 +13,13 @@
 // pass for crashes (~100 ms vs up to 1 s), and for hangs it is the *only*
 // detector — the stock supervisor has nothing for waitpid() to reap, so a
 // hung VRI silently blackholes whatever JSQ still steers at it forever.
-#include <functional>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/exp_common.hpp"
 #include "common/stats.hpp"
-#include "lvrm/fault_injector.hpp"
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "exp/rig.hpp"
 
 using namespace lvrm;
 
@@ -44,41 +40,21 @@ struct TrialResult {
 
 TrialResult run_trial(FaultKind kind, bool heartbeat, std::uint64_t seed,
                       Nanos duration) {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
   cfg.seed = seed;
   cfg.health.enabled = heartbeat;
-  LvrmSystem sys(sim, topo, cfg);
-  VrConfig vr;
-  vr.initial_vris = 3;
-  vr.dummy_load = sim::costs::kDummyLoad;
-  sys.add_vr(vr);
-  sys.start();
-  std::uint64_t delivered = 0;
-  sys.set_egress([&](net::FrameMeta&&) { ++delivered; });
-
-  // Offered load: 150 Kfps against 180 Kfps of healthy capacity.
-  std::uint64_t next_id = 0;
-  std::function<void()> emit;
-  emit = [&] {
-    if (sim.now() >= duration) return;
-    net::FrameMeta f;
-    f.id = next_id++;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = static_cast<std::uint16_t>(1000 + next_id % 32);
-    sys.ingress(f);
-    sim.after(interval_for_rate(kOfferedFps), emit);
-  };
-  sim.at(0, emit);
+  exp::LvrmRig rig(cfg, 3);
+  const LvrmSystem& sys = *rig.sys;
+  // Offered load: 150 Kfps over 32 flows against 180 Kfps of healthy
+  // capacity. No conservation check: a hang the stock pass never detects
+  // holds its VRI's frames by design.
+  rig.offer(kOfferedFps, duration);
 
   // Mid-allocation-period, the worst case for the heartbeat and a fair
   // (middling) one for the 1 s pass.
   const Nanos inject_at = sec(2) + msec(350);
-  FaultInjector faults(sim, sys);
-  faults.schedule({.kind = kind, .vri = 1, .at = inject_at});
+  rig.faults->schedule({.kind = kind, .vri = 1, .at = inject_at});
 
   // 50 ms delivery windows plus the baseline supervisor's reap counter.
   struct Window {
@@ -88,11 +64,11 @@ TrialResult run_trial(FaultKind kind, bool heartbeat, std::uint64_t seed,
   };
   std::vector<Window> windows;
   for (Nanos t = kWindow; t <= duration; t += kWindow) {
-    sim.at(t, [&windows, &sys, &delivered, t] {
-      windows.push_back({t, delivered, sys.crashed_vris_reaped()});
+    rig.sim.at(t, [&windows, &rig, &sys, t] {
+      windows.push_back({t, rig.delivered(), sys.crashed_vris_reaped()});
     });
   }
-  sim.run_all();
+  rig.sim.run_all();
 
   TrialResult r;
   auto window_rate_kfps = [&](std::size_t i) {

@@ -5,7 +5,8 @@
 //   --seed=N        reseed the deterministic RNGs
 //   --scale=F       scale measurement windows (0.5 = faster, 2 = longer)
 // and prints which thesis figure it regenerates plus the expected shape, so
-// the output is self-describing when dumped to bench_output.txt.
+// the output is self-describing when dumped to bench_output.txt. A bench of
+// RAM-trace trials exits 1 when a trial fails its conservation check.
 #pragma once
 
 #include <cstdio>
@@ -36,6 +37,20 @@ struct BenchArgs {
   Nanos scaled(Nanos t) const {
     return static_cast<Nanos>(static_cast<double>(t) * scale);
   }
+};
+
+/// The conservation verdicts of a bench's RAM trials (exp/rig.hpp). A
+/// non-empty one goes to stderr under its trial's name, and exit_code()
+/// turns 1.
+struct Conservation {
+  bool ok = true;
+  void check(const std::string& verdict, const std::string& trial) {
+    if (verdict.empty()) return;
+    std::cerr << "conservation failed in " << trial << ": " << verdict
+              << "\n";
+    ok = false;
+  }
+  int exit_code() const { return ok ? 0 : 1; }
 };
 
 inline void print_header(const std::string& experiment,

@@ -9,8 +9,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "lvrm/fault_injector.hpp"
-#include "lvrm/invariants.hpp"
+#include "exp/rig.hpp"
 #include "net/flow.hpp"
 #include "net/flow_v2.hpp"
 #include "net/headers.hpp"
@@ -277,268 +276,132 @@ CpuUsage measure_cpu_usage(const WorldOptions& options, FramesPerSec rate) {
   return usage;
 }
 
-// --- Memory-adapter worlds (Experiments 1c/1d) -------------------------------------------
+// --- RAM-trace worlds (Experiments 1c/1d, 5, 6, 8, 9) --------------------------------------
+//
+// Each trial builds one LvrmRig, reads its results, then drains the rig and
+// returns its conservation verdict with them.
 
 namespace {
 
-struct MemoryWorld {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  std::unique_ptr<LvrmSystem> sys;
-  std::uint64_t delivered = 0;
-  RunningStats latency_us;
-
-  MemoryWorld(VrKind vr_kind, bool click_use_graph) {
-    LvrmConfig cfg;
-    cfg.adapter = AdapterKind::kMemory;
-    cfg.allocator = AllocatorKind::kFixed;
-    sys = std::make_unique<LvrmSystem>(sim, topo, cfg);
-    VrConfig vr;
-    vr.kind = vr_kind;
-    vr.initial_vris = 1;  // Exp 1c/1d: a single VRI processes the frames
-    vr.click_use_graph = click_use_graph;
-    sys->add_vr(vr);
-    sys->start();
-    sys->set_egress([this](net::FrameMeta&& f) {
-      ++delivered;  // "the output interface ... will simply discard"
-      latency_us.add(to_micros(sim.now() - f.gw_in_at));
-    });
-  }
-
-  net::FrameMeta make_frame(int frame_bytes, std::uint64_t id) const {
-    net::FrameMeta f;
-    f.id = id;
-    f.wire_bytes = frame_bytes;
-    f.src_ip = net::ipv4(10, 1, 0, 1) + static_cast<net::Ipv4Addr>(id % 64);
-    f.dst_ip = net::ipv4(10, 2, 0, 1) + static_cast<net::Ipv4Addr>(id % 64);
-    f.src_port = static_cast<std::uint16_t>(9000 + id % 64);
-    f.dst_port = 9;
-    f.created_at = sim.now();
-    return f;
-  }
-};
-
-}  // namespace
-
-MemoryTrialResult run_memory_throughput(VrKind vr, int frame_bytes,
-                                        bool click_use_graph) {
-  MemoryWorld world(vr, click_use_graph);
-  std::uint64_t next_id = 0;
-
-  // Keep the RX ring stocked, mimicking "LVRM reads the frames from RAM as
-  // fast as possible".
-  const Nanos refill_every = usec(50);
-  std::function<void()> refill = [&] {
-    for (int i = 0; i < 512; ++i) {
-      if (!world.sys->ingress(world.make_frame(frame_bytes, next_id))) break;
-      ++next_id;
-    }
-    world.sim.after(refill_every, refill);
-  };
-  world.sim.at(0, refill);
-
-  const Nanos warmup = msec(10);
-  const Nanos window = msec(50);
-  world.sim.run_until(warmup);
-  const std::uint64_t mark = world.delivered;
-  world.sim.run_until(warmup + window);
-
-  MemoryTrialResult out;
-  out.delivered_fps =
-      static_cast<double>(world.delivered - mark) / to_seconds(window);
-  out.delivered_bps = out.delivered_fps * 8.0 * frame_bytes;
-  out.avg_latency_us = world.latency_us.mean();
-  return out;
-}
-
-MemoryTrialResult run_memory_latency(VrKind vr, int frame_bytes) {
-  MemoryWorld world(vr, /*click_use_graph=*/true);
-  const int frames = 400;
-  for (int i = 0; i < frames; ++i) {
-    world.sim.at(usec(150) * i, [&world, frame_bytes, i] {
-      world.sys->ingress(
-          world.make_frame(frame_bytes, static_cast<std::uint64_t>(i)));
-    });
-  }
-  world.sim.run_until(usec(150) * frames + msec(5));
-
-  MemoryTrialResult out;
-  out.delivered_fps = 0.0;
-  out.delivered_bps = 0.0;
-  out.avg_latency_us = world.latency_us.mean();
-  return out;
-}
-
-// --- Sharded dispatch-plane scaling (Experiment 5) ----------------------------------------
-
-ShardScalingResult run_shard_scaling_trial(const ShardScalingOptions& opt) {
-  sim::Simulator simulator;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.adapter = AdapterKind::kMemory;
-  cfg.allocator = AllocatorKind::kFixed;
-  cfg.granularity = BalancerGranularity::kFlow;
-  cfg.dispatch_shards = opt.shards;
-  cfg.seed = opt.seed;
-  LvrmSystem sys(simulator, topo, cfg);
+/// One VR of `kind` with a single VRI: Exp 1c/1d's "a single VRI processes
+/// the frames".
+VrConfig single_vri(VrKind kind) {
   VrConfig vr;
-  vr.kind = VrKind::kCpp;
-  vr.initial_vris = opt.vris;
-  sys.add_vr(vr);
-  sys.start();
-
-  ShardScalingResult out;
-  out.shards = sys.shard_count();
-
-  const auto flows = static_cast<std::size_t>(opt.flows);
-  std::uint64_t delivered = 0;
-  RunningStats latency_us;
-  InvariantChecker check;
-  sys.set_egress([&](net::FrameMeta&& f) {
-    ++delivered;
-    latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    check.on_egress(f);
-  });
-
-  // RAM-trace refill as in Exp 1c, but cycling `flows` distinct 5-tuples so
-  // the RSS hash has something to spread across the shard rings.
-  std::uint64_t next_id = 0;
-  auto make_frame = [&](std::uint64_t id) {
-    net::FrameMeta f;
-    f.id = id;
-    f.wire_bytes = opt.frame_bytes;
-    const auto flow = static_cast<std::uint32_t>(id % flows);
-    f.src_ip = net::ipv4(10, 1, 0, 1) + (flow >> 6);
-    f.dst_ip = net::ipv4(10, 2, 0, 1) + (flow >> 6);
-    f.src_port = static_cast<std::uint16_t>(9000 + (flow & 63));
-    f.dst_port = 9;
-    f.created_at = simulator.now();
-    return f;
-  };
-  const Nanos refill_every = usec(50);
-  std::function<void()> refill = [&] {
-    for (int i = 0; i < 1024; ++i) {
-      if (!sys.ingress(make_frame(next_id))) break;
-      ++next_id;
-    }
-    simulator.after(refill_every, refill);
-  };
-  simulator.at(0, refill);
-
-  simulator.run_until(opt.warmup);
-  const std::uint64_t mark = delivered;
-  const auto n_shards = static_cast<std::size_t>(out.shards);
-  std::vector<std::uint64_t> rx_mark(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s)
-    rx_mark[s] = sys.shard_rx_admitted(static_cast<int>(s));
-  simulator.run_until(opt.warmup + opt.measure);
-
-  out.delivered_fps =
-      static_cast<double>(delivered - mark) / to_seconds(opt.measure);
-  out.delivered_bps = out.delivered_fps * 8.0 * opt.frame_bytes;
-  out.avg_latency_us = latency_us.mean();
-  out.per_shard_rx.resize(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s)
-    out.per_shard_rx[s] = sys.shard_rx_admitted(static_cast<int>(s)) - rx_mark[s];
-  out.affinity_violations = check.affinity_violations();
-  out.ordering_violations = check.fifo_violations();
-  return out;
+  vr.kind = kind;
+  return vr;
 }
 
-// --- Elephant-flow spraying (Experiment 8, DESIGN.md §16) ---------------------------------
-
-ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
-  sim::Simulator simulator;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.adapter = AdapterKind::kMemory;
-  cfg.allocator = AllocatorKind::kFixed;
-  cfg.granularity = BalancerGranularity::kFlow;
-  cfg.dispatch_shards = opt.shards;
-  cfg.state_replication.enabled = opt.replication;
-  cfg.seed = opt.seed;
-  LvrmSystem sys(simulator, topo, cfg);
+/// Exp 8's VR: a per-flow token bucket far above the offered rate, so every
+/// frame churns the state a sprayed elephant replicates but none is refused,
+/// and the dummy load pins each VRI to the allocator's nominal capacity.
+VrConfig stateful_vr(int vris) {
   VrConfig vr;
-  // A stateful VR so spraying actually exercises the delta stream: the
-  // per-flow token bucket with a limit far above the offered rate churns
-  // state on every frame but never drops.
   vr.kind = VrKind::kRateLimit;
   vr.inner_kind = VrKind::kCpp;
   vr.rate_limit_fps = 1e9;
   vr.rate_limit_burst = 1e6;
-  vr.initial_vris = opt.vris;
-  // Pin each VRI's service rate to the allocator's nominal capacity so
-  // elephant_multiplier is a true per-core overload factor.
-  vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
-  sys.add_vr(vr);
-  sys.start();
+  vr.initial_vris = vris;
+  vr.dummy_load = costs::kDummyLoad;
+  return vr;
+}
 
-  ElephantTrialResult out;
-  constexpr std::uint16_t kElephantPort = 7000;
-  std::uint64_t delivered = 0, elephant_delivered = 0;
-  // Ids are per-flow sequence numbers, so a regression is an external
-  // reordering.
-  InvariantChecker check;
-  sys.set_egress([&](net::FrameMeta&& f) {
-    ++delivered;
-    if (f.src_port == kElephantPort) ++elephant_delivered;
-    check.on_egress(f);
-  });
+}  // namespace
 
-  const double elephant_rate =
-      kPerVriCapacityFps * opt.elephant_multiplier;
-  const double mouse_rate =
-      opt.mice_flows > 0
-          ? kPerVriCapacityFps * opt.mice_load / opt.mice_flows
-          : 0.0;
-  auto make_frame = [&](std::uint16_t src_port, std::uint64_t id) {
-    net::FrameMeta f;
-    f.id = id;
-    f.wire_bytes = opt.frame_bytes;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = src_port;
-    f.dst_port = 9;
-    f.created_at = simulator.now();
-    return f;
-  };
-  // Credit-based generator: every tick each flow accrues rate × dt worth of
-  // frames; fractional credit carries over so the long-run rate is exact.
-  const Nanos tick = usec(20);
-  const double dt = to_seconds(tick);
-  double elephant_credit = 0.0;
-  std::uint64_t elephant_seq = 0;
-  std::vector<double> mouse_credit(static_cast<std::size_t>(opt.mice_flows),
-                                   0.0);
-  std::vector<std::uint64_t> mouse_seq(static_cast<std::size_t>(opt.mice_flows),
-                                       0);
-  std::function<void()> refill = [&] {
-    elephant_credit += elephant_rate * dt;
-    while (elephant_credit >= 1.0) {
-      elephant_credit -= 1.0;
-      if (!sys.ingress(make_frame(kElephantPort, elephant_seq))) break;
-      ++elephant_seq;
-    }
-    for (std::size_t m = 0; m < mouse_credit.size(); ++m) {
-      mouse_credit[m] += mouse_rate * dt;
-      while (mouse_credit[m] >= 1.0) {
-        mouse_credit[m] -= 1.0;
-        const auto port = static_cast<std::uint16_t>(9000 + m);
-        if (!sys.ingress(make_frame(port, mouse_seq[m]))) break;
-        ++mouse_seq[m];
-      }
-    }
-    simulator.after(tick, refill);
-  };
-  simulator.at(0, refill);
+MemoryTrialResult run_memory_throughput(VrKind vr, int frame_bytes) {
+  LvrmRig rig(ram_config(), {single_vri(vr)});
+  // Keep the RX ring stocked, mimicking "LVRM reads the frames from RAM as
+  // fast as possible"; the output interface "will simply discard".
+  rig.refill(512, trace_flows(64, frame_bytes));
 
-  simulator.run_until(opt.warmup);
-  const std::uint64_t mark = delivered;
-  const std::uint64_t elephant_mark = elephant_delivered;
-  simulator.run_until(opt.warmup + opt.measure);
+  const Nanos warmup = msec(10);
+  const Nanos window = msec(50);
+  rig.sim.run_until(warmup);
+  const std::uint64_t mark = rig.delivered();
+  rig.sim.run_until(warmup + window);
+
+  MemoryTrialResult out;
+  out.delivered_fps =
+      static_cast<double>(rig.delivered() - mark) / to_seconds(window);
+  out.delivered_bps = out.delivered_fps * 8.0 * frame_bytes;
+  out.avg_latency_us = rig.latency_us.mean();
+  out.conservation = rig.drain();
+  return out;
+}
+
+MemoryTrialResult run_memory_latency(VrKind vr, int frame_bytes) {
+  LvrmRig rig(ram_config(), {single_vri(vr)});
+  const FrameMaker make = trace_flows(64, frame_bytes);
+  const int frames = 400;
+  for (int i = 0; i < frames; ++i) {
+    rig.sim.at(usec(150) * i, [&rig, &make, i] {
+      rig.ingress(make(static_cast<std::uint64_t>(i)));
+    });
+  }
+  rig.sim.run_until(usec(150) * frames + msec(5));
+
+  MemoryTrialResult out;
+  out.avg_latency_us = rig.latency_us.mean();
+  out.conservation = rig.drain();
+  return out;
+}
+
+ShardScalingResult run_shard_scaling_trial(const ShardScalingOptions& opt) {
+  LvrmConfig cfg = ram_config();
+  cfg.granularity = BalancerGranularity::kFlow;
+  cfg.dispatch_shards = opt.shards;
+  cfg.seed = opt.seed;
+  LvrmRig rig(cfg, opt.vris, 0);
+  // Exp 1c's refill, cycling `flows` distinct 5-tuples so the RSS hash has
+  // something to spread across the shard rings.
+  rig.refill(1024, trace_flows(opt.flows, opt.frame_bytes));
+
+  ShardScalingResult out;
+  out.shards = rig.sys->shard_count();
+  rig.sim.run_until(opt.warmup);
+  const std::uint64_t mark = rig.delivered();
+  const auto n_shards = static_cast<std::size_t>(out.shards);
+  std::vector<std::uint64_t> rx_mark(n_shards);
+  for (std::size_t s = 0; s < n_shards; ++s)
+    rx_mark[s] = rig.sys->shard_rx_admitted(static_cast<int>(s));
+  rig.sim.run_until(opt.warmup + opt.measure);
 
   out.delivered_fps =
-      static_cast<double>(delivered - mark) / to_seconds(opt.measure);
+      static_cast<double>(rig.delivered() - mark) / to_seconds(opt.measure);
+  out.delivered_bps = out.delivered_fps * 8.0 * opt.frame_bytes;
+  out.avg_latency_us = rig.latency_us.mean();
+  out.per_shard_rx.resize(n_shards);
+  for (std::size_t s = 0; s < n_shards; ++s)
+    out.per_shard_rx[s] =
+        rig.sys->shard_rx_admitted(static_cast<int>(s)) - rx_mark[s];
+  out.affinity_violations = rig.check.affinity_violations();
+  out.ordering_violations = rig.check.fifo_violations();
+  out.conservation = rig.drain();
+  return out;
+}
+
+ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
+  LvrmConfig cfg = ram_config();
+  cfg.granularity = BalancerGranularity::kFlow;
+  cfg.dispatch_shards = opt.shards;
+  cfg.state_replication.enabled = opt.replication;
+  cfg.seed = opt.seed;
+  LvrmRig rig(cfg, {stateful_vr(opt.vris)});
+  std::uint64_t elephant_delivered = 0;
+  rig.on_egress = [&elephant_delivered](const net::FrameMeta& f) {
+    if (f.src_port == LvrmRig::kElephantPort) ++elephant_delivered;
+  };
+  rig.credit(kPerVriCapacityFps * opt.elephant_multiplier, opt.mice_flows,
+             kPerVriCapacityFps * opt.mice_load, opt.frame_bytes);
+
+  rig.sim.run_until(opt.warmup);
+  const std::uint64_t mark = rig.delivered();
+  const std::uint64_t elephant_mark = elephant_delivered;
+  rig.sim.run_until(opt.warmup + opt.measure);
+
+  ElephantTrialResult out;
+  const LvrmSystem& sys = *rig.sys;
+  out.delivered_fps =
+      static_cast<double>(rig.delivered() - mark) / to_seconds(opt.measure);
   out.elephant_fps = static_cast<double>(elephant_delivered - elephant_mark) /
                      to_seconds(opt.measure);
   out.sprayed_frames = sys.sprayed_frames();
@@ -546,19 +409,14 @@ ElephantTrialResult run_elephant_trial(const ElephantTrialOptions& opt) {
   out.deltas_sent = sys.deltas_sent();
   out.deltas_applied = sys.deltas_applied();
   out.seq_window_overflows = sys.seq_window_overflows();
-  out.ordering_violations = check.fifo_violations();
+  out.ordering_violations = rig.check.fifo_violations();
+  out.conservation = rig.drain();
   return out;
 }
 
-// --- MPMC fabric & work stealing (Experiment 9, DESIGN.md §17) ----------------------------
-
 FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   using Workload = FabricTrialOptions::Workload;
-  sim::Simulator simulator;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.adapter = AdapterKind::kMemory;
-  cfg.allocator = AllocatorKind::kFixed;
+  LvrmConfig cfg = ram_config();
   if (opt.workload == Workload::kSkewFrame) {
     cfg.granularity = BalancerGranularity::kFrame;
     cfg.balancer = BalancerKind::kRoundRobin;
@@ -569,22 +427,12 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   cfg.work_stealing = opt.stealing;
   cfg.state_replication.enabled = opt.workload == Workload::kElephant;
   cfg.seed = opt.seed;
-  LvrmSystem sys(simulator, topo, cfg);
-  VrConfig vr;
-  if (opt.workload == Workload::kElephant) {
-    // Stateful VR so the sprayed elephant churns replicated state, exactly
-    // as in Exp 8 — stolen sprayed frames must still sequence at TX.
-    vr.kind = VrKind::kRateLimit;
-    vr.inner_kind = VrKind::kCpp;
-    vr.rate_limit_fps = 1e9;
-    vr.rate_limit_burst = 1e6;
-    vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
-  } else {
-    vr.kind = VrKind::kCpp;
-  }
-  vr.initial_vris = opt.vris;
-  sys.add_vr(vr);
-  sys.start();
+  // The elephant workload runs on Exp 8's stateful VR, so stolen sprayed
+  // frames must still sequence at TX.
+  LvrmRig rig(cfg, {opt.workload == Workload::kElephant
+                        ? stateful_vr(opt.vris)
+                        : LvrmRig::one_vr(opt.vris, 0)});
+  const LvrmSystem& sys = *rig.sys;
 
   FabricTrialResult out;
   out.shards = sys.shard_count();
@@ -594,124 +442,60 @@ FabricTrialResult run_fabric_trial(const FabricTrialOptions& opt) {
   out.mesh_ring_bytes = sys.mesh_ring_bytes();
   out.fabric_ring_bytes = sys.fabric_ring_bytes();
 
-  std::uint64_t delivered = 0;
-  RunningStats latency_us;
-  // Ids are per-flow sequence numbers, so any regression is an external
-  // reordering.
-  InvariantChecker check;
-  sys.set_egress([&](net::FrameMeta&& f) {
-    ++delivered;
-    latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    check.on_egress(f);
-  });
-
-  FaultInjector faults(simulator, sys);
   if (opt.workload == Workload::kSkewFrame) {
     // One sick VRI at 6x service cost, in both the stealing-off and -on
     // rows: its queue backlogs while siblings go idle — the §17 idle-VRI
     // steal pressure case.
-    faults.schedule({.kind = FaultKind::kSlowdown,
-                     .vri = 0,
-                     .at = opt.warmup / 2,
-                     .duration = 0,  // permanent; the drain still completes
-                     .magnitude = 6.0});
+    rig.faults->schedule({.kind = FaultKind::kSlowdown,
+                          .vri = 0,
+                          .at = opt.warmup / 2,
+                          .duration = 0,  // permanent; the drain completes
+                          .magnitude = 6.0});
   }
 
-  const auto flows = static_cast<std::size_t>(opt.flows);
-  auto make_frame = [&](std::uint16_t src_port, std::uint64_t id) {
-    net::FrameMeta f;
-    f.id = id;
-    f.wire_bytes = opt.frame_bytes;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = src_port;
-    f.dst_port = 9;
-    f.created_at = simulator.now();
-    return f;
-  };
-
-  constexpr std::uint16_t kElephantPort = 7000;
-  const Nanos tick = usec(20);
-  const double dt = to_seconds(tick);
+  // Ids are per-flow sequence numbers, so any regression is an external
+  // reordering.
   const Nanos stop_at = opt.warmup + opt.measure;
-  std::vector<std::uint64_t> flow_seq(flows, 0);
-  std::vector<double> mouse_credit(flows, 0.0);
-  std::size_t rr = 0;
-  double elephant_credit = 0.0;
-  std::uint64_t elephant_seq = 0;
-  std::function<void()> refill = [&] {
-    if (simulator.now() >= stop_at) return;  // let the system drain
-    if (opt.workload == Workload::kElephant) {
-      // Exp 8 shape: one elephant at 4x a single VRI's capacity plus light
-      // pinned mice at 10% aggregate.
-      elephant_credit += kPerVriCapacityFps * 4.0 * dt;
-      while (elephant_credit >= 1.0) {
-        elephant_credit -= 1.0;
-        if (!sys.ingress(make_frame(kElephantPort, elephant_seq))) break;
-        ++elephant_seq;
-      }
-      const double mouse_rate =
-          kPerVriCapacityFps * 0.1 / static_cast<double>(flows);
-      for (std::size_t m = 0; m < flows; ++m) {
-        mouse_credit[m] += mouse_rate * dt;
-        while (mouse_credit[m] >= 1.0) {
-          mouse_credit[m] -= 1.0;
-          const auto port = static_cast<std::uint16_t>(9000 + m);
-          if (!sys.ingress(make_frame(port, flow_seq[m]))) break;
-          ++flow_seq[m];
-        }
-      }
-    } else {
-      // Saturating round-robin over the pinned flows (Exp 5 refill shape):
-      // push until an RX ring refuses, cycling flows so every shard and
-      // every pinned VRI stays loaded.
-      for (int i = 0; i < 1024; ++i) {
-        const std::size_t m = rr;
-        rr = (rr + 1) % flows;
-        const auto port = static_cast<std::uint16_t>(9000 + m);
-        if (!sys.ingress(make_frame(port, flow_seq[m]))) break;
-        ++flow_seq[m];
-      }
-    }
-    simulator.after(tick, refill);
-  };
-  simulator.at(0, refill);
+  if (opt.workload == Workload::kElephant) {
+    // Exp 8's shape: one elephant at 4x a single VRI's capacity plus light
+    // pinned mice at 10% aggregate.
+    rig.credit(kPerVriCapacityFps * 4.0, opt.flows, kPerVriCapacityFps * 0.1,
+               opt.frame_bytes, stop_at);
+  } else {
+    // Saturating round-robin over the pinned flows: push until an RX ring
+    // refuses, cycling flows so every shard and pinned VRI stays loaded.
+    rig.refill(
+        1024, static_cast<std::size_t>(opt.flows),
+        [bytes = opt.frame_bytes](std::size_t m, std::uint64_t seq) {
+          return port_frame(static_cast<std::uint16_t>(9000 + m), seq, bytes);
+        },
+        usec(20), stop_at);
+  }
 
-  simulator.run_until(opt.warmup);
-  const std::uint64_t mark = delivered;
-  simulator.run_until(stop_at);
+  rig.sim.run_until(opt.warmup);
+  const std::uint64_t mark = rig.delivered();
+  rig.sim.run_until(stop_at);
   out.delivered_fps =
-      static_cast<double>(delivered - mark) / to_seconds(opt.measure);
+      static_cast<double>(rig.delivered() - mark) / to_seconds(opt.measure);
   // Full drain: every queued frame egresses or lands in a drop bucket
   // before the steal counters are read.
-  simulator.run_all();
-  out.avg_latency_us = latency_us.mean();
+  out.conservation = rig.drain();
+  out.avg_latency_us = rig.latency_us.mean();
   out.vri_steals = sys.vri_steals();
   out.vri_steal_frames = sys.vri_steal_frames();
-  out.ordering_violations = check.fifo_violations();
+  out.ordering_violations = rig.check.fifo_violations();
   return out;
 }
 
-// --- Graceful degradation under overload (Experiment 6) -----------------------------------
-
 OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
-  sim::Simulator simulator;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.adapter = AdapterKind::kMemory;
-  cfg.allocator = AllocatorKind::kFixed;
+  LvrmConfig cfg = ram_config();
   cfg.granularity = BalancerGranularity::kFlow;
   cfg.overload_control.enabled = opt.ladder;
   cfg.seed = opt.seed;
-  LvrmSystem sys(simulator, topo, cfg);
-  VrConfig vr;
-  vr.kind = VrKind::kCpp;
-  vr.initial_vris = opt.vris;
   // The thesis's dummy load pins each VRI's service rate to the allocator's
   // nominal capacity, so offered_multiplier is a true overload factor.
-  vr.dummy_load = static_cast<Nanos>(1e9 / kPerVriCapacityFps);
-  sys.add_vr(vr);
-  sys.start();
+  LvrmRig rig(cfg, opt.vris);
+  const LvrmSystem& sys = *rig.sys;
 
   const double nominal = kPerVriCapacityFps * opt.vris;
   const Nanos stop = opt.warmup + opt.measure;
@@ -728,48 +512,43 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
   wl.min_gap = 1;  // offered load is the experiment; no sender-side ceiling
   wl.seed = opt.seed;
   traffic::WorkloadGenerator gen(
-      simulator, wl, [&sys](net::FrameMeta&& f) { sys.ingress(std::move(f)); });
+      rig.sim, wl, [&rig](net::FrameMeta&& f) { rig.ingress(f); });
 
-  OverloadTrialResult out;
-  RunningStats latency_us;
   // Generator ids are globally monotonic, so a per-flow regression at
   // egress means the data path reordered frames within the flow.
-  InvariantChecker check;
-  sys.set_egress([&](net::FrameMeta&& f) {
-    ++out.delivered;
+  OverloadTrialResult out;
+  rig.on_egress = [&](const net::FrameMeta& f) {
     const auto cls = static_cast<std::size_t>(gen.class_of(f));
     ++out.delivered_by_class[cls];
     out.corrected_by_class[cls] += 1.0 / f.admit_rate;
-    latency_us.add(to_micros(simulator.now() - f.gw_in_at));
-    check.on_egress(f);
-  });
+  };
 
   // Sample the ladder level on a fine grid (it relaxes again once the flash
   // passes, so an end-of-run read would miss the peak).
-  std::function<void()> watch = [&] {
+  rig.source(opt.warmup, [&]() -> Nanos {
     out.peak_level =
         std::max(out.peak_level, static_cast<int>(sys.overload_level(0)));
-    if (simulator.now() < stop) simulator.after(msec(1), watch);
-  };
-  simulator.at(opt.warmup, watch);
+    return rig.sim.now() < stop ? msec(1) : -1;
+  });
 
   if (opt.decommission) {
-    simulator.at(opt.warmup + opt.measure / 2,
-                 [&] { sys.decommission_vri(0, opt.vris - 1); });
+    rig.sim.at(opt.warmup + opt.measure / 2,
+               [&] { rig.sys->decommission_vri(0, opt.vris - 1); });
   }
 
   gen.start();
   // Quiesce well past the stop so every queued frame drains (or is
-  // dropped) before conservation is read.
-  simulator.run_until(stop + msec(30));
+  // dropped) before the counters are read.
+  rig.sim.run_until(stop + msec(30));
 
   out.offered = gen.sent();
+  out.delivered = rig.delivered();
   for (int c = 0; c < traffic::kFlowClassCount; ++c)
     out.offered_by_class[c] = gen.sent(static_cast<traffic::FlowClass>(c));
   out.sampled_shed = sys.drops(DropCause::kSampledShed);
   out.admission_rejected = sys.drops(DropCause::kAdmissionReject);
   out.queue_drops = sys.data_queue_drops();
-  out.ordering_violations = check.fifo_violations();
+  out.ordering_violations = rig.check.fifo_violations();
   out.offered_estimate = sys.vr_offered_estimate(0);
   const double truth =
       static_cast<double>(sys.vr_frames_in(0)) +
@@ -778,7 +557,7 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
       truth > 0.0 ? std::abs(out.offered_estimate - truth) / truth : 0.0;
   out.delivered_fps =
       static_cast<double>(out.delivered) / to_seconds(opt.measure);
-  out.avg_latency_us = latency_us.mean();
+  out.avg_latency_us = rig.latency_us.mean();
   if (!sys.drain_log().empty()) {
     const DrainEvent& ev = sys.drain_log().front();
     out.drain_migrated = ev.migrated;
@@ -786,6 +565,7 @@ OverloadTrialResult run_overload_trial(const OverloadTrialOptions& opt) {
     out.drain_flows_evicted = ev.flows_evicted;
     out.drain_handoff_latency = ev.handoff_latency;
   }
+  out.conservation = rig.drain();
   return out;
 }
 

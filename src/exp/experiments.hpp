@@ -93,15 +93,21 @@ struct CpuUsage {
 CpuUsage measure_cpu_usage(const WorldOptions& options, FramesPerSec rate);
 
 // --- LVRM-only worlds via the memory adapter (Experiments 1c/1d) ---------------------
+//
+// These and the Exp 5, 6, 8 and 9 trials below run one exp::LvrmRig each
+// (exp/rig.hpp). After reading its results a trial drains the rig, and its
+// `conservation` field holds the checker's verdict: empty when every offered
+// frame was delivered or dropped through the drop hook, and the drop ledger
+// agrees with the hook cause by cause.
 
 struct MemoryTrialResult {
   FramesPerSec delivered_fps = 0.0;
   BitsPerSec delivered_bps = 0.0;
   double avg_latency_us = 0.0;
+  std::string conservation;
 };
 
-MemoryTrialResult run_memory_throughput(VrKind vr, int frame_bytes,
-                                        bool click_use_graph = true);
+MemoryTrialResult run_memory_throughput(VrKind vr, int frame_bytes);
 MemoryTrialResult run_memory_latency(VrKind vr, int frame_bytes);
 
 // --- Sharded dispatch-plane scaling (Experiment 5, DESIGN.md §11) ---------------------
@@ -129,6 +135,7 @@ struct ShardScalingResult {
   /// Per-flow frame-id regressions at egress. Must be 0: a flow's frames
   /// traverse one shard ring, one pinned VRI, and one home-shard TX drain.
   std::uint64_t ordering_violations = 0;
+  std::string conservation;
 };
 
 /// Replays a RAM trace of `flows` interleaved 5-tuples through a gateway with
@@ -189,6 +196,7 @@ struct OverloadTrialResult {
   std::uint64_t drain_dropped = 0;
   std::uint64_t drain_flows_evicted = 0;
   Nanos drain_handoff_latency = 0;
+  std::string conservation;
 };
 
 /// Drives a flash-crowd (2× ramp riding on `offered_multiplier`× nominal
@@ -297,6 +305,7 @@ struct ElephantTrialResult {
   std::uint64_t deltas_sent = 0;
   std::uint64_t deltas_applied = 0;
   std::uint64_t seq_window_overflows = 0;
+  std::string conservation;
 };
 
 /// Offers one elephant flow at `elephant_multiplier`× a single VRI's
@@ -346,6 +355,7 @@ struct FabricTrialResult {
   /// Per-flow frame-id regressions at egress. Must be 0 for kPinned and
   /// kElephant (the §17 ordering claim); unconstrained for kSkewFrame.
   std::uint64_t ordering_violations = 0;
+  std::string conservation;
 };
 
 /// Replays a pinned-flow (or elephant / skewed) RAM trace through a

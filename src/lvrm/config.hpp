@@ -150,10 +150,6 @@ struct VrConfig {
   /// many; dynamic allocators treat it as the starting point (normally 1).
   int initial_vris = 1;
 
-  /// When hosting a Click VR, whether frames traverse the real element
-  /// graph (tests/examples) or the equivalent LPM fallback (large sweeps).
-  bool click_use_graph = true;
-
   /// Hand-written Click configuration for this VR (Click VRs only). Empty
   /// selects the generated minimal forwarder. Must declare a FromHost named
   /// "in" and at least one ToHost; a LookupIPRoute named "rt" participates
@@ -162,8 +158,8 @@ struct VrConfig {
 
   // --- stateful-VR parameters (kNat / kFirewall / kRateLimit) -----------
   // The stateful kinds are decorators over a stateless forwarding engine;
-  // `inner_kind` picks it (kCpp or kClick — the Click options above apply
-  // to the inner engine too). See docs/VR_AUTHORING.md.
+  // `inner_kind` picks it (kCpp or kClick — click_script above applies to
+  // the inner engine too). See docs/VR_AUTHORING.md.
 
   /// Forwarding engine a stateful VR wraps. Ignored by kCpp/kClick.
   VrKind inner_kind = VrKind::kCpp;

@@ -348,9 +348,9 @@ int LvrmSystem::add_vr(VrConfig vr_config) {
                                                base + "/ctrl-out");
     create_slot_segments(*s);
 
-    // The factory honors kind + click_script/click_use_graph and wraps the
-    // stateful kinds (NAT / firewall / rate limit) around their configured
-    // inner engine (§16).
+    // The factory honors kind + click_script and wraps the stateful kinds
+    // (NAT / firewall / rate limit) around their configured inner engine
+    // (§16).
     s->router = make_configured_vr(vr->cfg, vr->cfg.route_map);
     if (i == 0) vr->pipeline_latency = s->router->pipeline_latency();
     s->estimator = make_estimator(config_.estimator, config_.ewma_weight);
@@ -1384,6 +1384,7 @@ void LvrmSystem::clear_vri_hang(int vr_id, int vri) {
 void LvrmSystem::inject_vri_slowdown(int vr_id, int vri, double multiplier) {
   VrState& vr = *vrs_.at(static_cast<std::size_t>(vr_id));
   VriSlot& slot = *vr.slots.at(static_cast<std::size_t>(vri));
+  if (!slot.active) return;
   slot.degrade = multiplier > 0.0 ? multiplier : 1.0;
 }
 
@@ -1391,6 +1392,7 @@ void LvrmSystem::inject_control_loss(int vr_id, int vri,
                                      double drop_probability) {
   VrState& vr = *vrs_.at(static_cast<std::size_t>(vr_id));
   VriSlot& slot = *vr.slots.at(static_cast<std::size_t>(vri));
+  if (!slot.active) return;
   slot.ctrl_loss_prob = drop_probability;
 }
 

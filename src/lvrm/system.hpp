@@ -146,11 +146,13 @@ class LvrmSystem {
   void clear_vri_hang(int vr, int vri);
 
   /// Multiplies the VRI incarnation's per-frame service cost (a sick
-  /// process); 1.0 restores full speed. Cleared by a respawn.
+  /// process); 1.0 restores full speed. Cleared by a respawn. A no-op on an
+  /// inactive slot: there is no process to slow.
   void inject_vri_slowdown(int vr, int vri, double multiplier);
 
   /// Control events relayed to this VRI are dropped with this probability
-  /// (lossy control path); 0 restores reliability. Cleared by a respawn.
+  /// (lossy control path); 0 restores reliability. Cleared by a respawn. A
+  /// no-op on an inactive slot.
   void inject_control_loss(int vr, int vri, double drop_probability);
 
   /// Failure injection (FaultKind::kOverloadBurst): a synthetic flash crowd

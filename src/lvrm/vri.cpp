@@ -79,10 +79,9 @@ ClickVr::ClickVr(std::string route_map) : ClickVr(std::move(route_map), {}) {}
 
 ClickVr::ClickVr(std::string route_map, std::string click_script)
     : route_map_(std::move(route_map)) {
-  const auto routes = route::parse_route_map(route_map_);
-  for (const auto& entry : routes) fallback_table_.insert(entry);
-  script_ = click_script.empty() ? generate_click_script(routes)
-                                 : std::move(click_script);
+  script_ = click_script.empty()
+                ? generate_click_script(route::parse_route_map(route_map_))
+                : std::move(click_script);
   std::string error;
   if (!router_.configure(script_, error))
     throw std::runtime_error("ClickVr: bad config: " + error);
@@ -102,12 +101,6 @@ ClickVr::ClickVr(std::string route_map, std::string click_script)
 }
 
 bool ClickVr::process(net::FrameMeta& frame) {
-  if (!use_graph_) {
-    const auto route = fallback_table_.lookup(frame.dst_ip);
-    if (!route) return false;
-    frame.output_if = route->output_if;
-    return true;
-  }
   // Materialize a real frame and push it through the element graph.
   const std::size_t payload =
       frame.wire_bytes > 90 ? static_cast<std::size_t>(frame.wire_bytes) -
@@ -138,23 +131,16 @@ Nanos ClickVr::pipeline_latency() const {
 }
 
 bool ClickVr::apply_route_update(const route::RouteUpdate& update) {
-  // Keep the fallback LPM table and the element graph's route table in
-  // lockstep so both processing paths stay equivalent.
+  // The graph's LookupIPRoute named "rt" holds the routes; a graph without
+  // one has nowhere to apply the update.
   auto* rt = router_.find_as<click::LookupIPRoute>("rt");
-  if (update.add) {
-    if (rt && !rt->add_route(update.entry)) return false;  // unknown port
-    fallback_table_.insert(update.entry);
-    return true;
-  }
-  const bool in_fallback = fallback_table_.remove(update.entry.prefix);
-  if (rt) rt->remove_route(update.entry.prefix);
-  return in_fallback;
+  if (rt == nullptr) return false;
+  return update.add ? rt->add_route(update.entry)  // false: unknown port
+                    : rt->remove_route(update.entry.prefix);
 }
 
 std::unique_ptr<VirtualRouter> ClickVr::clone() const {
-  auto copy = std::make_unique<ClickVr>(route_map_, script_);
-  copy->set_use_graph(use_graph_);
-  return copy;
+  return std::make_unique<ClickVr>(route_map_, script_);
 }
 
 std::unique_ptr<VirtualRouter> make_vr(VrKind kind,

@@ -115,8 +115,9 @@ class ClickVr final : public VirtualRouter {
   /// forwarder (the Sec 3.8 premise: LVRM hosts different implementations
   /// of VRs with minimal interface requirements). The script must declare a
   /// `FromHost` named `in`; a `LookupIPRoute` named `rt` enables dynamic
-  /// route updates. `route_map` still seeds the LPM fallback used when the
-  /// graph is bypassed. Throws std::runtime_error on parse errors.
+  /// route updates. The script's routes are its own: `route_map` only seeds
+  /// the generated forwarder when `click_script` is empty. Throws
+  /// std::runtime_error on parse errors.
   ClickVr(std::string route_map, std::string click_script);
 
   VrKind kind() const override { return VrKind::kClick; }
@@ -125,12 +126,6 @@ class ClickVr final : public VirtualRouter {
   Nanos pipeline_latency() const override;
   bool apply_route_update(const route::RouteUpdate& update) override;
   std::unique_ptr<VirtualRouter> clone() const override;
-
-  /// When disabled, frames are routed through an equivalent LPM table
-  /// instead of the element graph (large-scale sims; semantics identical,
-  /// asserted by tests). The cost model is unchanged either way.
-  void set_use_graph(bool on) { use_graph_ = on; }
-  bool use_graph() const { return use_graph_; }
 
   const click::Router& router() const { return router_; }
   std::uint64_t graph_frames() const { return graph_frames_; }
@@ -142,8 +137,6 @@ class ClickVr final : public VirtualRouter {
   std::string route_map_;
   std::string script_;
   click::Router router_;
-  route::RouteTable fallback_table_;  // mirror of the graph's route table
-  bool use_graph_ = true;
   std::uint64_t graph_frames_ = 0;
   int last_output_ = -1;
 };

@@ -1,10 +1,12 @@
 // trace.hpp — frame traces for the main-memory socket adapter (Exp 1c/1d).
 //
 // The thesis loads "a trace of 100M minimum-sized frames into main memory"
-// so LVRM's internal overhead can be measured without the network. We provide
-// (a) a metadata trace generator that the simulator's memory adapter replays,
-// and (b) a simple length-prefixed binary format for traces of real frame
-// buffers, used by the Click examples.
+// so LVRM's internal overhead can be measured without the network. This
+// module provides (a) a deterministic metadata trace generator and (b) a
+// simple length-prefixed binary format for traces of real frame buffers.
+// Neither has a user outside the tests yet: the RAM-trace trials generate
+// their frames on the fly (exp/rig.hpp), and no example reads the binary
+// format. A planned real-thread data plane is to replay them.
 #pragma once
 
 #include <cstdint>

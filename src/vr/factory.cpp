@@ -12,13 +12,8 @@ namespace {
 /// layer for the stateful kinds.
 std::unique_ptr<VirtualRouter> make_engine(VrKind kind, const VrConfig& cfg,
                                            const std::string& route_map) {
-  if (kind == VrKind::kClick) {
-    auto click = cfg.click_script.empty()
-                     ? std::make_unique<ClickVr>(route_map)
-                     : std::make_unique<ClickVr>(route_map, cfg.click_script);
-    click->set_use_graph(cfg.click_use_graph);
-    return click;
-  }
+  if (kind == VrKind::kClick)
+    return std::make_unique<ClickVr>(route_map, cfg.click_script);
   return std::make_unique<CppVr>(route_map);
 }
 

@@ -13,9 +13,9 @@
 namespace lvrm {
 
 /// Builds the router for `cfg`. For the stateful kinds the inner forwarding
-/// engine is `cfg.inner_kind` (kCpp or kClick, honoring click_script /
-/// click_use_graph); kCpp/kClick build the engine directly. `route_map`
-/// must already be resolved (non-empty).
+/// engine is `cfg.inner_kind` (kCpp or kClick, honoring click_script);
+/// kCpp/kClick build the engine directly. `route_map` must already be
+/// resolved (non-empty).
 std::unique_ptr<VirtualRouter> make_configured_vr(const VrConfig& cfg,
                                                   const std::string& route_map);
 

@@ -145,8 +145,8 @@ TEST(Determinism, SeedChangesRandomBalancerOutcome) {
 }
 
 TEST(Determinism, MemoryWorldsReproduce) {
-  const auto a = run_memory_throughput(VrKind::kCpp, 84, false);
-  const auto b = run_memory_throughput(VrKind::kCpp, 84, false);
+  const auto a = run_memory_throughput(VrKind::kCpp, 84);
+  const auto b = run_memory_throughput(VrKind::kCpp, 84);
   EXPECT_DOUBLE_EQ(a.delivered_fps, b.delivered_fps);
 }
 

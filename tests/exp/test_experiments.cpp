@@ -106,6 +106,7 @@ TEST(MemoryWorld, CppThroughputNearPaperNumbers) {
   // Fig 4.5 anchor: 3.7 Mfps at 84 B (allow +/-20%).
   EXPECT_GT(r.delivered_fps, 2.9e6);
   EXPECT_LT(r.delivered_fps, 4.5e6);
+  EXPECT_EQ(r.conservation, "");
 }
 
 TEST(MemoryWorld, LargeFramesSlower) {
@@ -118,9 +119,9 @@ TEST(MemoryWorld, LargeFramesSlower) {
 
 TEST(MemoryWorld, ClickFarBelowCpp) {
   const auto cpp = run_memory_throughput(VrKind::kCpp, 84);
-  const auto click = run_memory_throughput(VrKind::kClick, 84,
-                                           /*click_use_graph=*/false);
+  const auto click = run_memory_throughput(VrKind::kClick, 84);
   EXPECT_LT(click.delivered_fps, cpp.delivered_fps / 3.0);
+  EXPECT_EQ(click.conservation, "");
 }
 
 TEST(MemoryWorld, LatencyShape) {
@@ -129,6 +130,8 @@ TEST(MemoryWorld, LatencyShape) {
   EXPECT_LT(cpp.avg_latency_us, 15.0);   // "within 15 us"
   EXPECT_GT(click.avg_latency_us, 18.0);  // Fig 4.6: 25-35 us
   EXPECT_LT(click.avg_latency_us, 40.0);
+  EXPECT_EQ(cpp.conservation, "");
+  EXPECT_EQ(click.conservation, "");
 }
 
 TEST(ControlLatency, LoadRaisesLatency) {
@@ -223,6 +226,7 @@ TEST(FabricTrial, PinnedWorkloadIsCleanOnFabric) {
   EXPECT_EQ(r.ordering_violations, 0u);
   EXPECT_EQ(r.vri_steals, 0u);
   EXPECT_GT(r.mesh_rings, r.fabric_rings);
+  EXPECT_EQ(r.conservation, "");
 }
 
 TEST(FabricTrial, SkewedFrameWorkloadStealsUnderStealing) {
@@ -237,6 +241,7 @@ TEST(FabricTrial, SkewedFrameWorkloadStealsUnderStealing) {
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
   EXPECT_GT(r.vri_steals, 0u);
+  EXPECT_EQ(r.conservation, "");
 }
 
 TEST(FabricTrial, ElephantWorkloadKeepsOrderingUnderStealing) {
@@ -251,6 +256,22 @@ TEST(FabricTrial, ElephantWorkloadKeepsOrderingUnderStealing) {
   const auto r = run_fabric_trial(opt);
   EXPECT_GT(r.delivered_fps, 0.0);
   EXPECT_EQ(r.ordering_violations, 0u);
+  EXPECT_EQ(r.conservation, "");
+}
+
+TEST(RamTrials, ShardedOverloadedAndSprayedTrialsConserve) {
+  // Exp 5 at two shards, Exp 6's mid-flash VRI drain and Exp 8's sprayed
+  // elephant: every offered frame is delivered or dropped through the hook.
+  ShardScalingOptions shards;
+  shards.shards = 2;
+  EXPECT_EQ(run_shard_scaling_trial(shards).conservation, "");
+  OverloadTrialOptions overload;
+  overload.decommission = true;
+  EXPECT_EQ(run_overload_trial(overload).conservation, "");
+  ElephantTrialOptions elephant;
+  elephant.warmup = msec(10);
+  elephant.measure = msec(40);
+  EXPECT_EQ(run_elephant_trial(elephant).conservation, "");
 }
 
 }  // namespace

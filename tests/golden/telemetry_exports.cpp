@@ -12,13 +12,10 @@
 //                 elephant flow and a flash crowd past three periodic
 //                 snapshots.
 // scripts/regen_golden.py rewrites the golden files from this output.
-#include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 
-#include "lvrm/system.hpp"
-#include "sim/costs.hpp"
+#include "exp/rig.hpp"
 
 namespace {
 
@@ -30,51 +27,21 @@ using namespace lvrm;
 bool export_run(const std::string& prefix, const LvrmConfig& cfg,
                 const VrConfig& vr, double mice_fps, double elephant_fps,
                 Nanos until, bool flash_crowd) {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  LvrmSystem sys(sim, topo, cfg);
-  sys.add_vr(vr);
-  sys.start();
-
-  auto frame = [&sim](std::uint16_t src_port, std::uint64_t id) {
-    net::FrameMeta f;
-    f.id = id;
-    f.protocol = 17;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = src_port;
-    f.dst_port = 9;
-    f.created_at = sim.now();
-    return f;
-  };
-  std::uint64_t next_id = 0;
-  // Declare-then-assign emitters: each reschedules itself through a
-  // reference to its own local, so no callback owns a cycle.
-  const Nanos mice_gap = interval_for_rate(mice_fps);
-  std::function<void()> mice;
-  mice = [&] {
-    if (sim.now() >= until) return;
-    const auto port = static_cast<std::uint16_t>(2000 + next_id % 32);
-    sys.ingress(frame(port, next_id++));
-    sim.after(mice_gap, [&mice] { mice(); });
-  };
-  sim.at(0, [&mice] { mice(); });
-  std::function<void()> elephant;
-  if (elephant_fps > 0.0) {
-    const Nanos gap = interval_for_rate(elephant_fps);
-    elephant = [&, gap] {
-      if (sim.now() >= until) return;
-      sys.ingress(frame(7000, next_id++));
-      sim.after(gap, [&elephant] { elephant(); });
-    };
-    sim.at(0, [&elephant] { elephant(); });
-  }
-  if (flash_crowd)
-    sim.at(msec(400), [&sys] {
-      sys.inject_overload_burst(0, 200'000.0, msec(150));
+  exp::LvrmRig rig(cfg, {vr});
+  // Mice and elephant share one id sequence.
+  rig.offer(mice_fps, until, [](std::uint64_t n) {
+    return exp::port_frame(static_cast<std::uint16_t>(2000 + n % 32), n);
+  });
+  if (elephant_fps > 0.0)
+    rig.offer(elephant_fps, until, [](std::uint64_t n) {
+      return exp::port_frame(exp::LvrmRig::kElephantPort, n);
     });
-  sim.run_all();
-  return sys.export_telemetry(prefix);
+  if (flash_crowd)
+    rig.sim.at(msec(400), [&rig] {
+      rig.sys->inject_overload_burst(0, 200'000.0, msec(150));
+    });
+  rig.sim.run_all();
+  return rig.sys->export_telemetry(prefix);
 }
 
 }  // namespace

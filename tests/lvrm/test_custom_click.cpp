@@ -1,9 +1,7 @@
 // Hosting hand-written Click configurations as VRs (Sec 3.8 extensibility).
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "lvrm/system.hpp"
+#include "exp/rig.hpp"
 #include "lvrm/vri.hpp"
 
 namespace lvrm {
@@ -77,34 +75,25 @@ TEST(CustomClickVr, RejectsUnparsableScript) {
 }
 
 TEST(CustomClickVr, HostedOnLvrmEndToEnd) {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
-  LvrmSystem sys(sim, topo, cfg);
   VrConfig vr;
   vr.kind = VrKind::kClick;
   vr.click_script = kFilteringForwarder;
   vr.initial_vris = 2;
-  sys.add_vr(vr);
-  sys.start();
-  std::vector<net::FrameMeta> out;
-  sys.set_egress([&](net::FrameMeta&& f) { out.push_back(f); });
+  exp::LvrmRig rig(cfg, {vr});
 
   int id = 0;
   for (const auto src :
        {net::ipv4(10, 1, 1, 1), net::ipv4(10, 1, 66, 1), net::ipv4(10, 1, 2, 1)}) {
-    sim.at(usec(50) * id++, [&sys, src] {
-      net::FrameMeta f;
-      f.src_ip = src;
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      sys.ingress(f);
+    rig.sim.at(usec(50) * id++, [&rig, src] {
+      rig.ingress(frame(src, net::ipv4(10, 2, 0, 1)));
     });
   }
-  sim.run_all();
+  rig.sim.run_all();
   // The 10.1.66/24 frame was dropped by policy inside the Click graph.
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(sys.drops(DropCause::kNoRoute), 1u);  // surfaced as a VRI-level drop
+  ASSERT_EQ(rig.delivered(), 2u);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 1u);  // surfaced as a VRI-level drop
 }
 
 }  // namespace

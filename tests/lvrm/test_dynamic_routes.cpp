@@ -2,13 +2,13 @@
 // application and the control-queue synchronization across VRIs.
 #include <gtest/gtest.h>
 
-#include <functional>
-
+#include "exp/rig.hpp"
 #include "lvrm/vri.hpp"
-#include "rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 route::RouteUpdate add_route(const char* prefix, int out) {
   route::RouteUpdate u;
@@ -45,18 +45,13 @@ TEST(DynamicRoutes, CppVrAddAndWithdraw) {
   EXPECT_FALSE(vr.apply_route_update(withdraw("10.9.0.0/16")));
 }
 
-TEST(DynamicRoutes, ClickVrUpdatesBothGraphAndFallback) {
+TEST(DynamicRoutes, ClickVrAddsRouteToGraph) {
   ClickVr vr(default_route_map());
   EXPECT_TRUE(vr.apply_route_update(add_route("10.9.0.0/16", 1)));
 
   auto via_graph = frame(net::ipv4(10, 9, 0, 1));
   EXPECT_TRUE(vr.process(via_graph));
   EXPECT_EQ(via_graph.output_if, 1);
-
-  vr.set_use_graph(false);
-  auto via_fallback = frame(net::ipv4(10, 9, 0, 1));
-  EXPECT_TRUE(vr.process(via_fallback));
-  EXPECT_EQ(via_fallback.output_if, 1);
 }
 
 TEST(DynamicRoutes, ClickVrRejectsUnknownOutputPort) {
@@ -117,36 +112,20 @@ TEST(DynamicRoutes, WithoutBroadcastOnlyOriginatorForwards) {
 TEST(DynamicRoutes, LateActivatedVriInheritsUpdates) {
   // A VRI activated after the update must start from the synchronized
   // table (inactive slots are updated in place).
-  sim::Simulator sim;
-  sim::CpuTopology topo;
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-  LvrmSystem sys(sim, topo, cfg);
-  VrConfig vr;
-  vr.initial_vris = 1;
-  sys.add_vr(vr);
-  sys.start();
-  std::uint64_t delivered = 0;
-  sys.set_egress([&](net::FrameMeta&&) { ++delivered; });
-
-  sys.broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
-  sim.run_all();
+  LvrmRig rig(cfg, 1, 0);
+  rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
+  rig.sim.run_all();
 
   // Drive enough load (to the new prefix) that the allocator adds VRIs,
   // then verify nothing is dropped for lack of the route.
-  std::uint64_t sent = 0;
-  std::function<void()> emit;
-  emit = [&] {
-    if (sim.now() >= sec(3)) return;
-    ++sent;
-    sys.ingress(frame(net::ipv4(10, 9, 0, 7)));
-    sim.after(interval_for_rate(500'000.0), emit);
-  };
-  sim.at(0, emit);
-  sim.run_all();
-  EXPECT_GT(sys.active_vris(0), 1);
-  EXPECT_EQ(sys.drops(DropCause::kNoRoute), 0u);
-  EXPECT_GT(delivered, 0u);
+  rig.offer(500'000.0, sec(3),
+            [](std::uint64_t) { return frame(net::ipv4(10, 9, 0, 7)); });
+  rig.sim.run_all();
+  EXPECT_GT(rig.sys->active_vris(0), 1);
+  EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 0u);
+  EXPECT_GT(rig.delivered(), 0u);
 }
 
 TEST(DynamicRoutes, WithdrawPropagates) {

@@ -2,12 +2,12 @@
 // reaps it and restores capacity.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig with_allocator(AllocatorKind allocator) {
   LvrmConfig cfg;
@@ -77,41 +77,67 @@ TEST(FailureInjection, CrashingInactiveSlotIsNoop) {
   EXPECT_EQ(rig.sys->active_vris(0), 2);
 }
 
+TEST(FailureInjection, SlowingInactiveSlotIsNoop) {
+  // A slowdown aimed at a slot with no running VRI has no process to slow:
+  // the VRI the 1 s pass later creates there runs at full speed.
+  LvrmRig rig(with_allocator(AllocatorKind::kDynamicFixedThreshold), 1);
+  rig.offer(100'000.0, sec(4));
+  rig.sim.at(msec(500), [&rig] { rig.sys->inject_vri_slowdown(0, 1, 6.0); });
+  std::uint64_t first = 0, created = 0;
+  rig.sim.at(msec(2500), [&] {
+    first = rig.sys->vri_forwarded(0, 0);
+    created = rig.sys->vri_forwarded(0, 1);
+  });
+  rig.sim.at(msec(3500), [&] {
+    first = rig.sys->vri_forwarded(0, 0) - first;
+    created = rig.sys->vri_forwarded(0, 1) - created;
+  });
+  rig.sim.run_all();
+  // Each of two VRIs serves half the offered 100 Kfps; a 6x slow one
+  // manages about 10 Kfps.
+  EXPECT_GT(created, 45'000u);
+  EXPECT_NEAR(static_cast<double>(created), static_cast<double>(first),
+              2'000.0);
+}
+
+TEST(FailureInjection, ControlLossOnInactiveSlotIsNoop) {
+  // Control loss aimed at a slot with no running VRI must not follow the
+  // VRI the 1 s pass later creates there.
+  LvrmRig rig(with_allocator(AllocatorKind::kDynamicFixedThreshold), 1);
+  rig.offer(100'000.0, sec(3));
+  rig.sim.at(msec(500), [&rig] { rig.sys->inject_control_loss(0, 1, 1.0); });
+  int arrived = 0;
+  for (int i = 0; i < 10; ++i) {
+    rig.sim.at(sec(2) + usec(100) * i, [&rig, &arrived] {
+      rig.sys->send_control(0, 0, 1, 64, [&arrived](Nanos) { ++arrived; });
+    });
+  }
+  rig.sim.run_all();
+  EXPECT_EQ(arrived, 10);
+}
+
 TEST(FailureInjection, FlowPinsEvictedOnCrash) {
   // Flow-based mode: flows pinned to the dead VRI must re-pin after reaping.
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.allocator = AllocatorKind::kFixed;
+  LvrmConfig cfg = with_allocator(AllocatorKind::kFixed);
   cfg.granularity = BalancerGranularity::kFlow;
-  LvrmSystem sys(sim, topo, cfg);
-  VrConfig vr;
-  vr.initial_vris = 2;
-  sys.add_vr(vr);
-  sys.start();
-  std::vector<net::FrameMeta> out;
-  sys.set_egress([&](net::FrameMeta&& f) { out.push_back(f); });
-
-  auto frame = [&](std::uint64_t id) {
-    net::FrameMeta f;
-    f.id = id;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = 4242;  // one flow
-    f.protocol = 17;
-    return f;
-  };
-  std::uint64_t id = 0;
-  for (int i = 0; i < 50; ++i)
-    sim.at(msec(40) * i, [&sys, &frame, &id] { sys.ingress(frame(id++)); });
-  sim.run_until(msec(200));
-  ASSERT_FALSE(out.empty());
-  const int pinned = out.front().dispatch_vri;
-  sim.at(msec(210), [&sys, pinned] { sys.inject_vri_crash(0, pinned); });
-  sim.run_all();
+  LvrmRig rig(cfg, 2, 0);
+  rig.keep_egress = true;
+  for (int i = 0; i < 50; ++i) {
+    rig.sim.at(msec(40) * i, [&rig] {
+      net::FrameMeta f = host_flow()(rig.next_id++);
+      f.src_port = 4242;  // one flow
+      rig.ingress(f);
+    });
+  }
+  rig.sim.run_until(msec(200));
+  ASSERT_FALSE(rig.out.empty());
+  const int pinned = rig.out.front().dispatch_vri;
+  rig.sim.at(msec(210),
+             [&rig, pinned] { rig.sys->inject_vri_crash(0, pinned); });
+  rig.sim.run_all();
   // After reap + respawn, the flow flows again on a live VRI.
-  ASSERT_GT(out.size(), 30u);
-  EXPECT_GT(out.back().id, 40u);
+  ASSERT_GT(rig.out.size(), 30u);
+  EXPECT_GT(rig.out.back().id, 40u);
 }
 
 }  // namespace

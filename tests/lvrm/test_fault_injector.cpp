@@ -3,10 +3,12 @@
 // establishing the failure modes the recovery tests then close.
 #include <gtest/gtest.h>
 
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig fixed_cfg() {
   LvrmConfig cfg;

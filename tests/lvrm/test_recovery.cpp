@@ -4,13 +4,13 @@
 // which shows the same faults UNdetected on the stock system.
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "common/log.hpp"
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 HealthConfig enabled_health() {
   HealthConfig h;
@@ -31,6 +31,13 @@ LvrmConfig fixed_with_health() {
   cfg.allocator = AllocatorKind::kFixed;
   cfg.health = enabled_health();
   return cfg;
+}
+
+/// Frame `n` to 10.9.0.7, routable only through an added 10.9/16 route.
+net::FrameMeta to_new_prefix(std::uint64_t n) {
+  net::FrameMeta f = host_flow()(n);
+  f.dst_ip = net::ipv4(10, 9, 0, 7);
+  return f;
 }
 
 TEST(Recovery, HeartbeatDetectsCrashInsideTheAllocationPeriod) {
@@ -86,7 +93,7 @@ TEST(Recovery, HungVriIsQuarantinedRespawnedAndConserved) {
   EXPECT_GT(static_cast<double>(rig.delivered() - at_5s), 140'000.0);
 
   // Frame conservation: every sent frame is delivered or in a drop counter.
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, FailSlowVriIsDetectedByTheWatchdog) {
@@ -109,7 +116,7 @@ TEST(Recovery, FailSlowVriIsDetectedByTheWatchdog) {
   EXPECT_GE(rig.sys->health()->fail_slow_detected(), 1u);
   // The respawn shed the slowdown (a sick process dies with its sickness).
   EXPECT_GT(static_cast<double>(rig.delivered() - at_5s), 140'000.0);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, CrashStrandedFramesAreRedispatched) {
@@ -125,7 +132,7 @@ TEST(Recovery, CrashStrandedFramesAreRedispatched) {
   EXPECT_GT(ev.stranded, 0u);
   EXPECT_EQ(ev.redispatched, ev.stranded);  // survivors had queue headroom
   EXPECT_EQ(rig.sys->redispatched_frames(), ev.redispatched);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, LastVriReapedBeforeTheHeartbeatDropsThroughTheHook) {
@@ -143,7 +150,7 @@ TEST(Recovery, LastVriReapedBeforeTheHeartbeatDropsThroughTheHook) {
 
   EXPECT_EQ(rig.sys->crashed_vris_reaped(), 1u);
   EXPECT_GT(rig.check.drops(DropCause::kVriDestroyed), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, ReapedVriRespawnsWithoutItsInjectedSlowdown) {
@@ -174,7 +181,7 @@ TEST(Recovery, ReapedVriRespawnsWithoutItsInjectedSlowdown) {
   EXPECT_GT(respawned, 45'000u);
   EXPECT_NEAR(static_cast<double>(respawned), static_cast<double>(sibling),
               2'000.0);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, DestroyedVriIsRecreatedWithoutItsInjectedSlowdown) {
@@ -209,7 +216,7 @@ TEST(Recovery, DestroyedVriIsRecreatedWithoutItsInjectedSlowdown) {
   EXPECT_GT(recreated, 45'000u);
   EXPECT_NEAR(static_cast<double>(recreated), static_cast<double>(sibling),
               2'000.0);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, DestroyedVriLeavesNoStaleSuspicion) {
@@ -238,7 +245,7 @@ TEST(Recovery, DestroyedVriLeavesNoStaleSuspicion) {
   EXPECT_EQ(rig.sys->active_vris(0), 2);
   EXPECT_TRUE(rig.sys->recovery_log().empty());
   EXPECT_FALSE(rig.sys->health()->is_suspect(0, 2));
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
@@ -252,17 +259,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   rig.sim.run_all();
 
   // Steady traffic to the NEW prefix; VRI 1 dies mid-stream and respawns.
-  std::function<void()> emit;
-  emit = [&rig, &emit] {
-    if (rig.sim.now() >= sec(3)) return;
-    net::FrameMeta f;
-    f.id = rig.next_id++;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 9, 0, 7);  // only routable via the update
-    rig.ingress(f);
-    rig.sim.after(interval_for_rate(50'000.0), emit);
-  };
-  rig.sim.at(0, emit);
+  rig.offer(50'000.0, sec(3), to_new_prefix);
   rig.faults->schedule(
       {.kind = FaultKind::kCrash, .vri = 1, .at = sec(1) + msec(350)});
   rig.sim.run_all();
@@ -271,7 +268,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesHealthPath) {
   EXPECT_TRUE(rig.sys->recovery_log()[0].respawned);
   // A fresh fork without the replay would no-route half the stream.
   EXPECT_EQ(rig.sys->drops(DropCause::kNoRoute), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
@@ -284,17 +281,7 @@ TEST(Recovery, RespawnedVriReplaysRouteUpdatesStockReapPath) {
   rig.sys->broadcast_route_update(0, 0, add_route("10.9.0.0/16", 1));
   rig.sim.run_all();
 
-  std::function<void()> emit;
-  emit = [&rig, &emit] {
-    if (rig.sim.now() >= sec(4)) return;
-    net::FrameMeta f;
-    f.id = rig.next_id++;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 9, 0, 7);
-    rig.ingress(f);
-    rig.sim.after(interval_for_rate(50'000.0), emit);
-  };
-  rig.sim.at(0, emit);
+  rig.offer(50'000.0, sec(4), to_new_prefix);
   rig.faults->schedule({.kind = FaultKind::kCrash, .vri = 1, .at = sec(1)});
   rig.sim.run_all();
 
@@ -313,7 +300,7 @@ TEST(Recovery, OverloadWithoutTheLadderTailDropsAndConserves) {
   rig.offer(120'000.0, sec(2));  // 2x the 60 Kfps capacity
   rig.sim.run_all();
   EXPECT_GT(rig.sys->data_queue_drops(), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(Recovery, CapacityEstimateTracksActiveVris) {

@@ -3,10 +3,12 @@
 
 #include <vector>
 
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 /// The rig's next frame from `src` to `dst`: 50 flows on source ports from
 /// 1000, destination port 9.

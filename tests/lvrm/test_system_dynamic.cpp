@@ -2,10 +2,12 @@
 // the thesis) driven with synthetic arrival processes.
 #include <gtest/gtest.h>
 
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 namespace costs = sim::costs;
 

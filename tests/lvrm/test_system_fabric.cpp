@@ -7,11 +7,13 @@
 
 #include <string>
 
+#include "exp/rig.hpp"
 #include "obs/audit.hpp"
-#include "rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig fabric_cfg(int shards, bool stealing) {
   LvrmConfig c;
@@ -81,7 +83,7 @@ TEST(MpmcFabric, IdleVriStealsFromSlowedSibling) {
 
   EXPECT_GT(rig.sys->vri_steals(), 0u);
   EXPECT_GT(rig.sys->vri_steal_frames(), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 
   // The steal trail carries the §17 audit kind.
   bool saw_audit = false;
@@ -107,7 +109,7 @@ TEST(MpmcFabric, PinnedFlowsAreNeverStolen) {
 
   EXPECT_EQ(rig.sys->vri_steals(), 0u);
   EXPECT_EQ(rig.check.fifo_violations(), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
@@ -128,7 +130,7 @@ TEST(MpmcFabric, StealVsPinOrderingSurvivesCrashRespawn) {
   EXPECT_TRUE(rig.sys->recovery_log()[0].respawned);
   EXPECT_EQ(rig.sys->vri_steals(), 0u);  // all heads pinned: no steals
   EXPECT_EQ(rig.check.fifo_violations(), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
@@ -150,7 +152,7 @@ TEST(MpmcFabric, StealingConservesFramesAcrossConfigMatrix) {
     rig.sim.run_all();
 
     EXPECT_GT(rig.delivered(), 0u) << "shards=" << shards;
-    EXPECT_TRUE(rig.conserved()) << "shards=" << shards;
+    EXPECT_EQ(rig.conservation(), "") << "shards=" << shards;
   }
 }
 

@@ -1,15 +1,16 @@
 // End-to-end flow-based balancing through the assembled LvrmSystem.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <set>
 
 #include "common/rng.hpp"
-#include "rig.hpp"
+#include "exp/rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig round_robin_cfg(BalancerGranularity gran) {
   LvrmConfig cfg;
@@ -77,7 +78,7 @@ TEST(SystemFlowBased, NoSameFlowReorderingThroughGateway) {
   rig.sim.run_all();
   // No flow regressed, and no frame left twice.
   EXPECT_EQ(rig.check.fifo_violations(), 0u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 // A pin of the dispatcher's egress on a trace that churns its flow table:
@@ -87,19 +88,21 @@ TEST(SystemFlowBased, NoSameFlowReorderingThroughGateway) {
 // digest covers every frame's (id, dispatch_vri) in egress order; change it
 // only with a change that means to alter flow-mode dispatch.
 TEST(SystemFlowBased, EgressUnderExpiryChurnMatchesPinnedDigest) {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
-  LvrmConfig cfg;
-  cfg.allocator = AllocatorKind::kFixed;
-  cfg.granularity = BalancerGranularity::kFlow;
-  cfg.balancer = BalancerKind::kRoundRobin;
-  LvrmSystem sys(sim, topo, cfg);
-  VrConfig vr;
-  vr.initial_vris = 4;
-  sys.add_vr(vr);
-  sys.start();
-  ASSERT_EQ(sys.dispatcher(0).flow_table().bucket_count(), 4096u);
+  LvrmRig rig(round_robin_cfg(BalancerGranularity::kFlow), 4, 0);
+  ASSERT_EQ(rig.sys->dispatcher(0).flow_table().bucket_count(), 4096u);
+  rig.keep_egress = true;
+  constexpr int kFrames = 6000;
+  Rng rng(7);
+  std::set<std::uint16_t> ports;
+  for (int i = 0; i < kFrames; ++i) {
+    const auto port = static_cast<std::uint16_t>(1000 + rng.uniform(4000));
+    ports.insert(port);
+    const net::FrameMeta f = port_frame(port, static_cast<std::uint64_t>(i));
+    rig.sim.at(msec(20) * i, [&rig, f] { rig.ingress(f); });
+  }
+  rig.sim.run_all();
 
+  ASSERT_EQ(rig.out.size(), static_cast<std::size_t>(kFrames));
   std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a, byte at a time
   auto mix = [&digest](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -107,31 +110,11 @@ TEST(SystemFlowBased, EgressUnderExpiryChurnMatchesPinnedDigest) {
       digest *= 0x100000001b3ull;
     }
   };
-  std::size_t egressed = 0;
-  sys.set_egress([&](net::FrameMeta&& f) {
-    ++egressed;
+  for (const net::FrameMeta& f : rig.out) {
     mix(f.id);
     mix(static_cast<std::uint16_t>(f.dispatch_vri));
-  });
-  constexpr int kFrames = 6000;
-  Rng rng(7);
-  std::set<std::uint16_t> ports;
-  for (int i = 0; i < kFrames; ++i) {
-    const auto port = static_cast<std::uint16_t>(1000 + rng.uniform(4000));
-    ports.insert(port);
-    net::FrameMeta f;
-    f.id = static_cast<std::uint64_t>(i);
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = port;
-    f.dst_port = 9;
-    f.protocol = 17;
-    sim.at(msec(20) * i, [&sys, f] { sys.ingress(f); });
   }
-  sim.run_all();
-
-  ASSERT_EQ(egressed, static_cast<std::size_t>(kFrames));
-  const Dispatcher& d = sys.dispatcher(0);
+  const Dispatcher& d = rig.sys->dispatcher(0);
   // Misses beyond each flow's first frame are expired pins re-learned.
   EXPECT_GT(d.flow_probes() - d.flow_hits(), ports.size());
   EXPECT_GT(d.flow_table().bucket_count(), 4096u);
@@ -141,53 +124,32 @@ TEST(SystemFlowBased, EgressUnderExpiryChurnMatchesPinnedDigest) {
 TEST(SystemFlowBased, FlowsRebalanceAfterVriDestroyed) {
   // Dynamic shrink: flows pinned to a destroyed VRI must be re-pinned to a
   // live one instead of blackholing.
-  sim::Simulator sim;
-  sim::CpuTopology topo;
   LvrmConfig cfg;
   cfg.granularity = BalancerGranularity::kFlow;
   cfg.allocator = AllocatorKind::kDynamicFixedThreshold;
-  LvrmSystem sys(sim, topo, cfg);
-  VrConfig vr;
-  vr.dummy_load = sim::costs::kDummyLoad;
-  sys.add_vr(vr);
-  sys.start();
-  std::uint64_t delivered = 0;
-  sys.set_egress([&](net::FrameMeta&&) { ++delivered; });
+  LvrmRig rig(cfg);
 
   // Phase 1: high load grows the VR to 3 VRIs; phase 2: low load shrinks it.
-  std::uint64_t id = 0;
-  std::function<void()> emit;
-  emit = [&] {
-    if (sim.now() >= sec(10)) return;
-    const double rate = sim.now() < sec(4) ? 150'000.0 : 20'000.0;
-    net::FrameMeta f;
-    f.id = id++;
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = static_cast<std::uint16_t>(1000 + id % 12);
-    f.protocol = 17;
-    sys.ingress(f);
-    sim.after(interval_for_rate(rate), emit);
-  };
-  sim.at(0, emit);
-  sim.run_all();
+  const FrameMaker flows = port_flows(12);
+  rig.source(0, [&rig, &flows]() -> Nanos {
+    if (rig.sim.now() >= sec(10)) return -1;
+    rig.ingress(flows(rig.next_id++));
+    return interval_for_rate(rig.sim.now() < sec(4) ? 150'000.0 : 20'000.0);
+  });
+  rig.sim.run_all();
 
-  EXPECT_EQ(sys.active_vris(0), 1);
+  EXPECT_EQ(rig.sys->active_vris(0), 1);
   // After the shrink, low-rate traffic still flows (pins were re-balanced).
-  const std::uint64_t before = delivered;
+  const std::uint64_t before = rig.delivered();
   for (int i = 0; i < 24; ++i) {
-    sim.at(sim.now() + usec(50) * (i + 1), [&sys, &id, i] {
-      net::FrameMeta f;
-      f.id = id++;
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
+    rig.sim.at(rig.sim.now() + usec(50) * (i + 1), [&rig, i] {
+      net::FrameMeta f = host_flow()(rig.next_id++);
       f.src_port = static_cast<std::uint16_t>(1000 + i % 12);
-      f.protocol = 17;
-      sys.ingress(f);
+      rig.ingress(f);
     });
   }
-  sim.run_all();
-  EXPECT_EQ(delivered - before, 24u);
+  rig.sim.run_all();
+  EXPECT_EQ(rig.delivered() - before, 24u);
 }
 
 }  // namespace

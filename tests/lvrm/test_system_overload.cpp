@@ -10,18 +10,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "exp/rig.hpp"
 #include "obs/telemetry.hpp"
-#include "rig.hpp"
 #include "traffic/workload.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig overload_cfg(bool ladder) {
   LvrmConfig c;
@@ -95,12 +96,11 @@ TEST(SystemOverload, SustainedOverloadEscalatesThroughSamplingToAdmission) {
   // Record the level trajectory on a fine grid: escalation must pass
   // through kSampling before admission control engages.
   std::vector<OverloadLevel> seen;
-  std::function<void()> watch = [&] {
+  rig.source(0, [&]() -> Nanos {
     const OverloadLevel l = rig.sys->overload_level(0);
     if (seen.empty() || seen.back() != l) seen.push_back(l);
-    if (rig.sim.now() < msec(40)) rig.sim.after(usec(200), watch);
-  };
-  rig.sim.at(0, watch);
+    return rig.sim.now() < msec(40) ? usec(200) : -1;
+  });
   rig.sim.run_all();
 
   ASSERT_GE(seen.size(), 3u);
@@ -190,7 +190,7 @@ TEST(SystemOverload, ConservationHoldsPerFlowClassAcrossConfigs) {
                 rig.check.delivered(i) + rig.check.dropped(i))
           << "class=" << cls << " shards=" << shards;
     }
-    EXPECT_TRUE(rig.conserved()) << "shards=" << shards;
+    EXPECT_EQ(rig.conservation(), "") << "shards=" << shards;
     EXPECT_GT(rig.sys->drops(DropCause::kSampledShed) +
                   rig.sys->drops(DropCause::kAdmissionReject),
               0u);
@@ -266,11 +266,10 @@ TEST(SystemOverload, OverloadBurstFaultEscalatesAndSelfClears) {
                         .duration = msec(20),
                         .magnitude = 300'000.0});
   OverloadLevel peak = OverloadLevel::kNormal;
-  std::function<void()> watch = [&] {
+  rig.source(0, [&]() -> Nanos {
     peak = std::max(peak, rig.sys->overload_level(0));
-    if (rig.sim.now() < msec(80)) rig.sim.after(usec(500), watch);
-  };
-  rig.sim.at(0, watch);
+    return rig.sim.now() < msec(80) ? usec(500) : -1;
+  });
   rig.sim.run_all();
 
   EXPECT_GE(peak, OverloadLevel::kSampling);
@@ -305,7 +304,7 @@ TEST(SystemOverload, CrashPlusShedPlusRespawnConservesFrames) {
   EXPECT_GT(rig.delivered(), 0u);      // traffic survived
   EXPECT_GT(rig.check.dropped(), 0u);  // and the burst forced drops
   EXPECT_EQ(rig.sys->recovery_log().size(), 1u);
-  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.conservation(), "");
 }
 
 }  // namespace

@@ -4,13 +4,12 @@
 // generation cache the §16 work piggybacked on the Dispatcher.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "exp/experiments.hpp"
+#include "exp/rig.hpp"
 #include "lvrm/load_balancer.hpp"
-#include "lvrm/system.hpp"
 
 namespace lvrm {
 namespace {
@@ -22,34 +21,24 @@ TEST(SystemReplication, SubThresholdTrafficIsByteIdenticalToDisabled) {
   // nothing sprays — and the egress stream (ids, VRI assignments, egress
   // times) must match the disabled run exactly.
   auto run = [](bool enabled) {
-    sim::Simulator sim;
-    sim::CpuTopology topo;
     LvrmConfig cfg;
     cfg.allocator = AllocatorKind::kFixed;
     cfg.granularity = BalancerGranularity::kFlow;
     cfg.state_replication.enabled = enabled;
-    LvrmSystem sys(sim, topo, cfg);
-    VrConfig vr;
-    vr.initial_vris = 4;
-    sys.add_vr(vr);
-    sys.start();
+    exp::LvrmRig rig(cfg, 4, 0);
     std::vector<std::tuple<std::uint64_t, std::uint16_t, int, Nanos>> out;
-    sys.set_egress([&out](net::FrameMeta&& f) {
+    rig.on_egress = [&out](const net::FrameMeta& f) {
       EXPECT_EQ(f.sprayed, 0);  // sub-threshold: the detector never fires
       out.emplace_back(f.id, f.src_port, f.dispatch_vri, f.gw_out_at);
-    });
+    };
     // 32 flows at ~10 Kfps each — below the 50%-of-a-core threshold.
     for (int i = 0; i < 3000; ++i) {
-      net::FrameMeta f;
-      f.id = static_cast<std::uint64_t>(i);
-      f.src_ip = net::ipv4(10, 1, 0, 1);
-      f.dst_ip = net::ipv4(10, 2, 0, 1);
-      f.src_port = static_cast<std::uint16_t>(1000 + i % 32);
-      f.dst_port = 9;
-      f.protocol = 17;
-      sim.at(usec(3) * i, [&sys, f] { sys.ingress(f); });
+      const net::FrameMeta f =
+          exp::port_frame(static_cast<std::uint16_t>(1000 + i % 32),
+                          static_cast<std::uint64_t>(i));
+      rig.sim.at(usec(3) * i, [&rig, f] { rig.ingress(f); });
     }
-    sim.run_all();
+    rig.sim.run_all();
     return out;
   };
   const auto off = run(false);
@@ -113,36 +102,26 @@ TEST(SystemReplication, OrderingHoldsAcrossShardCounts) {
 // --- stateful policy drops through the system -------------------------------------------
 
 TEST(SystemReplication, RateLimiterPolicyDropsAreAccounted) {
-  sim::Simulator sim;
-  sim::CpuTopology topo;
   LvrmConfig cfg;
   cfg.allocator = AllocatorKind::kFixed;
-  LvrmSystem sys(sim, topo, cfg);
   VrConfig vr;
   vr.kind = VrKind::kRateLimit;
   vr.rate_limit_fps = 100.0;  // tiny: the burst drains, then throttling
   vr.rate_limit_burst = 16.0;
   vr.initial_vris = 1;
-  sys.add_vr(vr);
-  sys.start();
-  std::uint64_t delivered = 0;
-  sys.set_egress([&](net::FrameMeta&&) { ++delivered; });
+  exp::LvrmRig rig(cfg, {vr});
   for (int i = 0; i < 200; ++i) {
-    net::FrameMeta f;
-    f.id = static_cast<std::uint64_t>(i);
-    f.src_ip = net::ipv4(10, 1, 0, 1);
-    f.dst_ip = net::ipv4(10, 2, 0, 1);
-    f.src_port = 4242;
-    f.dst_port = 9;
-    f.protocol = 17;
-    sim.at(usec(5) * i, [&sys, f] { sys.ingress(f); });
+    const net::FrameMeta f =
+        exp::port_frame(4242, static_cast<std::uint64_t>(i));
+    rig.sim.at(usec(5) * i, [&rig, f] { rig.ingress(f); });
   }
-  sim.run_all();
+  rig.sim.run_all();
   // ~16 burst tokens admit, the remaining frames are refused by policy —
   // and land in the dedicated counter, not no_route.
+  const std::uint64_t delivered = rig.delivered();
   EXPECT_GT(delivered, 0u);
   EXPECT_LT(delivered, 40u);
-  EXPECT_EQ(sys.vr_drops(0, DropCause::kVrPolicy), 200u - delivered);
+  EXPECT_EQ(rig.sys->vr_drops(0, DropCause::kVrPolicy), 200u - delivered);
 }
 
 // --- healthy-pool generation cache (the satellite fix) ----------------------------------

@@ -6,12 +6,14 @@
 
 #include <vector>
 
+#include "exp/rig.hpp"
 #include "lvrm/core_allocator.hpp"
-#include "rig.hpp"
 #include "sim/topology.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig sharded_cfg(int shards) {
   LvrmConfig cfg;
@@ -47,7 +49,7 @@ TEST(ShardedDispatch, RssSteeringUsesEveryShardAndPreservesAffinity) {
 
   // And the flow map is consistent at egress: one shard per flow, ever, in
   // order, with every frame accounted for.
-  EXPECT_TRUE(rig.holds());
+  EXPECT_EQ(rig.verdict(), "");
 }
 
 TEST(ShardedDispatch, ShardCoresSpreadAcrossSockets) {
@@ -80,7 +82,7 @@ TEST(ShardedDispatch, OrderingAndConservationSurviveCrashRespawn) {
   // The §11 invariants hold through the fault: no flow changed shard, no
   // flow's frames reordered, and every sent frame is delivered or counted
   // in a drop bucket.
-  EXPECT_TRUE(rig.holds());
+  EXPECT_EQ(rig.verdict(), "");
 }
 
 TEST(ShardedDispatch, PerShardMetricsAppearOnlyWhenSharded) {

@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "exp/rig.hpp"
 #include "obs/telemetry.hpp"
-#include "rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 LvrmConfig dynamic_cfg() {
   LvrmConfig cfg;

@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "exp/experiments.hpp"
+#include "exp/rig.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "rig.hpp"
 
 namespace lvrm {
 namespace {
+
+using namespace exp;
 
 namespace costs = sim::costs;
 
