@@ -19,15 +19,15 @@
 //
 // Emits BENCH_hotpath.json (flat key:number). With --baseline=FILE the run
 // compares its per-frame host overhead (normalized by a calibration spin
-// loop so the check is machine-independent) and the fabric_scaling_* ratio
+// loop so the check is machine-independent) and the fan-in speedup ratio
 // keys against the committed baseline. Every gate runs and prints its
 // verdict; the exit code is 1 if any failed (regression beyond --tolerance,
 // default 0.25, or an overhead gate below), 2 for an unreadable baseline.
 //
 //   telemetry: the same poll workload with the obs-layer hot-path touches
-//              (pre-registered counter adds + sampled histogram records) on
-//              vs off, interleaved; --check-telemetry-overhead=0.03 turns
-//              the measured fraction into a CI gate.
+//              (snapshot-cadence check, sample tick, sampled latency
+//              records) on vs off, interleaved; --check-telemetry-overhead=
+//              0.03 turns the measured fraction into a CI gate.
 //   tracing  : the §15 tracer. The interleaved micro loop isolates the
 //              per-frame add-on of the hot-path touches (flight-recorder
 //              store at every hop, pressure observation + adaptive sample
@@ -39,21 +39,18 @@
 //   tcp pipe : host ns per offered frame of a short Exp 4 run_tcp_trial
 //              (100 Reno flows, 2000-frame bottleneck trunks), the one
 //              section whose event heap runs deep. Additive and ungated.
-//   shards   : the DESIGN.md §11 sharded dispatch plane, end to end through
-//              LvrmSystem in *simulated* time (deterministic, unlike the
-//              host-ns sections): aggregate Kfps at 1 vs 2 dispatcher shards
-//              plus the affinity/ordering invariant counts.
-//   descriptor: the DESIGN.md §12 zero-copy data path. One ring hop moving
-//              the ~128-byte FrameMeta by value vs a 32-bit FrameHandle into
-//              a FramePool; the full dispatch->VRI->TX three-hop chain with
-//              acquire-at-ingress / release-at-TX; and 1 vs 2 interleaved
-//              shard chains sharing one pool.
 //   padding  : a REAL two-thread SpscRing transfer — the producer and
 //              consumer index blocks live on separate cache lines
 //              (alignas(kCacheLine)); this is the workload that collapses
 //              if that separation regresses (false sharing).
+//   flowtable: host ns per hit lookup, FlowTable vs FlowTableV2, and the
+//              v2 steady insert cost.
 //   fabric   : the §17 MPMC link, and the real-thread ingress fan-in of
 //              bench/fanin.hpp, SPSC mesh vs fabric, at three topologies.
+//
+// Every section times the host clock. The simulated outputs of Exp 5
+// (shards), Exp 6 (overload) and Exp 9 (ring inventory, stealing) are
+// pinned by the Golden.* ctests, not re-run here.
 //
 // Usage: bench_hotpath [--quick] [--out=BENCH_hotpath.json]
 //                      [--baseline=FILE] [--tolerance=0.25]
@@ -66,7 +63,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,12 +75,10 @@
 #include "net/flow.hpp"
 #include "net/flow_v2.hpp"
 #include "net/frame.hpp"
-#include "net/frame_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "queue/mc_ring.hpp"
 #include "queue/mpmc_link.hpp"
-#include "queue/shm_arena.hpp"
 #include "queue/spsc_ring.hpp"
 #include "sim/callback.hpp"
 #include "sim/costs.hpp"
@@ -438,243 +432,6 @@ double dispatch_ns(std::uint64_t frames) {
   return elapsed / static_cast<double>(frames);
 }
 
-// --- descriptor: copy-per-hop vs handle-passing (DESIGN.md §12) -----------------
-
-/// One IPC ring hop, pre-§12 representation: the whole FrameMeta crosses the
-/// ring by value (a slot write on push, a slot read on pop), 16-burst batch
-/// API as the hot path uses.
-double descriptor_hop_copy_ns(std::uint64_t frames) {
-  queue::SpscRing<net::FrameMeta> ring(64);
-  net::FrameMeta in_buf[16];
-  net::FrameMeta out_buf[16];
-  for (std::size_t i = 0; i < 16; ++i)
-    in_buf[i] = make_flow_frame(static_cast<std::uint32_t>(i) % 4, i);
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    ring.try_push_batch(in_buf, 16);
-    call_boundary();
-    ring.try_pop_batch(out_buf, 16);
-    call_boundary();
-    acc += out_buf[0].id + out_buf[15].id;
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return elapsed / static_cast<double>(frames);
-}
-
-/// The same hop in descriptor mode: the frames stay parked in FramePool
-/// slots and only 32-bit handles cross the ring; the consumer prefetches
-/// the burst's slots and reads through the handles (the pointer chase is
-/// part of the price, so it is measured).
-double descriptor_hop_handle_ns(std::uint64_t frames) {
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 32);
-  queue::SpscRing<net::FrameHandle> ring(64);
-  net::FrameHandle in_buf[16];
-  net::FrameHandle out_buf[16];
-  for (std::size_t i = 0; i < 16; ++i) {
-    in_buf[i] = pool.acquire();
-    pool.at(in_buf[i]) = make_flow_frame(static_cast<std::uint32_t>(i) % 4, i);
-  }
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    ring.try_push_batch(in_buf, 16);
-    call_boundary();
-    ring.try_pop_batch(out_buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) pool.prefetch(out_buf[i]);
-    acc += pool.at(out_buf[0]).id + pool.at(out_buf[15]).id;
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < 16; ++i) pool.release(in_buf[i]);
-  return elapsed / static_cast<double>(frames);
-}
-
-/// Sustained per-ring occupancy for the chain benches. The descriptor path
-/// exists for the loaded regime (DESIGN.md §12): under pressure the
-/// dispatch/data/TX rings run hundreds deep, so a copied slot is evicted
-/// from L1 long before its ring position is reused (384 slots x ~2 cache
-/// lines x 3 rings is far past 32 KiB), while 4-byte handles keep all three
-/// rings resident. A near-empty chain — every slot hot in L1 — is the copy
-/// representation's best case and measures nothing the flag changes.
-constexpr std::size_t kChainRingCap = 512;
-constexpr std::uint64_t kChainDepth = 384;
-
-/// Full dispatch->VRI->TX chain, copy mode: the frame is written once at
-/// ingress, then copied across three rings and read at TX completion. The
-/// rings are pre-filled to kChainDepth and the timed loop holds them there.
-double descriptor_chain_copy_mops(std::uint64_t frames) {
-  queue::SpscRing<net::FrameMeta> rx(kChainRingCap);
-  queue::SpscRing<net::FrameMeta> data(kChainRingCap);
-  queue::SpscRing<net::FrameMeta> tx(kChainRingCap);
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameMeta buf[16];
-  net::FrameMeta tmp[16];
-  std::uint64_t next_id = 0;
-  const auto fill16 = [&] {
-    for (std::size_t i = 0; i < 16; ++i) {  // RX writes the frame once
-      buf[i] = proto;
-      buf[i].id = next_id++;
-    }
-  };
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    tx.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    data.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    rx.try_push_batch(buf, 16);
-  }
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    tx.try_pop_batch(tmp, 16);  // TX completion: read + retire
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) acc += tmp[i].id;
-    data.try_pop_batch(tmp, 16);  // VRI: data-queue -> TX hop
-    call_boundary();
-    tx.try_push_batch(tmp, 16);
-    call_boundary();
-    rx.try_pop_batch(tmp, 16);  // LVRM dispatch: RX -> data hop
-    call_boundary();
-    data.try_push_batch(tmp, 16);
-    call_boundary();
-    fill16();  // RX ingress admits a fresh burst
-    rx.try_push_batch(buf, 16);
-    call_boundary();
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;  // Mops
-}
-
-/// The same chain in descriptor mode: allocate once at RX ingress (write the
-/// frame into its pool slot), pass the handle across all three rings at the
-/// same sustained kChainDepth occupancy, read and free once at TX
-/// completion — the §12 lifecycle end to end, pool acquire/release cost
-/// included.
-double descriptor_chain_handle_mops(std::uint64_t frames) {
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 3 * kChainDepth + 64);
-  queue::SpscRing<net::FrameHandle> rx(kChainRingCap);
-  queue::SpscRing<net::FrameHandle> data(kChainRingCap);
-  queue::SpscRing<net::FrameHandle> tx(kChainRingCap);
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameHandle buf[16];
-  net::FrameHandle tmp[16];
-  std::uint64_t next_id = 0;
-  const auto fill16 = [&] {
-    for (std::size_t i = 0; i < 16; ++i) {  // allocate + write once at RX
-      buf[i] = pool.acquire();
-      net::FrameMeta& m = pool.at(buf[i]);
-      m = proto;
-      m.id = next_id++;
-    }
-  };
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    tx.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    data.try_push_batch(buf, 16);
-  }
-  for (std::uint64_t d = 0; d < kChainDepth; d += 16) {
-    fill16();
-    rx.try_push_batch(buf, 16);
-  }
-  std::uint64_t acc = 0;
-  net::FrameHandle done_buf[16];
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames; done += 16) {
-    // Pop + prefetch the completed burst first, then run the other hops
-    // while those loads are in flight — the pop-prefetch-process-later
-    // shape of a burst-draining poll loop; a handle burst can be
-    // prefetched long before it is touched, a copy arrives only when the
-    // pop itself pays for the transfer.
-    tx.try_pop_batch(done_buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) pool.prefetch(done_buf[i]);
-    data.try_pop_batch(tmp, 16);
-    call_boundary();
-    tx.try_push_batch(tmp, 16);
-    call_boundary();
-    rx.try_pop_batch(tmp, 16);
-    call_boundary();
-    data.try_push_batch(tmp, 16);
-    call_boundary();
-    fill16();
-    rx.try_push_batch(buf, 16);
-    call_boundary();
-    for (std::size_t i = 0; i < 16; ++i) {  // read + free once at TX
-      acc += pool.at(done_buf[i]).id;
-      pool.release(done_buf[i]);
-    }
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;
-}
-
-/// `shards` interleaved handle chains sharing ONE pool, one chain per
-/// dispatcher shard. Single-threaded interleave, so this measures that the
-/// shared free list and pool bookkeeping do not drag down aggregate
-/// throughput as shards grow.
-double descriptor_e2e_mops(std::uint64_t frames, int shards) {
-  struct Chain {
-    queue::SpscRing<net::FrameHandle> rx{64};
-    queue::SpscRing<net::FrameHandle> data{64};
-    queue::SpscRing<net::FrameHandle> tx{64};
-  };
-  queue::ShmArena arena;
-  net::FramePool pool(arena, 64 * static_cast<std::size_t>(shards));
-  std::vector<std::unique_ptr<Chain>> chains;
-  for (int s = 0; s < shards; ++s) chains.push_back(std::make_unique<Chain>());
-  const net::FrameMeta proto = make_flow_frame(1, 0);
-  net::FrameHandle buf[16];
-  net::FrameHandle tmp[16];
-  std::uint64_t acc = 0;
-  const double t0 = now_ns();
-  for (std::uint64_t done = 0; done < frames;) {
-    for (int s = 0; s < shards && done < frames; ++s, done += 16) {
-      Chain& ch = *chains[static_cast<std::size_t>(s)];
-      for (std::size_t i = 0; i < 16; ++i) {
-        buf[i] = pool.acquire();
-        net::FrameMeta& m = pool.at(buf[i]);
-        m = proto;
-        m.id = done + i;
-      }
-      ch.rx.try_push_batch(buf, 16);
-      call_boundary();
-      ch.rx.try_pop_batch(tmp, 16);
-      call_boundary();
-      ch.data.try_push_batch(tmp, 16);
-      call_boundary();
-      ch.data.try_pop_batch(tmp, 16);
-      call_boundary();
-      ch.tx.try_push_batch(tmp, 16);
-      call_boundary();
-      ch.tx.try_pop_batch(tmp, 16);
-      call_boundary();
-      for (std::size_t i = 0; i < 16; ++i) pool.prefetch(tmp[i]);
-      for (std::size_t i = 0; i < 16; ++i) {
-        acc += pool.at(tmp[i]).id;
-        pool.release(tmp[i]);
-      }
-    }
-  }
-  const double elapsed = now_ns() - t0;
-  g_guard.fetch_add(acc, std::memory_order_relaxed);
-  return static_cast<double>(frames) * 1e3 / elapsed;
-}
-
 // --- padding: real two-thread SPSC transfer --------------------------------------
 
 /// Producer and consumer on separate host threads hammering one SpscRing.
@@ -845,24 +602,6 @@ int main(int argc, char** argv) {
   const double disp_frame =
       median_ns(reps, [&] { return dispatch_ns(kDispatchFrames); });
 
-  // Descriptor-passing data path (DESIGN.md §12): per-hop and end-to-end
-  // chain comparisons, copy vs handle representation. Best-of sampling:
-  // these keys feed speedup ratios, and a single noisy-low handle sample
-  // against a noisy-high copy sample would misreport the representation
-  // difference the section exists to measure.
-  const double desc_hop_copy = best_min(
-      reps, [&] { return descriptor_hop_copy_ns(kRingItems); });
-  const double desc_hop_handle = best_min(
-      reps, [&] { return descriptor_hop_handle_ns(kRingItems); });
-  const double desc_chain_copy = best_max(
-      reps, [&] { return descriptor_chain_copy_mops(kRingItems); });
-  const double desc_chain_handle = best_max(
-      reps, [&] { return descriptor_chain_handle_mops(kRingItems); });
-  const double desc_e2e_1 =
-      best_max(reps, [&] { return descriptor_e2e_mops(kRingItems, 1); });
-  const double desc_e2e_2 =
-      best_max(reps, [&] { return descriptor_e2e_mops(kRingItems, 2); });
-
   // Two-thread false-sharing sentinel for the alignas(kCacheLine) ring
   // index separation.
   const std::uint64_t kPadItems = quick ? 500'000 : 2'000'000;
@@ -870,8 +609,8 @@ int main(int argc, char** argv) {
       best_max(reps, [&] { return ring_padding_mops(kPadItems); });
 
   // Telemetry overhead: interleave off/on runs so machine-speed drift hits
-  // both sides of each pair equally, then take the median of the per-pair
-  // ratios. This is the <3% CI gate (--check-telemetry-overhead).
+  // both sides equally, then compare each side's minimum (below). This is
+  // the <3% CI gate (--check-telemetry-overhead).
   std::vector<double> tel_off_samples, tel_on_samples;
   {
     obs::Telemetry tel;
@@ -981,46 +720,6 @@ int main(int argc, char** argv) {
   const double trace_addon = trace_on - trace_off;
   const double trace_overhead = trace_addon / pipeline_frame;
 
-  // Sharded dispatch plane (simulated time, so a single run is exact). The
-  // keys are additive: the baseline reader only looks up specific names, so
-  // older BENCH_hotpath.json files stay valid.
-  auto shard_trial = [&](int shards) {
-    lvrm::exp::ShardScalingOptions opt;
-    opt.shards = shards;
-    if (quick) {
-      opt.warmup = msec(5);
-      opt.measure = msec(20);
-    }
-    return lvrm::exp::run_shard_scaling_trial(opt);
-  };
-  const auto shard1 = shard_trial(1);
-  const auto shard2 = shard_trial(2);
-  const double shard_speedup =
-      shard1.delivered_fps > 0.0 ? shard2.delivered_fps / shard1.delivered_fps
-                                 : 0.0;
-  const auto shard_violations =
-      shard1.affinity_violations + shard1.ordering_violations +
-      shard2.affinity_violations + shard2.ordering_violations;
-
-  // Graceful-degradation snapshot (simulated time; Exp 6 in miniature): one
-  // 2x flash-crowd trial with the ladder on, and one with a mid-flash
-  // reset-free VRI drain. Additive keys, same contract as the shard block.
-  auto overload_trial = [&](bool decommission) {
-    lvrm::exp::OverloadTrialOptions opt;
-    opt.decommission = decommission;
-    if (quick) {
-      opt.warmup = msec(5);
-      opt.measure = msec(30);
-    }
-    return lvrm::exp::run_overload_trial(opt);
-  };
-  const auto over = overload_trial(false);
-  const auto drain = overload_trial(true);
-  const double over_delivered_frac =
-      over.offered ? static_cast<double>(over.delivered) /
-                         static_cast<double>(over.offered)
-                   : 0.0;
-
   // Flow-table generations (DESIGN.md §14, Exp 7 in miniature): host ns per
   // hit lookup on the classic linear-probe table vs the v2 bucketed-cuckoo
   // table at a fixed resident-flow count, plus the v2 steady insert cost
@@ -1088,22 +787,9 @@ int main(int argc, char** argv) {
   const double mpmc_4p4c = best_max(
       reps, [&] { return mpmc_threaded_mops(4, 4, kMtItems / 2, 1024); });
 
-  // Fabric fan-out scaling: ring inventory (from the sim accessors via a
-  // short trial at each topology) and aggregate real-thread fan-in rate,
-  // mesh vs fabric, at the ISSUE's three corner topologies. The speedup and
-  // reduction keys are ratios — machine-independent — and are the ones the
-  // baseline gate watches.
-  auto fabric_rings = [&](int shards, int vris) {
-    lvrm::exp::FabricTrialOptions fopt;
-    fopt.shards = shards;
-    fopt.vris = vris;
-    fopt.warmup = msec(2);
-    fopt.measure = msec(5);
-    return lvrm::exp::run_fabric_trial(fopt);
-  };
-  const auto fab_4x8 = fabric_rings(4, 8);
-  const auto fab_8x16 = fabric_rings(8, 16);
-  const auto fab_16x32 = fabric_rings(16, 32);
+  // Fabric fan-in: aggregate real-thread ingress rate, mesh vs fabric, at
+  // three shards x VRIs topologies. The speedup keys are ratios —
+  // machine-independent — and are the ones the baseline gate watches.
   const std::uint64_t kPerVriItems = quick ? 24'000 : 96'000;
   // Mesh and fabric runs alternate, and the reps cycle through the three
   // topologies, so a burst of host noise lands on both sides of several
@@ -1133,29 +819,6 @@ int main(int argc, char** argv) {
   const double fanin_mesh_16x32 = fanin[2].mesh_mops;
   const double fanin_fab_16x32 = fanin[2].fab_mops;
 
-  // Steal hit-rate: fraction of delivered frames an idle VRI stole under the
-  // skewed-frame workload (one slowed VRI, stealing on).
-  lvrm::exp::FabricTrialOptions steal_opt;
-  steal_opt.shards = 2;
-  steal_opt.vris = 4;
-  steal_opt.stealing = true;
-  steal_opt.workload = lvrm::exp::FabricTrialOptions::Workload::kSkewFrame;
-  steal_opt.warmup = msec(5);
-  steal_opt.measure = quick ? msec(30) : msec(100);
-  const auto steal_trial = lvrm::exp::run_fabric_trial(steal_opt);
-  const double steal_delivered =
-      steal_trial.delivered_fps *
-      (static_cast<double>(steal_opt.measure) / 1e9);
-  const double steal_hitrate =
-      steal_delivered > 0.0
-          ? static_cast<double>(steal_trial.vri_steal_frames) /
-                steal_delivered
-          : 0.0;
-
-  // The guarded regression metric: host ns of simulator+server machinery per
-  // frame on the classic (default-config) path.
-  const double per_frame_host = poll_item;
-
   std::ofstream out(out_path);
   out.precision(4);
   out << std::fixed;
@@ -1171,32 +834,7 @@ int main(int argc, char** argv) {
       << "  \"ring_mc_batch_speedup\": " << mc_batch / mc_single << ",\n"
       << "  \"poll_per_item_host_ns\": " << poll_item << ",\n"
       << "  \"dispatch_per_frame_ns\": " << disp_frame << ",\n"
-      << "  \"descriptor_hop_copy_ns\": " << desc_hop_copy << ",\n"
-      << "  \"descriptor_hop_handle_ns\": " << desc_hop_handle << ",\n"
-      << "  \"descriptor_hop_speedup\": " << desc_hop_copy / desc_hop_handle
-      << ",\n"
-      << "  \"descriptor_chain_copy_mops\": " << desc_chain_copy << ",\n"
-      << "  \"descriptor_chain_handle_mops\": " << desc_chain_handle << ",\n"
-      << "  \"descriptor_chain_speedup\": "
-      << desc_chain_handle / desc_chain_copy << ",\n"
-      << "  \"descriptor_e2e_1shard_mops\": " << desc_e2e_1 << ",\n"
-      << "  \"descriptor_e2e_2shard_mops\": " << desc_e2e_2 << ",\n"
       << "  \"ring_padding_mops\": " << pad_mops << ",\n"
-      << "  \"shard_scaling_1_kfps\": " << shard1.delivered_fps / 1e3 << ",\n"
-      << "  \"shard_scaling_2_kfps\": " << shard2.delivered_fps / 1e3 << ",\n"
-      << "  \"shard_scaling_speedup_2\": " << shard_speedup << ",\n"
-      << "  \"shard_scaling_violations\": "
-      << static_cast<double>(shard_violations) << ",\n"
-      << "  \"overload_delivered_frac\": " << over_delivered_frac << ",\n"
-      << "  \"overload_estimate_err\": " << over.estimate_error << ",\n"
-      << "  \"overload_peak_level\": "
-      << static_cast<double>(over.peak_level) << ",\n"
-      << "  \"overload_order_violations\": "
-      << static_cast<double>(over.ordering_violations +
-                             drain.ordering_violations)
-      << ",\n"
-      << "  \"overload_drain_migrated\": "
-      << static_cast<double>(drain.drain_migrated) << ",\n"
       << "  \"flowtable_v1_lookup_ns\": " << ft_v1_lookup << ",\n"
       << "  \"flowtable_v2_lookup_ns\": " << ft_v2_lookup << ",\n"
       << "  \"flowtable_lookup_speedup\": " << ft_v1_lookup / ft_v2_lookup
@@ -1208,22 +846,6 @@ int main(int argc, char** argv) {
       << "  \"mpmc_batch_speedup\": " << mpmc_batch / mpmc_single << ",\n"
       << "  \"mpmc_mt_2p2c_mops\": " << mpmc_2p2c << ",\n"
       << "  \"mpmc_mt_4p4c_mops\": " << mpmc_4p4c << ",\n"
-      << "  \"fabric_scaling_rings_mesh_4x8\": "
-      << static_cast<double>(fab_4x8.mesh_rings) << ",\n"
-      << "  \"fabric_scaling_rings_fabric_4x8\": "
-      << static_cast<double>(fab_4x8.fabric_rings) << ",\n"
-      << "  \"fabric_scaling_rings_mesh_8x16\": "
-      << static_cast<double>(fab_8x16.mesh_rings) << ",\n"
-      << "  \"fabric_scaling_rings_fabric_8x16\": "
-      << static_cast<double>(fab_8x16.fabric_rings) << ",\n"
-      << "  \"fabric_scaling_rings_mesh_16x32\": "
-      << static_cast<double>(fab_16x32.mesh_rings) << ",\n"
-      << "  \"fabric_scaling_rings_fabric_16x32\": "
-      << static_cast<double>(fab_16x32.fabric_rings) << ",\n"
-      << "  \"fabric_scaling_ring_reduction_8x16\": "
-      << static_cast<double>(fab_8x16.mesh_rings) /
-             static_cast<double>(fab_8x16.fabric_rings)
-      << ",\n"
       << "  \"fabric_scaling_mesh_mops_4x8\": " << fanin_mesh_4x8 << ",\n"
       << "  \"fabric_scaling_fabric_mops_4x8\": " << fanin_fab_4x8 << ",\n"
       << "  \"fabric_scaling_agg_speedup_4x8\": "
@@ -1237,7 +859,6 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"fabric_scaling_agg_speedup_16x32\": "
       << fanin_fab_16x32 / fanin_mesh_16x32 << ",\n"
-      << "  \"fabric_scaling_steal_hitrate\": " << steal_hitrate << ",\n"
       << "  \"poll_telemetry_off_ns\": " << tel_off << ",\n"
       << "  \"poll_telemetry_on_ns\": " << tel_on << ",\n"
       << "  \"telemetry_overhead_frac\": " << tel_overhead << ",\n"
@@ -1247,7 +868,6 @@ int main(int argc, char** argv) {
       << "  \"pipeline_frame_ns\": " << pipeline_frame << ",\n"
       << "  \"pipeline_tcp_frame_ns\": " << pipeline_tcp_frame << ",\n"
       << "  \"trace_overhead_frac\": " << trace_overhead << ",\n"
-      << "  \"per_frame_host_overhead_ns\": " << per_frame_host << ",\n"
       << "  \"per_frame_host_ratio\": " << std::scientific << host_ratio
       << std::fixed << ",\n"
       << "  \"kernel_event_ns\": " << kernel_event << ",\n"
@@ -1266,13 +886,6 @@ int main(int argc, char** argv) {
   std::printf("  kernel event / rearm  : %.1f / %.1f host ns/event\n",
               kernel_event, kernel_rearm);
   std::printf("  dispatch per frame    : %.1f ns\n", disp_frame);
-  std::printf("  desc hop copy/handle  : %.1f / %.1f ns (%.2fx)\n",
-              desc_hop_copy, desc_hop_handle, desc_hop_copy / desc_hop_handle);
-  std::printf("  desc chain copy/handle: %.1f / %.1f Mops (%.2fx)\n",
-              desc_chain_copy, desc_chain_handle,
-              desc_chain_handle / desc_chain_copy);
-  std::printf("  desc e2e 1/2 shards   : %.1f / %.1f Mops\n", desc_e2e_1,
-              desc_e2e_2);
   std::printf("  ring padding 2-thread : %.1f Mops\n", pad_mops);
   std::printf("  MpmcLink classic      : %.1f Mops\n", mpmc_classic);
   std::printf("  MpmcLink batch 1/16   : %.1f / %.1f Mops (%.2fx)\n",
@@ -1280,19 +893,8 @@ int main(int argc, char** argv) {
   std::printf("  MpmcLink 2p2c / 4p4c  : %.1f / %.1f Mops\n", mpmc_2p2c,
               mpmc_4p4c);
   std::printf(
-      "  fabric rings 4x8/8x16/16x32 : %llu/%llu, %llu/%llu, %llu/%llu "
-      "(mesh/fabric)\n",
-      static_cast<unsigned long long>(fab_4x8.mesh_rings),
-      static_cast<unsigned long long>(fab_4x8.fabric_rings),
-      static_cast<unsigned long long>(fab_8x16.mesh_rings),
-      static_cast<unsigned long long>(fab_8x16.fabric_rings),
-      static_cast<unsigned long long>(fab_16x32.mesh_rings),
-      static_cast<unsigned long long>(fab_16x32.fabric_rings));
-  std::printf(
       "  fabric fan-in 8x16    : mesh %.1f vs fabric %.1f Mops (%.2fx)\n",
       fanin_mesh_8x16, fanin_fab_8x16, fanin_fab_8x16 / fanin_mesh_8x16);
-  std::printf("  steal hit-rate (sim)  : %.3f of delivered frames\n",
-              steal_hitrate);
   std::printf(
       "  flowtable v1/v2 hit   : %.1f / %.1f ns (%.2fx) at %zu flows; v2 "
       "insert %.1f ns\n",
@@ -1306,20 +908,6 @@ int main(int argc, char** argv) {
               trace_addon, pipeline_frame, 100.0 * trace_overhead);
   std::printf("  tcp pipeline (Exp 4)  : %.1f host ns/offered frame\n",
               pipeline_tcp_frame);
-  std::printf(
-      "  shards 1->2 (sim)     : %.1f -> %.1f Kfps (%.2fx), %llu violations\n",
-      shard1.delivered_fps / 1e3, shard2.delivered_fps / 1e3, shard_speedup,
-      static_cast<unsigned long long>(shard_violations));
-  std::printf(
-      "  overload 2x (sim)     : %.1f%% delivered, est err %.2f%%, peak "
-      "level %d\n",
-      100.0 * over_delivered_frac, 100.0 * over.estimate_error,
-      over.peak_level);
-  std::printf(
-      "  reset-free drain (sim): %llu migrated, %llu order viol\n",
-      static_cast<unsigned long long>(drain.drain_migrated),
-      static_cast<unsigned long long>(over.ordering_violations +
-                                      drain.ordering_violations));
   std::printf("  wrote %s\n", out_path.c_str());
 
   // Every gate runs and prints its verdict, so one failing key cannot hide
@@ -1353,20 +941,12 @@ int main(int argc, char** argv) {
     const auto base = read_flat_json(baseline);
     // Normalize by the calibration loop so the check compares *relative*
     // overhead, not absolute speed of whatever machine CI landed on.
-    double base_ratio = 0.0;
-    if (const auto it = base.find("per_frame_host_ratio");
-        it != base.end() && it->second > 0.0) {
-      base_ratio = it->second;
-    } else {
-      const auto it_over = base.find("per_frame_host_overhead_ns");
-      const auto it_calib = base.find("calib_ns");
-      if (it_over == base.end() || it_calib == base.end() ||
-          it_calib->second <= 0.0) {
-        std::printf("  baseline %s unreadable: FAIL\n", baseline.c_str());
-        return 2;
-      }
-      base_ratio = it_over->second / it_calib->second;
+    const auto it_ratio = base.find("per_frame_host_ratio");
+    if (it_ratio == base.end() || it_ratio->second <= 0.0) {
+      std::printf("  baseline %s unreadable: FAIL\n", baseline.c_str());
+      return 2;
     }
+    const double base_ratio = it_ratio->second;
     const double now_ratio = host_ratio;
     std::printf(
         "  regression check      : now %.3e vs baseline %.3e "
@@ -1379,14 +959,11 @@ int main(int argc, char** argv) {
       std::printf("  within tolerance: OK\n");
     }
 
-    // Fabric-scaling gate: only the RATIO keys (speedup / reduction) are
-    // compared — they divide out machine speed, unlike the raw mops keys.
-    // A current ratio more than `tolerance` below the committed baseline's
-    // fails. Baselines that predate these keys skip silently.
+    // Fabric-scaling gate: only the fan-in speedup RATIO keys are compared
+    // — they divide out machine speed, unlike the raw mops keys. A current
+    // ratio more than `tolerance` below the committed baseline's fails.
+    // Baselines that predate these keys skip silently.
     const std::map<std::string, double> fabric_now = {
-        {"fabric_scaling_ring_reduction_8x16",
-         static_cast<double>(fab_8x16.mesh_rings) /
-             static_cast<double>(fab_8x16.fabric_rings)},
         {"fabric_scaling_agg_speedup_4x8", fanin_fab_4x8 / fanin_mesh_4x8},
         {"fabric_scaling_agg_speedup_8x16", fanin_fab_8x16 / fanin_mesh_8x16},
         {"fabric_scaling_agg_speedup_16x32",

@@ -3,10 +3,10 @@
 // A bounded overwrite-oldest ring of compact fixed-size TraceRecords, one
 // ring per dispatcher shard, written for EVERY frame at every pipeline hop
 // (RX ingress, dispatch, VRI service start/end, TX drain, every drop exit).
-// It is the black box: nothing is exported in steady state, but when the
-// health monitor quarantines a VRI, the degradation ladder reaches
-// admission, or the frame pool exhausts, the ring is snapshotted into a
-// FlightDump — "the last few milliseconds before the incident".
+// It is the black box: nothing is exported in steady state, but when a VRI
+// crashes, the health monitor quarantines one, or the degradation ladder
+// reaches admission, the ring is snapshotted into a FlightDump — "the last
+// few milliseconds before the incident".
 //
 // The record is <= 32 bytes (static_asserted) so a 4096-slot ring is one
 // 128 KiB array per shard and a record() is a single struct store plus a

@@ -25,7 +25,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/ring_stats.hpp"   // header-only; no link dependency
 #include "queue/spsc_ring.hpp"  // kCacheLine
 
 namespace lvrm::queue {
@@ -45,26 +44,17 @@ class McRingBuffer {
   McRingBuffer(const McRingBuffer&) = delete;
   McRingBuffer& operator=(const McRingBuffer&) = delete;
 
-  /// Attaches an optional telemetry block (DESIGN.md §10). Must be called
-  /// before the endpoints start; unattached rings pay one predicted-
-  /// not-taken branch per operation and touch no extra cache line.
-  void attach_stats(obs::RingStats* stats) { stats_ = stats; }
-
   bool try_push(T value) {
     // Check against the private snapshot first; refresh it from the shared
     // head only when the snapshot says "full" (one expensive read amortized
     // over many pushes).
     if (prod_.local_tail - prod_.head_snapshot >= capacity_) {
       prod_.head_snapshot = head_.value.load(std::memory_order_acquire);
-      if (prod_.local_tail - prod_.head_snapshot >= capacity_) {
-        if (stats_) stats_->on_push_fail(1);
-        return false;
-      }
+      if (prod_.local_tail - prod_.head_snapshot >= capacity_) return false;
     }
     slots_[prod_.local_tail & mask_] = std::move(value);
     ++prod_.local_tail;
     if (prod_.local_tail - prod_.published_tail >= batch_) publish_tail();
-    if (stats_) stats_->on_push(1);
     return true;
   }
 
@@ -74,10 +64,8 @@ class McRingBuffer {
       if (cons_.local_head == cons_.tail_snapshot) return std::nullopt;
     }
     T value = std::move(slots_[cons_.local_head & mask_]);
-    const std::uint64_t depth = cons_.tail_snapshot - cons_.local_head;
     ++cons_.local_head;
     if (cons_.local_head - cons_.published_head >= batch_) publish_head();
-    if (stats_) stats_->on_pop(1, depth);
     return value;
   }
 
@@ -97,10 +85,6 @@ class McRingBuffer {
       slots_[(prod_.local_tail + i) & mask_] = std::move(items[i]);
     prod_.local_tail += k;
     if (k > 0) publish_tail();
-    if (stats_) {
-      if (k > 0) stats_->on_push(k);
-      if (k < n) stats_->on_push_fail(n - k);
-    }
     return k;
   }
 
@@ -119,7 +103,6 @@ class McRingBuffer {
       out[i] = std::move(slots_[(cons_.local_head + i) & mask_]);
     cons_.local_head += k;
     if (k > 0) publish_head();
-    if (stats_ && k > 0) stats_->on_pop(k, avail);
     return k;
   }
 
@@ -171,7 +154,6 @@ class McRingBuffer {
   std::size_t mask_ = 0;
   std::size_t batch_ = 1;
   std::unique_ptr<T[]> slots_;
-  obs::RingStats* stats_ = nullptr;  // optional; set before use, then const
 
   SharedIndex head_;  // consumer-owned
   SharedIndex tail_;  // producer-owned

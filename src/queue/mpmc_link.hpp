@@ -2,9 +2,9 @@
 //
 // The IPC fabric's virtual link (DESIGN.md §17): where the SPSC mesh needs
 // O(shards × VRIs) rings, one MpmcLink per VRI (ingress) or per home shard
-// (TX drain) carries 32-bit FrameHandles from *all* producers to *any*
-// consumer, which is what makes idle-VRI stealing possible at all. The
-// design follows the Virtual-Link / rte_ring family:
+// (TX drain) carries frames from *all* producers to *any* consumer, which
+// is what makes idle-VRI stealing possible at all. The design follows the
+// Virtual-Link / rte_ring family:
 //
 //   * Two counters per side, each on its own cache line: a CLAIM counter
 //     producers (consumers) race on with CAS, and a PUBLISH counter that
@@ -25,10 +25,7 @@
 // wait-free-bounded in practice though not formally lock-free.
 //
 // API mirrors SpscRing (try_push/try_pop, try_push_batch/try_pop_batch,
-// size_approx, capacity, attach_stats) so call sites and benches can swap
-// the families. attach_stats itself (installing the pointer) must happen
-// before any concurrent use; the RingStats counters are relaxed atomics and
-// safe to bump from any endpoint thereafter.
+// size_approx, capacity) so call sites and benches can swap the families.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +36,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/ring_stats.hpp"  // header-only; no link dependency
 #include "queue/spsc_ring.hpp"  // kCacheLine
 
 namespace lvrm::queue {
@@ -59,10 +55,6 @@ class MpmcLink {
   MpmcLink(const MpmcLink&) = delete;
   MpmcLink& operator=(const MpmcLink&) = delete;
 
-  /// Optional telemetry block (DESIGN.md §10). Single-threaded harnesses
-  /// only — see the header comment.
-  void attach_stats(obs::RingStats* stats) { stats_ = stats; }
-
   /// Any-producer push of up to `n` items in FIFO order (moved-from on
   /// success). Returns how many were accepted — fewer than `n` iff the link
   /// filled up. One CAS to claim the run, parallel slot fills, and exactly
@@ -76,10 +68,7 @@ class MpmcLink {
           cons_.pub.load(std::memory_order_acquire);
       const std::uint64_t free = capacity_ - (claim - consumed);
       k = static_cast<std::size_t>(std::min<std::uint64_t>(n, free));
-      if (k == 0) {
-        if (stats_) stats_->on_push_fail(n);
-        return 0;
-      }
+      if (k == 0) return 0;
       if (prod_.claim.compare_exchange_weak(claim, claim + k,
                                             std::memory_order_relaxed,
                                             std::memory_order_relaxed)) {
@@ -91,13 +80,11 @@ class MpmcLink {
     for (std::size_t i = 0; i < k; ++i)
       slots_[(start + i) & mask_] = std::move(items[i]);
     // In-order publication: wait for every earlier claimant's single store,
-    // then publish this burst with one release store.
-    while (prod_.pub.load(std::memory_order_relaxed) != start) spin_pause();
+    // then publish this burst with one release store. The wait must acquire:
+    // a consumer that acquires this store reads the earlier claimants' slots
+    // too, and only this acquire orders their fills before our store.
+    while (prod_.pub.load(std::memory_order_acquire) != start) spin_pause();
     prod_.pub.store(start + k, std::memory_order_release);
-    if (stats_) {
-      stats_->on_push(k);
-      if (k < n) stats_->on_push_fail(n - k);
-    }
     return k;
   }
 
@@ -127,10 +114,10 @@ class MpmcLink {
     for (std::size_t i = 0; i < k; ++i)
       out[i] = std::move(slots_[(start + i) & mask_]);
     // Retire in claim order so a producer never overwrites a slot a slower
-    // consumer is still reading.
-    while (cons_.pub.load(std::memory_order_relaxed) != start) spin_pause();
+    // consumer is still reading; the wait acquires for the same reason as
+    // the producer's.
+    while (cons_.pub.load(std::memory_order_acquire) != start) spin_pause();
     cons_.pub.store(start + k, std::memory_order_release);
-    if (stats_) stats_->on_pop(k, avail_hint(start));
     return k;
   }
 
@@ -161,11 +148,6 @@ class MpmcLink {
 #endif
   }
 
-  std::size_t avail_hint(std::uint64_t start) const {
-    return static_cast<std::size_t>(
-        prod_.pub.load(std::memory_order_relaxed) - start);
-  }
-
   // Each counter owns a full cache line: producers ping-pong the producer
   // pair among themselves and consumers the consumer pair, but neither side
   // drags the other's lines around on its fast path (claim CAS + fill).
@@ -180,10 +162,9 @@ class MpmcLink {
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::unique_ptr<T[]> slots_;
-  obs::RingStats* stats_ = nullptr;  // optional; single-threaded use only
 
   Side prod_;
-  mutable Side cons_;
+  Side cons_;
 };
 
 }  // namespace lvrm::queue

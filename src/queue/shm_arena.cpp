@@ -4,21 +4,15 @@ namespace lvrm::queue {
 
 SegmentId ShmArena::create(std::size_t bytes) {
   const SegmentId id = next_id_++;
-  segments_.emplace(id, std::vector<std::uint8_t>(bytes, 0));
+  segments_.emplace(id, bytes);
   total_bytes_ += bytes;
   return id;
-}
-
-std::span<std::uint8_t> ShmArena::attach(SegmentId id) {
-  const auto it = segments_.find(id);
-  if (it == segments_.end()) return {};
-  return std::span<std::uint8_t>(it->second);
 }
 
 void ShmArena::destroy(SegmentId id) {
   const auto it = segments_.find(id);
   if (it == segments_.end()) return;
-  total_bytes_ -= it->second.size();
+  total_bytes_ -= it->second;
   segments_.erase(it);
 }
 

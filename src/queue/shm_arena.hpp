@@ -1,20 +1,17 @@
-// shm_arena.hpp — simulated System-V shared memory segments.
+// shm_arena.hpp — simulated System-V shared memory segment ids.
 //
 // The real LVRM allocates one shared memory segment per IPC queue via
 // shmget() and hands the identifier to each VRI through its main() arguments
-// (Sec 3.8). Inside this repository LVRM and the VRIs share an address space,
-// so ShmArena reproduces the *protocol* — integer identifiers resolved to
-// byte regions, explicit attach/detach, failure on unknown ids — without the
-// kernel: the LVRM adapter is still initialized from a segment id exactly as
-// the thesis describes.
+// (Sec 3.8). Inside this repository LVRM and the VRIs share an address space
+// and every simulated queue carries its frames itself, so ShmArena keeps
+// only the bookkeeping of that protocol — integer identifiers and the size
+// each one reserves, released by destroy() — which is what LvrmSystem's
+// segment count and arena-byte audit read. No adapter or queue is
+// initialized from a segment id, and no segment memory is allocated.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
 namespace lvrm::queue {
 
@@ -23,11 +20,8 @@ inline constexpr SegmentId kInvalidSegment = -1;
 
 class ShmArena {
  public:
-  /// shmget() analogue: allocates a zeroed segment, returns its id.
+  /// shmget() analogue: reserves a segment of `bytes`, returns its id.
   SegmentId create(std::size_t bytes);
-
-  /// shmat() analogue: resolves an id to its memory; empty span on failure.
-  std::span<std::uint8_t> attach(SegmentId id);
 
   /// shmctl(IPC_RMID) analogue; destroying an unknown id is a no-op.
   void destroy(SegmentId id);
@@ -36,7 +30,7 @@ class ShmArena {
   std::size_t total_bytes() const { return total_bytes_; }
 
  private:
-  std::unordered_map<SegmentId, std::vector<std::uint8_t>> segments_;
+  std::unordered_map<SegmentId, std::size_t> segments_;  // id -> bytes
   SegmentId next_id_ = 1000;  // arbitrary non-zero base, like real shm ids
   std::size_t total_bytes_ = 0;
 };

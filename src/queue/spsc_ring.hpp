@@ -33,8 +33,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/ring_stats.hpp"  // header-only; no link dependency
-
 namespace lvrm::queue {
 
 // Destructive-interference granularity. Pinned to 64 rather than taken from
@@ -61,25 +59,16 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Attaches an optional telemetry block (DESIGN.md §10). Must be called
-  /// before the endpoints start; unattached rings pay one predicted-
-  /// not-taken branch per operation and touch no extra cache line.
-  void attach_stats(obs::RingStats* stats) { stats_ = stats; }
-
   /// Producer side. Returns false when the ring is full. Reads the shared
   /// head only when the cached copy says the ring is apparently full.
   bool try_push(T value) {
     const std::uint64_t tail = prod_.tail.load(std::memory_order_relaxed);
     if (tail - prod_.head_cache >= capacity_) {
       prod_.head_cache = cons_.head.load(std::memory_order_acquire);
-      if (tail - prod_.head_cache >= capacity_) {
-        if (stats_) stats_->on_push_fail(1);
-        return false;
-      }
+      if (tail - prod_.head_cache >= capacity_) return false;
     }
     slots_[tail & mask_] = std::move(value);
     prod_.tail.store(tail + 1, std::memory_order_release);
-    if (stats_) stats_->on_push(1);
     return true;
   }
 
@@ -102,10 +91,6 @@ class SpscRing {
     for (std::size_t i = 0; i < k; ++i)
       slots_[(tail + i) & mask_] = std::move(items[i]);
     if (k > 0) prod_.tail.store(tail + k, std::memory_order_release);
-    if (stats_) {
-      if (k > 0) stats_->on_push(k);
-      if (k < n) stats_->on_push_fail(n - k);
-    }
     return k;
   }
 
@@ -119,7 +104,6 @@ class SpscRing {
     }
     T value = std::move(slots_[head & mask_]);
     cons_.head.store(head + 1, std::memory_order_release);
-    if (stats_) stats_->on_pop(1, cons_.tail_cache - head);
     return value;
   }
 
@@ -139,20 +123,7 @@ class SpscRing {
     for (std::size_t i = 0; i < k; ++i)
       out[i] = std::move(slots_[(head + i) & mask_]);
     if (k > 0) cons_.head.store(head + k, std::memory_order_release);
-    if (stats_ && k > 0) stats_->on_pop(k, avail);
     return k;
-  }
-
-  /// Consumer-side peek without consuming; nullptr when empty. The returned
-  /// pointer is valid until the next try_pop/try_pop_batch on this ring
-  /// (a batch pop advances the head past the peeked slot).
-  const T* peek() const {
-    const std::uint64_t head = cons_.head.load(std::memory_order_relaxed);
-    if (head == cons_.tail_cache) {
-      cons_.tail_cache = prod_.tail.load(std::memory_order_acquire);
-      if (head == cons_.tail_cache) return nullptr;
-    }
-    return &slots_[head & mask_];
   }
 
   /// Approximate occupancy. May be called from the CONSUMER endpoint only
@@ -175,8 +146,6 @@ class SpscRing {
   // Owner-grouped index blocks: each endpoint's shared index and its private
   // cache of the peer's index share one line, padded to a full line so the
   // two endpoints never false-share (cache-line hygiene, DESIGN.md §12).
-  // The consumer block is mutable so the logically-const peek() can refresh
-  // the cache; single-consumer, so the mutation is unshared.
   struct alignas(kCacheLine) ConsumerSide {
     std::atomic<std::uint64_t> head{0};
     std::uint64_t tail_cache = 0;
@@ -195,9 +164,8 @@ class SpscRing {
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::unique_ptr<T[]> slots_;
-  obs::RingStats* stats_ = nullptr;  // optional; set before use, then const
 
-  mutable ConsumerSide cons_;
+  ConsumerSide cons_;
   ProducerSide prod_;
 };
 

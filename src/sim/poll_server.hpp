@@ -125,10 +125,6 @@ class PollServer {
   std::uint64_t served() const { return served_; }
   bool busy() const { return serving_; }
 
-  /// One-shot extra cost added to the next served item (used for e.g. a core
-  /// allocation pass that preempts the LVRM loop).
-  void add_oneshot_cost(Nanos cost) { oneshot_cost_ += cost; }
-
   /// Repairs a stale-HIGH non-empty hint after an EXTERNAL pop (a steal,
   /// recovery drain, or shed) emptied the queue behind the scheduler's
   /// back. Without this, a hot input's set hint makes every pick_input
@@ -173,9 +169,7 @@ class PollServer {
     }
     Input& in = inputs_[idx];
     in_service_ = in.queue->pop();
-    Nanos cost = in.cost ? in.cost(*in_service_) : 0;
-    cost += oneshot_cost_;
-    oneshot_cost_ = 0;
+    const Nanos cost = in.cost ? in.cost(*in_service_) : 0;
     serving_ = true;
     in_service_input_ = &in;
     core_->run(cost, in.category, owner_, [this] { complete_one(); });
@@ -309,7 +303,6 @@ class PollServer {
   std::size_t current_input_ = kNoInput;
   bool running_ = false;
   bool serving_ = false;
-  Nanos oneshot_cost_ = 0;
   std::uint64_t served_ = 0;
   // Zero-alloc serving state: the in-service item is parked in
   // `in_service_`, so serving performs no heap allocation.

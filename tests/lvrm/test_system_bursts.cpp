@@ -41,7 +41,7 @@ void send(LvrmRig& rig, int n, std::uint16_t ports, Nanos gap, int burst,
   }
 }
 
-TEST(SystemBatched, ConservesFramesUnderBurstyLoad) {
+TEST(SystemBursts, ConservesFramesUnderBurstyLoad) {
   LvrmRig rig(round_robin_cfg(BalancerGranularity::kFlow), 4, 0);
   send(rig, 3000, 16, usec(30), /*burst=*/16, /*seed=*/7);
   rig.sim.run_all();
@@ -51,7 +51,7 @@ TEST(SystemBatched, ConservesFramesUnderBurstyLoad) {
   EXPECT_EQ(rig.delivered(), rig.sys->forwarded());
 }
 
-TEST(SystemBatched, FlowAffinityHoldsThroughBurstDispatch) {
+TEST(SystemBursts, FlowAffinityHoldsThroughBurstDispatch) {
   LvrmRig rig(round_robin_cfg(BalancerGranularity::kFlow), 4, 0);
   rig.keep_egress = true;
   send(rig, 2000, 16, usec(40), /*burst=*/16, /*seed=*/5);
@@ -71,7 +71,7 @@ TEST(SystemBatched, FlowAffinityHoldsThroughBurstDispatch) {
   EXPECT_GT(vris_used.size(), 1u);
 }
 
-TEST(SystemBatched, SameFlowKeepsArrivalOrder) {
+TEST(SystemBursts, SameFlowKeepsArrivalOrder) {
   LvrmRig rig(round_robin_cfg(BalancerGranularity::kFlow), 4, 0);
   send(rig, 2000, 8, usec(30), /*burst=*/16, /*seed=*/3);
   rig.sim.run_all();
@@ -80,7 +80,7 @@ TEST(SystemBatched, SameFlowKeepsArrivalOrder) {
   EXPECT_EQ(rig.conservation(), "");
 }
 
-TEST(SystemBatched, DeterministicAcrossRuns) {
+TEST(SystemBursts, DeterministicAcrossRuns) {
   auto run = [] {
     LvrmRig rig(round_robin_cfg(BalancerGranularity::kFlow), 4, 0);
     rig.keep_egress = true;
@@ -93,7 +93,7 @@ TEST(SystemBatched, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(SystemBatched, FrameModeConservesFrames) {
+TEST(SystemBursts, FrameModeConservesFrames) {
   LvrmRig rig(round_robin_cfg(BalancerGranularity::kFrame), 4, 0);
   rig.keep_egress = true;
   send(rig, 2000, 16, usec(30), /*burst=*/16, /*seed=*/17);

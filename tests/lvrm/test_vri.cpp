@@ -94,8 +94,9 @@ TEST(ClickVr, FallbackAgreesWithGraphProperty) {
     const bool routed = graph_vr.process(a);
     const auto route = lpm.lookup(dst);
     EXPECT_EQ(routed, route.has_value()) << net::format_ipv4(dst);
-    if (routed && route)
+    if (routed && route) {
       EXPECT_EQ(a.output_if, route->output_if) << net::format_ipv4(dst);
+    }
   }
 }
 

@@ -102,7 +102,9 @@ TEST(AuditTrail, TwoWritersSurviveAFullRingCycleConsistently) {
     EXPECT_EQ(events[i].time, static_cast<Nanos>(base + i));
     EXPECT_EQ(events[i].vr, expect_vr[base + i]);
     EXPECT_EQ(events[i].a, expect_a[base + i]);
-    if (i > 0) EXPECT_LE(events[i - 1].time, events[i].time);
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].time, events[i].time);
+    }
   }
   // Replaying the suffix still yields each writer's final count.
   std::uint64_t replay[2] = {count[0], count[1]};  // seed from truth...

@@ -13,8 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/ring_stats.hpp"
-
 namespace lvrm::queue {
 namespace {
 
@@ -85,9 +83,9 @@ TEST(MpmcLink, WraparoundPreservesFifoAcrossManyCycles) {
   // indices wrap repeatedly and straddle the ring edge mid-burst.
   std::uint32_t buf[5];
   std::uint32_t out[7];
-  for (int round = 0; round < 1000; ++round) {
-    const std::size_t n = 1 + (round % 5);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = next_in + i;
+  for (std::uint32_t round = 0; round < 1000; ++round) {
+    const std::uint32_t n = 1 + (round % 5);
+    for (std::uint32_t i = 0; i < n; ++i) buf[i] = next_in + i;
     next_in += static_cast<std::uint32_t>(link.try_push_batch(buf, n));
     const std::size_t m = link.try_pop_batch(out, 1 + (round % 7));
     for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(out[i], next_out + i);
@@ -95,20 +93,6 @@ TEST(MpmcLink, WraparoundPreservesFifoAcrossManyCycles) {
   }
   while (const auto v = link.try_pop()) ASSERT_EQ(*v, next_out++);
   EXPECT_EQ(next_in, next_out);
-}
-
-TEST(MpmcLink, AttachedStatsCountPushPopAndRejects) {
-  obs::RingStats stats;
-  MpmcLink<int> link(4);
-  link.attach_stats(&stats);
-  int items[6] = {0, 1, 2, 3, 4, 5};
-  EXPECT_EQ(link.try_push_batch(items, 6), 4u);  // 4 pushed, 2 rejected
-  EXPECT_FALSE(link.try_push(9));                // 1 more rejected
-  int out[4];
-  EXPECT_EQ(link.try_pop_batch(out, 4), 4u);
-  EXPECT_EQ(stats.pushes.load(), 4u);
-  EXPECT_EQ(stats.push_fails.load(), 3u);
-  EXPECT_EQ(stats.pops.load(), 4u);
 }
 
 // --- multi-threaded stress ------------------------------------------------
@@ -172,7 +156,9 @@ void mpmc_stress(int producers, int consumers, std::size_t per_producer,
       const std::uint64_t s = v & 0xffffffffu;
       ASSERT_LT(p, static_cast<std::size_t>(producers));
       ASSERT_LT(s, per_producer);
-      if (any[p]) ASSERT_GT(s, last[p]) << "per-producer FIFO violated";
+      if (any[p]) {
+        ASSERT_GT(s, last[p]) << "per-producer FIFO violated";
+      }
       any[p] = true;
       last[p] = s;
       ++counts[p][static_cast<std::size_t>(s)];

@@ -51,16 +51,6 @@ TEST(SpscRing, SizeApprox) {
   EXPECT_EQ(ring.size_approx(), 1u);
 }
 
-TEST(SpscRing, PeekDoesNotConsume) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.peek(), nullptr);
-  ring.try_push(7);
-  ASSERT_NE(ring.peek(), nullptr);
-  EXPECT_EQ(*ring.peek(), 7);
-  EXPECT_EQ(ring.size_approx(), 1u);
-  EXPECT_EQ(*ring.try_pop(), 7);
-}
-
 TEST(SpscRing, MoveOnlyPayloads) {
   SpscRing<std::unique_ptr<int>> ring(4);
   ring.try_push(std::make_unique<int>(5));

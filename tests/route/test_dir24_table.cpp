@@ -91,7 +91,9 @@ TEST_P(Dir24Property, MatchesTrie) {
     const auto a = trie.lookup(addr);
     const auto b = dir24.lookup(addr);
     ASSERT_EQ(a.has_value(), b.has_value()) << net::format_ipv4(addr);
-    if (a) EXPECT_EQ(a->prefix, b->prefix) << net::format_ipv4(addr);
+    if (a) {
+      EXPECT_EQ(a->prefix, b->prefix) << net::format_ipv4(addr);
+    }
   }
 }
 

@@ -169,21 +169,15 @@ TEST(PollServer, PickupLatencyDelaysIdleDiscovery) {
   EXPECT_EQ(done, 600);  // 500 discovery + 100 service
 }
 
-TEST(PollServer, ServedCountAndOneshotCost) {
+TEST(PollServer, ServedCount) {
   Rig rig;
   BoundedQueue<int> q(16);
-  Nanos first_done = -1;
-  rig.server.add_input(q, 0, [](int&) { return Nanos{10}; },
-                       [&](int&&) {
-                         if (first_done < 0) first_done = rig.sim.now();
-                       });
-  rig.server.add_oneshot_cost(90);
+  rig.server.add_input(q, 0, [](int&) { return Nanos{10}; }, [](int&&) {});
   rig.server.start();
   q.push(1);
   q.push(2);
   rig.sim.run_all();
   EXPECT_EQ(rig.server.served(), 2u);
-  EXPECT_EQ(first_done, 100);  // 90 one-shot + 10; second item only 10
 }
 
 // --- §17 stealing support: hint repair, idle hook -------------------------

@@ -76,11 +76,15 @@ TEST_P(BoundedQueueModel, MatchesDequeModel) {
       model.clear();
     }
     ASSERT_EQ(queue.size(), model.size());
-    if (!model.empty()) ASSERT_EQ(queue.front(), model.front());
+    if (!model.empty()) {
+      ASSERT_EQ(queue.front(), model.front());
+    }
     peak = std::max(peak, model.size());
   }
   EXPECT_EQ(queue.drops(), drops);
-  if (c.min_capacity > kSmallCapacity) EXPECT_GT(peak, kSmallCapacity);
+  if (c.min_capacity > kSmallCapacity) {
+    EXPECT_GT(peak, kSmallCapacity);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
